@@ -30,6 +30,11 @@ from .ratlin import Matrix, Subspace, Vector, span
 VERSION = "nestlab/1"
 
 
+def _is_int(raw: Any) -> bool:
+    # JSON true and false load as bool, which is an int subclass
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _rational(raw: Any, path: str) -> Fraction:
     if not isinstance(raw, str):
         raise DocumentError(
@@ -87,6 +92,11 @@ def _parse_chain(raw: Any, path: str) -> AbstractNest:
             kw["below"] = below["kind"]
             if "gap" in below:
                 gap = below["gap"]
+                if isinstance(gap, bool):
+                    raise DocumentError(
+                        "'gap' is a positive integer or \"inf\", not a boolean",
+                        path=f"{npath}.below.gap",
+                    )
                 kw["gap"] = math.inf if gap == "inf" else gap
             if "cofinality" in below:
                 kw["cofinality"] = below["cofinality"]
@@ -239,7 +249,7 @@ def parse_document(text: str) -> WorkbenchDoc:
     doc = WorkbenchDoc()
     if "ambient_dim" in raw:
         dim = raw["ambient_dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if not _is_int(dim) or dim < 1:
             raise DocumentError("'ambient_dim' must be a positive integer", path="ambient_dim")
         doc.ambient_dim = dim
     if "nest" in raw:
@@ -267,7 +277,7 @@ def parse_document(text: str) -> WorkbenchDoc:
             ]
     if "support_fn" in raw:
         sv = raw["support_fn"]
-        if not isinstance(sv, list) or not all(isinstance(x, int) for x in sv):
+        if not isinstance(sv, list) or not all(_is_int(x) for x in sv):
             raise DocumentError("'support_fn' is an array of element indices", path="support_fn")
         doc.support_values = list(sv)
     if "rank_one" in raw:

@@ -61,6 +61,10 @@ class SupportFunctionError(NestlabError):
     """A support function table is malformed (non-monotone or out of range)."""
 
 
+class InvariantError(NestlabError):
+    """An internal invariant of a computation failed; this is a bug, not bad input."""
+
+
 # --- abstract chains ---------------------------------------------------------
 
 class ChainError(NestlabError):

@@ -8,22 +8,25 @@ objects are the two mutually inverse constructions
     support_of : bimodule J  ->  support function  E |-> [J E]
     m_of       : support function Phi  ->  { T : T E <= Phi(E) for all E }
 
-which at finite dimension compose to the identity in both directions.
+At finite dimension every bimodule of a nest algebra is reflexive,
+J = m_of(support_of(J)) (Erdos and Power, J. Operator Theory 7, 1982), so
+everything here is computed from support functions: m_of(Phi) is spanned by
+independent rank-ones, a generated bimodule is m_of of the hull of its
+generators, and J is a bimodule exactly when it has the dimension of m_of of
+its own hull.  The literal constructions live in `oracles`, which only the
+property suites and the tests use.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
     AmbientMismatchError,
+    InvariantError,
     NotABimoduleError,
     NotAMemberError,
-    NotAnElementError,
-    NotInNestError,
     SupportFunctionError,
     ZeroVectorError,
 )
@@ -33,12 +36,12 @@ from .ratlin import (
     Matrix,
     Subspace,
     Vector,
+    _echelon_from_rows,
+    _subspace_from_echelon,
     annihilator,
     as_vector,
     int_row,
-    join,
     meet,
-    nullspace_of_rows,
     outer,
     rank,
     span,
@@ -109,36 +112,8 @@ class SupportFn:
     def identity(cls, nest: Nest) -> "SupportFn":
         return cls(nest, tuple(range(len(nest.elements))))
 
-    @classmethod
-    def constant(cls, nest: Nest, idx: int) -> "SupportFn":
-        return cls(nest, (idx,) * len(nest.elements))
-
     def __call__(self, i: int) -> Subspace:
         return self.nest.element(self.values[i])
-
-    def fixes_zero(self) -> bool:
-        return self.values[0] == 0
-
-    def is_left_continuous(self) -> bool:
-        """On a finite chain the join below any element is attained, so this
-        always holds; it is still evaluated literally."""
-        for i in range(1, len(self.values)):
-            below = Subspace.zero(self.nest.ambient_dim)
-            for f in range(i):
-                below = join(below, self(f))
-            if below != self(i - 1):
-                return False
-        return True
-
-
-def lower_regularization(phi: SupportFn) -> SupportFn:
-    """Greatest left-continuous minorant; the identity map on finite nests.
-
-    Every element of a finite chain other than the bottom has an attained
-    immediate predecessor, so the regularization keeps every value (the value
-    at the bottom is preserved by definition).
-    """
-    return SupportFn(phi.nest, phi.values)
 
 
 @dataclass(frozen=True)
@@ -167,197 +142,174 @@ class RankOne:
 # algebra and bimodules
 # ---------------------------------------------------------------------------
 
-def _int_rows(vectors: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for v in vectors:
-        w = int_row(tuple(v))
-        if w is not None:
-            out.append(w)
-    return out
+def _adapted_levels(nest: Nest) -> list[list[list[int]]]:
+    """Integer vectors grouped by nest level: level j holds gap_j vectors that
+    extend a basis of E_(j-1) to one of E_j (level 0 is empty)."""
+    seen = IntEchelon(nest.ambient_dim)
+    levels = []
+    for e in nest.elements:
+        level = []
+        for r in e.basis.entries:
+            w = int_row(r)
+            if seen.insert(w) is not None:
+                level.append(w)
+        levels.append(level)
+    return levels
+
+
+def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """For each nest element E, the index of the smallest element containing
+    T E for every T in int_ops (row-major integer flats).
+
+    The hull is monotone, so one pointer walks up the chain: element j only
+    adds the images of its level vectors, and once the pointer reaches the top
+    every later value is the top.
+    """
+    n = nest.ambient_dim
+    top = len(nest.elements) - 1
+    echelons: dict[int, IntEchelon] = {}
+    values = []
+    at = 0
+    for level in _adapted_levels(nest):
+        for u in level:
+            if at == top:
+                break
+            support = [(c, x) for c, x in enumerate(u) if x]
+            for t in int_ops:
+                image = [
+                    sum(t[base + c] * x for c, x in support) for base in range(0, n * n, n)
+                ]
+                while at < top:
+                    ech = echelons.get(at)
+                    if ech is None:
+                        e = nest.elements[at]
+                        ech = echelons[at] = _echelon_from_rows(e.basis.entries, n)
+                    if ech.contains(image):
+                        break
+                    at += 1
+                if at == top:
+                    break
+        values.append(at)
+    return tuple(values)
+
+
+def _dual_basis(vectors: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """Integer functionals f_a with f_a(u_b) = 0 for a != b and f_a(u_a) != 0,
+    for a basis u of Q^n: the rows of the inverse of the matrix with columns
+    u, read off the reduced echelon form of [U | I]."""
+    ech = IntEchelon(2 * n)
+    for i in range(n):
+        ech.insert([u[i] for u in vectors] + [int(i == c) for c in range(n)])
+    return [int_row(row[n:]) for row in ech.canonical()]
 
 
 def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:
     """All operators T with T E contained in phi(E) for every nest element E.
 
-    Solved as one homogeneous system over the flattened matrix entries: for a
-    basis vector b of E and a functional f killing phi(E), the constraint
-    f(T b) = 0 has coefficient grid f_i * b_j.
+    With a basis u adapted to the nest and its dual basis f, every operator is
+    T = sum_a (T u_a) (x) f_a, and T lies in the space exactly when T u_a lies
+    in phi(E_j) for each u_a of level j.  So the space is spanned by the
+    independent rank-ones x (x) f_a, x running over a basis of phi(E_j): f_a
+    kills E_(j-1), and the dimension is sum_j gap_j * dim phi(E_j).
     """
     if phi.nest != nest:
         raise AmbientMismatchError("support function belongs to a different nest")
     n = nest.ambient_dim
-    constraints: list[Vector] = []
-    for i, e in enumerate(nest.elements):
-        if e.dim == 0:
-            continue
-        ann_target = annihilator(phi(i))
-        if ann_target.dim == 0:
-            continue
-        for f in ann_target.basis.entries:
-            for b in e.basis.entries:
-                constraints.append(tuple(fi * bj for fi in f for bj in b))
-    return OperatorSpace(n, nullspace_of_rows(constraints, n * n))
+    levels = _adapted_levels(nest)
+    dual = iter(_dual_basis([u for level in levels for u in level], n))
+    ech = IntEchelon(n * n)
+    for j, level in enumerate(levels):
+        xs = [int_row(x) for x in phi(j).basis.entries]
+        for _ in level:
+            f = next(dual)
+            for x in xs:
+                ech.insert([xr * fc for xr in x for fc in f])
+    return OperatorSpace(n, _subspace_from_echelon(ech, n * n))
 
 
 def nest_algebra(nest: Nest) -> OperatorSpace:
-    """Operators leaving every nest element invariant."""
+    """Operators leaving every nest element invariant: m_of the identity."""
     return m_of(nest, SupportFn.identity(nest))
 
 
-def _flat_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    # product of two row-major flattened n x n integer matrices
-    out = [0] * (n * n)
-    for i in range(n):
-        ib = i * n
-        for k in range(n):
-            aik = a[ib + k]
-            if aik:
-                kb = k * n
-                for j in range(n):
-                    out[ib + j] += aik * b[kb + j]
-    return out
+def span_of_rank_ones(nest: Nest) -> OperatorSpace:
+    """Span of all rank-one members of the nest algebra.
+
+    m_of builds its space from rank-one members, so at the identity support
+    this is the algebra itself.
+    """
+    return nest_algebra(nest)
 
 
 def generate_bimodule(nest: Nest, generators: Iterable[Matrix]) -> OperatorSpace:
     """Smallest subspace containing the generators and invariant under left
     and right multiplication by the nest algebra.
 
-    Fixed-point iteration: every basis row that enters the span is multiplied
-    on both sides by the algebra basis until no product adds dimension.
+    A G A E = A G E, and A W is the smallest nest element containing W, so
+    the bimodule has support E |-> smallest element containing G E; being
+    reflexive, it is m_of of that support.
     """
     n = nest.ambient_dim
-    alg = nest_algebra(nest)
-    alg_flats = _int_rows(alg.space.basis.entries)
-    ech = IntEchelon(n * n)
-    pending: list[list[int]] = []
+    ops = []
     for g in generators:
         if (g.rows, g.cols) != (n, n):
             raise AmbientMismatchError(f"generator is not a {n}x{n} matrix")
         w = int_row(g.flatten())
         if w is not None:
-            stored = ech.insert(w)
-            if stored is not None:
-                pending.append(stored)
-    at = 0
-    while at < len(pending):
-        s = pending[at]
-        at += 1
-        for a in alg_flats:
-            for prod in (_flat_mul(a, s, n), _flat_mul(s, a, n)):
-                stored = ech.insert(prod)
-                if stored is not None:
-                    pending.append(stored)
-    rows = ech.canonical()
-    return OperatorSpace(n, Subspace(n * n, Matrix(len(rows), n * n, rows)))
+            ops.append(w)
+    return m_of(nest, SupportFn(nest, _hull_values(nest, ops)))
+
+
+def _support_values(nest: Nest, j: OperatorSpace) -> tuple[int, ...] | None:
+    """The hull psi of J, or None when J is not a bimodule.
+
+    J lies in m_of(psi) by construction, and m_of(psi) is a bimodule, so J is
+    one exactly when the two have the same dimension; psi is then [J E].
+    """
+    if j.ambient_dim != nest.ambient_dim:
+        raise AmbientMismatchError("operator space and nest ambient dimensions differ")
+    values = _hull_values(nest, [int_row(r) for r in j.space.basis.entries])
+    reach = sum(nest.gap(i) * nest.elements[v].dim for i, v in enumerate(values))
+    return values if reach == j.dim else None
+
+
+def _bimodule_support(nest: Nest, j: OperatorSpace, message: str) -> tuple[int, ...]:
+    values = _support_values(nest, j)
+    if values is None:
+        raise NotABimoduleError(message)
+    return values
 
 
 def is_bimodule(nest: Nest, s: OperatorSpace) -> bool:
-    """Whether A s B stays inside s for all algebra members A and B.
-
-    Checking one-sided products against the basis suffices: the identity lies
-    in the algebra, so closure under both one-sided actions is equivalent to
-    closure under the two-sided one.
-    """
-    if s.ambient_dim != nest.ambient_dim:
-        raise AmbientMismatchError("operator space and nest ambient dimensions differ")
-    n = nest.ambient_dim
-    alg_flats = _int_rows(nest_algebra(nest).space.basis.entries)
-    s_flats = _int_rows(s.space.basis.entries)
-    ech = IntEchelon(n * n)
-    for r in s_flats:
-        ech.insert(r)
-    for t in s_flats:
-        for a in alg_flats:
-            if not ech.contains(_flat_mul(a, t, n)):
-                return False
-            if not ech.contains(_flat_mul(t, a, n)):
-                return False
-    return True
-
-
-def _image(n: int, ops: Sequence[Matrix], e: Subspace) -> Subspace:
-    vecs = [t.apply(b) for t in ops for b in e.basis.entries]
-    return span(vecs, n)
-
-
-def _support_values(nest: Nest, j: OperatorSpace) -> tuple[int, ...]:
-    n = nest.ambient_dim
-    mats = j.basis_matrices()
-    values = []
-    for e in nest.elements:
-        img = _image(n, mats, e)
-        for idx, cand in enumerate(nest.elements):
-            if cand == img:
-                values.append(idx)
-                break
-        else:
-            raise NotInNestError(
-                "image of a nest element under the bimodule is not a nest element: "
-                f"dimension {img.dim} subspace "
-                f"{[list(map(str, r)) for r in img.basis.entries]}"
-            )
-    return tuple(values)
+    """Whether A s B stays inside s for all algebra members A and B,
+    decided by dimension against m_of of the hull of s."""
+    return _support_values(nest, s) is not None
 
 
 def support_of(nest: Nest, j: OperatorSpace) -> SupportFn:
     """The support function E |-> [J E] of a bimodule J."""
-    if not is_bimodule(nest, j):
-        raise NotABimoduleError("operator space is not a bimodule over the nest algebra")
-    return SupportFn(nest, _support_values(nest, j))
+    return SupportFn(nest, _bimodule_support(
+        nest, j, "operator space is not a bimodule over the nest algebra"))
 
 
 def is_reflexive(nest: Nest, j: OperatorSpace) -> bool:
-    """Whether J equals the full operator space of its own support."""
-    if not is_bimodule(nest, j):
-        raise NotABimoduleError("reflexivity is defined for bimodules only")
-    phi = SupportFn(nest, _support_values(nest, j))
-    return m_of(nest, phi) == j
+    """Whether J equals the full operator space of its own support.
+
+    The bimodule test is J = m_of(psi) for the hull psi of J, and psi is the
+    support of J, so every bimodule passes.
+    """
+    _bimodule_support(nest, j, "reflexivity is defined for bimodules only")
+    return True
 
 
 def essential_support_of(nest: Nest, j: OperatorSpace) -> SupportFn:
     """Meet of all nest elements L with dim(T N / L) finite for T in J.
 
     At finite dimension every quotient is finite, every L qualifies, and the
-    meet collapses to the zero subspace at every N; the quantifier is still
-    evaluated literally.
+    meet is the zero subspace at every N.
     """
-    if not is_bimodule(nest, j):
-        raise NotABimoduleError("essential support is defined for bimodules only")
-    n = nest.ambient_dim
-    mats = j.basis_matrices()
-    values = []
-    for e in nest.elements:
-        candidates = [
-            idx
-            for idx, cand in enumerate(nest.elements)
-            if all(
-                join(_image(n, (t,), e), cand).dim - cand.dim < math.inf for t in mats
-            )
-        ]
-        cur = nest.element(candidates[0])
-        for idx in candidates[1:]:
-            cur = meet(cur, nest.element(idx))
-        values.append(nest.index_of(cur))
-    return SupportFn(nest, tuple(values))
-
-
-def span_of_rank_ones(nest: Nest) -> OperatorSpace:
-    """Span of all rank-one members of the nest algebra.
-
-    Built per element E as annihilator(predecessor of E) tensored with E and
-    summed over the chain.
-    """
-    n = nest.ambient_dim
-    ech = IntEchelon(n * n)
-    for e in nest.elements:
-        below, _ = adjacent(nest, e)
-        for f in annihilator(below).basis.entries:
-            for x in e.basis.entries:
-                w = int_row(outer(x, f).flatten())
-                if w is not None:
-                    ech.insert(w)
-    rows = ech.canonical()
-    return OperatorSpace(n, Subspace(n * n, Matrix(len(rows), n * n, rows)))
+    _bimodule_support(nest, j, "essential support is defined for bimodules only")
+    return SupportFn(nest, (0,) * len(nest.elements))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +422,8 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
         w = span([current.column(j) for j in range(n)], n)
         ell = smallest_intersecting(nest, w)
         pick = meet(ell, w)
-        assert pick.dim > 0
+        if pick.dim == 0:
+            raise InvariantError("the smallest element meeting the range misses it")
         x = pick.basis.entries[0]
         pivot = next(j for j, c in enumerate(x) if c)
         f = current.row(pivot)
@@ -478,7 +431,8 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
         factors.append(factor)
         current = current - factor.matrix()
         new_rank = rank(current)
-        assert new_rank == current_rank - 1
+        if new_rank != current_rank - 1:
+            raise InvariantError("a rank-one factor did not lower the rank by one")
         current_rank = new_rank
     return factors
 

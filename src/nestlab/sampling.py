@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .nest import Nest, validate_nest
-from .opspace import OperatorSpace, SupportFn, generate_bimodule, m_of
+from .opspace import OperatorSpace, SupportFn, m_of
 from .ratlin import IntEchelon, Matrix, Subspace, span
 
 ENTRY_RANGE = (-2, 2)
@@ -62,10 +62,10 @@ def random_support(rng: random.Random, nest: Nest, fix_zero: bool = False) -> Su
     return SupportFn(nest, tuple(values))
 
 
-def random_bimodule(rng: random.Random, nest: Nest) -> OperatorSpace:
+def random_generators(rng: random.Random, n: int) -> list[Matrix]:
+    """Up to MAX_GENERATORS random n x n matrices, to generate a bimodule."""
     count = rng.randint(0, MAX_GENERATORS)
-    gens = [random_matrix(rng, nest.ambient_dim) for _ in range(count)]
-    return generate_bimodule(nest, gens)
+    return [random_matrix(rng, n) for _ in range(count)]
 
 
 def random_member(rng: random.Random, space: OperatorSpace) -> Matrix:

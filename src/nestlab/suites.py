@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from . import sampling
+from . import oracles, sampling
 from .chaincalc import (
     ATTAINED,
     COUNTABLE,
@@ -56,9 +56,7 @@ from .opspace import (
     decompose,
     essential_support_of,
     generate_bimodule,
-    is_bimodule,
     m_of,
-    nest_algebra,
     rank_one_in_alg,
     rank_one_in_m,
     span_of_rank_ones,
@@ -205,6 +203,13 @@ def _dim_formula(nest, phi: SupportFn) -> int:
     )
 
 
+def _matches_constraints(nest, phi: SupportFn) -> bool:
+    """m_of(phi) equals the constraint-system oracle, whose dimension is the
+    formula's."""
+    literal = oracles.m_of(nest, phi)
+    return m_of(nest, phi) == literal and literal.dim == _dim_formula(nest, phi)
+
+
 def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
     nest = canonical_triangular_nest()
 
@@ -224,7 +229,7 @@ def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
 
     def dim_formula_exhaustive() -> Iterator[Case]:
         for phi in zero_fixing_supports(nest):
-            ok = m_of(nest, phi).dim == _dim_formula(nest, phi)
+            ok = _matches_constraints(nest, phi)
             yield ok, (phi.values,), {"phi": list(phi.values)}
 
     def galois_random() -> Iterator[Case]:
@@ -242,7 +247,7 @@ def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
         for _ in range(cases):
             rnest = sampling.random_nest(rng)
             phi = sampling.random_support(rng, rnest)
-            ok = m_of(rnest, phi).dim == _dim_formula(rnest, phi)
+            ok = _matches_constraints(rnest, phi)
             yield ok, (rnest.ambient_dim, len(rnest)), {
                 "nest": _nest_desc(rnest), "phi": list(phi.values),
             }
@@ -260,29 +265,37 @@ def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
 # closedcar suite
 # ---------------------------------------------------------------------------
 
-def bimodule_samples(seed: int, cases: int) -> Iterator[tuple]:
+def generator_samples(seed: int, cases: int) -> Iterator[tuple]:
     rng = _rng(seed, "closedcar")
     for _ in range(cases):
         nest = sampling.random_nest(rng)
-        j = sampling.random_bimodule(rng, nest)
-        yield nest, j
+        yield nest, sampling.random_generators(rng, nest.ambient_dim)
+
+
+def bimodule_samples(seed: int, cases: int) -> Iterator[tuple]:
+    for nest, gens in generator_samples(seed, cases):
+        yield nest, generate_bimodule(nest, gens)
 
 
 def suite_closedcar(seed: int, cases: int) -> list[PropertyOutcome]:
-    pairs = list(bimodule_samples(seed, cases))
+    # each sample carries the closed-form bimodule and the fixed-point closure
+    samples = [
+        (nest, generate_bimodule(nest, gens), oracles.generate_bimodule(nest, gens))
+        for nest, gens in generator_samples(seed, cases)
+    ]
 
     def reflexive() -> Iterator[Case]:
-        for nest, j in pairs:
-            ok = m_of(nest, support_of(nest, j)) == j
+        for nest, j, closure in samples:
+            ok = j == closure and oracles.m_of(nest, support_of(nest, j)) == closure
             yield ok, (nest.ambient_dim, j.dim), {
                 "nest": _nest_desc(nest), "bimodule_dim": j.dim,
                 "basis": [_mat_desc(m) for m in j.basis_matrices()],
             }
 
     def essential_zero() -> Iterator[Case]:
-        for nest, j in pairs:
-            ess = essential_support_of(nest, j)
-            ok = all(v == 0 for v in ess.values)
+        for nest, j, closure in samples:
+            ess = essential_support_of(nest, closure)
+            ok = oracles.is_bimodule(nest, closure) and all(v == 0 for v in ess.values)
             yield ok, (nest.ambient_dim, j.dim), {
                 "nest": _nest_desc(nest), "essential": list(ess.values),
             }
@@ -344,13 +357,13 @@ def suite_rankone(seed: int, cases: int) -> list[PropertyOutcome]:
     def density() -> Iterator[Case]:
         rng = _rng(seed, "density")
         yield (
-            span_of_rank_ones(nest) == nest_algebra(nest),
+            span_of_rank_ones(nest) == oracles.nest_algebra(nest),
             (3,),
             {"nest": _nest_desc(nest)},
         )
         for _ in range(cases):
             rnest = sampling.random_nest(rng)
-            ok = span_of_rank_ones(rnest) == nest_algebra(rnest)
+            ok = span_of_rank_ones(rnest) == oracles.nest_algebra(rnest)
             yield ok, (rnest.ambient_dim, len(rnest)), {"nest": _nest_desc(rnest)}
 
     def random_m() -> Iterator[Case]:

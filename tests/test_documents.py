@@ -115,3 +115,24 @@ def test_serialization_is_deterministic():
     text = fixture_text("decompose")
     doc = parse_document(text)
     assert serialize_document(doc) == serialize_document(parse_document(text))
+
+
+def test_ambient_dim_rejects_booleans():
+    raw = json.loads(fixture_text("support"))
+    raw["ambient_dim"] = True
+    with pytest.raises(DocumentError, match="ambient_dim"):
+        parse_document(json.dumps(raw))
+
+
+def test_gap_rejects_booleans():
+    raw = json.loads(fixture_text("chain-pinf"))
+    raw["chain"]["nodes"][1]["below"]["gap"] = True
+    with pytest.raises(DocumentError, match=r"chain\.nodes\[1\]\.below\.gap"):
+        parse_document(json.dumps(raw))
+
+
+def test_support_fn_rejects_booleans():
+    raw = json.loads(fixture_text("support"))
+    raw["support_fn"] = [0, True, 2, 3]
+    with pytest.raises(DocumentError, match="support_fn"):
+        parse_document(json.dumps(raw))

@@ -1,8 +1,11 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from nestlab import (
+    AmbientMismatchError,
     Matrix,
     NotABimoduleError,
     NotAMemberError,
@@ -27,6 +30,8 @@ from nestlab import (
     support_of,
     validate_nest,
 )
+from nestlab import oracles, sampling
+from nestlab.suites import monotone_tables
 
 F = Fraction
 
@@ -141,6 +146,61 @@ def test_essential_support_vanishes():
     nest = triangular()
     j = generate_bimodule(nest, [unit(3, 0, 2)])
     assert essential_support_of(nest, j).values == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("guarded", [support_of, essential_support_of, is_reflexive])
+def test_bimodule_guards_reject_non_bimodules(guarded):
+    nest = triangular()
+    with pytest.raises(NotABimoduleError):
+        guarded(nest, OperatorSpace.from_matrices(3, [unit(3, 2, 0)]))
+
+
+@pytest.mark.parametrize("check", [support_of, is_bimodule])
+def test_mismatched_ambient_is_rejected(check):
+    with pytest.raises(AmbientMismatchError):
+        check(triangular(), OperatorSpace.from_matrices(2, [unit(2, 0, 1)]))
+
+
+# --- closed forms against the literal oracles ----------------------------------
+
+def test_generate_matches_closure_on_unit_pairs():
+    nest = triangular()
+    units = [unit(3, i, j) for i in range(3) for j in range(3)]
+    for pair in itertools.combinations_with_replacement(units, 2):
+        assert generate_bimodule(nest, pair) == oracles.generate_bimodule(nest, pair)
+
+
+def test_m_of_matches_constraints_on_every_table():
+    nest = triangular()
+    for values in monotone_tables(len(nest)):
+        phi = SupportFn(nest, values)
+        assert m_of(nest, phi) == oracles.m_of(nest, phi)
+
+
+def test_is_bimodule_rejects_a_bimodule_missing_a_row():
+    # the other matrix units still map the first nest element onto Q^3, so
+    # the hull is unchanged and only the dimension tells
+    nest = triangular()
+    j = generate_bimodule(nest, [unit(3, 2, 0)])
+    dropped = OperatorSpace.from_matrices(3, j.basis_matrices()[1:])
+    assert j.dim == 9 and support_of(nest, j).values == (0, 3, 3, 3)
+    assert not is_bimodule(nest, dropped)
+    assert not oracles.is_bimodule(nest, dropped)
+
+
+def test_is_bimodule_agrees_with_products_on_random_spans():
+    rng = random.Random(5)
+    for _ in range(40):
+        nest = sampling.random_nest(rng)
+        n = nest.ambient_dim
+        mats = [sampling.random_matrix(rng, n) for _ in range(rng.randint(0, 3))]
+        pick = rng.randrange(3)
+        if mats and pick:
+            # the generated bimodule itself, or with one basis row dropped
+            basis = generate_bimodule(nest, mats).basis_matrices()
+            mats = basis if pick == 1 else basis[1:]
+        s = OperatorSpace.from_matrices(n, mats)
+        assert is_bimodule(nest, s) == oracles.is_bimodule(nest, s)
 
 
 # --- rank ones ----------------------------------------------------------------
