@@ -295,18 +295,16 @@ def check_essential(f: AbstractSupportFn) -> bool:
 
     Fixed-from-above: a value inside the finite stratum must equal its own
     limit from above.  Finite-quotient stability: nodes a finite dimension
-    apart must share their value.
+    apart must share their value.  A finite quotient is a run of attained
+    finite jumps, so stability says that every node in the finite stratum
+    keeps its predecessor's value.
     """
     chain = f.chain
     for i in range(len(chain)):
         v = f.value[i]
         if chain.in_finite_stratum(v) and not chain.upper_limit_fixed(v):
             return False
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            if chain.quotient_dim(i, j) < INFINITE and f.value[i] != f.value[j]:
-                return False
-    return True
+    return all(f.value[i - 1] == f.value[i] for i in chain.finite_stratum())
 
 
 def check_pair(p: SupportPair) -> bool:

@@ -3,7 +3,9 @@
 A nest always contains the zero subspace and the full space; in between the
 elements are strictly increasing.  Because the chain is finite, every element
 has an immediate predecessor and successor inside the chain (with the usual
-conventions at the endpoints).
+conventions at the endpoints).  A property that passes from each element to
+every larger one, such as containing a vector or meeting a subspace, is
+decided by the first element that has it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import (
     NotAnElementError,
     ZeroSubspaceError,
 )
-from .ratlin import Subspace, annihilator, join, meet
+from .ratlin import Subspace, join
 
 
 @dataclass(frozen=True)
@@ -115,32 +117,11 @@ def adjacent(nest: Nest, e: Subspace) -> tuple[Subspace, Subspace]:
 def smallest_intersecting(nest: Nest, w: Subspace) -> Subspace:
     """The meet of all nest elements that meet w nontrivially.
 
-    On a finite chain this meet is itself one of those elements, and it still
-    meets w nontrivially.
+    On a chain the elements meeting w form an upper segment, so their meet is
+    the first of them: the first E with dim(E join w) < dim E + dim w.
     """
     if w.ambient_dim != nest.ambient_dim:
         raise AmbientMismatchError("subspace lives in a different ambient than the nest")
     if w.is_zero():
         raise ZeroSubspaceError("the zero subspace meets no nest element nontrivially")
-    hits = [nel for nel in nest.elements if not meet(nel, w).is_zero()]
-    out = hits[0]
-    for nel in hits[1:]:
-        out = meet(out, nel)
-    return out
-
-
-def perp_span_check(nest: Nest, e: Subspace) -> bool:
-    """Annihilator identity along the chain.
-
-    Compares the join of annihilator(N) over all N whose successor strictly
-    contains e against annihilator(e).  At finite dimension the two sides
-    always agree; the function evaluates both literally.
-    """
-    i = nest.index_of(e)
-    n = nest.ambient_dim
-    lhs = Subspace.zero(n)
-    for nel in nest.elements:
-        _, above = adjacent(nest, nel)
-        if above.contains(e) and above.dim > e.dim:
-            lhs = join(lhs, annihilator(nel))
-    return lhs == annihilator(nest.elements[i])
+    return next(e for e in nest.elements if join(e, w).dim < e.dim + w.dim)

@@ -13,7 +13,9 @@ J = m_of(support_of(J)) (Erdos and Power, J. Operator Theory 7, 1982), so
 everything here is computed from support functions: m_of(Phi) is spanned by
 independent rank-ones, a generated bimodule is m_of of the hull of its
 generators, and J is a bimodule exactly when it has the dimension of m_of of
-its own hull.  The literal constructions live in `oracles`, which only the
+its own hull.  Rank-one questions are answered from the chain levels of the
+vector and the functional (Ringrose, Proc. London Math. Soc. 15, 1965).  The
+literal constructions and criteria live in `oracles`, which only the
 property suites and the tests use.
 """
 
@@ -30,7 +32,7 @@ from .errors import (
     SupportFunctionError,
     ZeroVectorError,
 )
-from .nest import Nest, adjacent, smallest_intersecting
+from .nest import Nest, smallest_intersecting
 from .ratlin import (
     IntEchelon,
     Matrix,
@@ -38,7 +40,6 @@ from .ratlin import (
     Vector,
     _echelon_from_rows,
     _subspace_from_echelon,
-    annihilator,
     as_vector,
     int_row,
     meet,
@@ -316,78 +317,62 @@ def essential_support_of(nest: Nest, j: OperatorSpace) -> SupportFn:
 # rank-one membership
 # ---------------------------------------------------------------------------
 
-def rank_one_in_alg(nest: Nest, r: RankOne) -> tuple[bool, Subspace | None]:
-    """Membership of a rank-one operator in the nest algebra.
+def _rank_one_levels(nest: Nest, r: RankOne) -> tuple[int, int]:
+    """Chain levels (p, m) of a nonzero rank-one x (x) f: E_p is the smallest
+    element containing x, and E_m the largest element that f kills.
 
-    Evaluates the two chain-witness criteria and the direct invariance check,
-    asserts they agree, and returns the verdict with the first witness (an
-    element E with the vector inside E and the functional killing the
-    predecessor of E).
+    One pass over the adapted levels: f kills E_j until some level vector of
+    E_(j+1) has a nonzero dot product with it, and x lies in E_j once the
+    level vectors up to j span it.
     """
-    n = nest.ambient_dim
-    if len(r.vector) != n:
+    if len(r.vector) != nest.ambient_dim:
         raise AmbientMismatchError("rank-one factor has the wrong length for the nest")
     if r.is_zero():
         raise ZeroVectorError("rank-one membership needs nonzero functional and vector")
-    t = r.matrix()
-
-    direct = all(
-        e.contains_vector(t.apply(b)) for e in nest.elements for b in e.basis.entries
-    )
-
-    witness = None
-    for e in nest.elements:
-        below, _ = adjacent(nest, e)
-        if e.contains_vector(r.vector) and annihilator(below).contains_vector(r.functional):
-            witness = e
+    x, f = int_row(r.vector), int_row(r.functional)
+    ech = IntEchelon(nest.ambient_dim)
+    p = m = None
+    for j, level in enumerate(_adapted_levels(nest)):
+        for u in level:
+            if m is None and sum(a * b for a, b in zip(f, u)):
+                m = j - 1
+            if p is None:
+                ech.insert(u)
+        if p is None and ech.contains(x):
+            p = j
+        if p is not None and m is not None:
             break
+    return p, m
 
-    by_successor = False
-    for e in nest.elements:
-        _, above = adjacent(nest, e)
-        if above.contains_vector(r.vector) and annihilator(e).contains_vector(r.functional):
-            by_successor = True
-            break
 
-    assert direct == (witness is not None) == by_successor
-    return direct, witness
+def rank_one_in_alg(nest: Nest, r: RankOne) -> tuple[bool, Subspace | None]:
+    """Membership of a rank-one operator in the nest algebra.
+
+    x (x) f leaves the nest invariant exactly when some element E holds x
+    while f kills the predecessor of E (Ringrose), that is when p <= m + 1;
+    the witness is E_p, the first such element.
+    """
+    p, m = _rank_one_levels(nest, r)
+    if p <= m + 1:
+        return True, nest.elements[p]
+    return False, None
 
 
 def rank_one_in_m(nest: Nest, phi: SupportFn, r: RankOne) -> tuple[bool, Subspace | None]:
     """Membership of a rank-one operator in the operator space of phi.
 
-    The witness criterion asks for an element E whose annihilator contains the
-    functional while the vector lies in the meet of phi over all elements
-    strictly above E.  Agreement with the direct check is asserted.
+    x (x) f maps E_i to zero for i <= m and onto the line of x beyond, so it
+    lies in the space exactly when phi(E_(m+1)) contains x.  The witness is
+    the first element E_i whose annihilator holds f while x lies in phi of
+    every element above E_i; phi is monotone, so that meet is phi(E_(i+1)).
     """
-    n = nest.ambient_dim
     if phi.nest != nest:
         raise AmbientMismatchError("support function belongs to a different nest")
-    if len(r.vector) != n:
-        raise AmbientMismatchError("rank-one factor has the wrong length for the nest")
-    if r.is_zero():
-        raise ZeroVectorError("rank-one membership needs nonzero functional and vector")
-    t = r.matrix()
-
-    direct = all(
-        phi(i).contains_vector(t.apply(b))
-        for i, e in enumerate(nest.elements)
-        for b in e.basis.entries
-    )
-
-    witness = None
-    for i, e in enumerate(nest.elements):
-        if not annihilator(e).contains_vector(r.functional):
-            continue
-        cap = Subspace.full(n)
-        for f in range(i + 1, len(nest.elements)):
-            cap = meet(cap, phi(f))
-        if cap.contains_vector(r.vector):
-            witness = e
-            break
-
-    assert direct == (witness is not None)
-    return direct, witness
+    p, m = _rank_one_levels(nest, r)
+    for j in range(1, m + 2):
+        if phi.values[j] >= p:
+            return True, nest.elements[j - 1]
+    return False, None
 
 
 # ---------------------------------------------------------------------------
@@ -401,70 +386,34 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
     Tie-breaking is canonical: the vector is the first echelon basis vector x
     of L meet W (W the range of the current remainder, L the smallest nest
     element meeting W), and the functional is the row of the remainder at the
-    pivot position of x.
+    pivot position p of x.  Since x lies in the range and x_p = 1, each step
+    is a Wedderburn rank-one reduction and lowers the rank by exactly one, so
+    rank(t) steps leave the zero operator.
     """
     n = nest.ambient_dim
     if phi.nest != nest:
         raise AmbientMismatchError("support function belongs to a different nest")
     if (t.rows, t.cols) != (n, n):
         raise AmbientMismatchError(f"operator is not a {n}x{n} matrix")
-    for i, e in enumerate(nest.elements):
-        for b in e.basis.entries:
-            if not phi(i).contains_vector(t.apply(b)):
-                raise NotAMemberError(
-                    "operator does not map every nest element into its support value"
-                )
+    flat = int_row(t.flatten())
+    hull = _hull_values(nest, [] if flat is None else [flat])
+    if any(h > v for h, v in zip(hull, phi.values)):
+        raise NotAMemberError(
+            "operator does not map every nest element into its support value"
+        )
 
     factors: list[RankOne] = []
     current = t
-    current_rank = rank(current)
-    while current_rank > 0:
+    for _ in range(rank(t)):
         w = span([current.column(j) for j in range(n)], n)
-        ell = smallest_intersecting(nest, w)
-        pick = meet(ell, w)
+        pick = meet(smallest_intersecting(nest, w), w)
         if pick.dim == 0:
             raise InvariantError("the smallest element meeting the range misses it")
         x = pick.basis.entries[0]
         pivot = next(j for j, c in enumerate(x) if c)
-        f = current.row(pivot)
-        factor = RankOne(f, x)
+        factor = RankOne(current.row(pivot), x)
         factors.append(factor)
         current = current - factor.matrix()
-        new_rank = rank(current)
-        if new_rank != current_rank - 1:
-            raise InvariantError("a rank-one factor did not lower the rank by one")
-        current_rank = new_rank
+    if not current.is_zero():
+        raise InvariantError("a rank-one factor did not lower the rank by one")
     return factors
-
-
-# ---------------------------------------------------------------------------
-# absorption
-# ---------------------------------------------------------------------------
-
-def absorption_check(nest: Nest, j: OperatorSpace, n_idx: int, l_idx: int) -> bool:
-    """Rank-one absorption along a pair of chain elements.
-
-    If some member of j pushes N outside the predecessor of L, then every
-    rank-one built from a functional killing the predecessor of N and a vector
-    inside L must already lie in j.  Returns the truth of that implication.
-    """
-    if not is_bimodule(nest, j):
-        raise NotABimoduleError("absorption is defined for bimodules only")
-    big_n = nest.element(n_idx)
-    big_l = nest.element(l_idx)
-    n_below, _ = adjacent(nest, big_n)
-    l_below, _ = adjacent(nest, big_l)
-
-    mats = j.basis_matrices()
-    escapes = any(
-        not l_below.contains_vector(t.apply(b))
-        for t in mats
-        for b in big_n.basis.entries
-    )
-    if not escapes:
-        return True
-    for f in annihilator(n_below).basis.entries:
-        for x in big_l.basis.entries:
-            if not j.contains(outer(x, f)):
-                return False
-    return True

@@ -1,13 +1,17 @@
 """Literal constructions of the operator-space objects, kept as test oracles.
 
 `opspace` computes the nest algebra, m_of, generated bimodules and the
-bimodule test from support functions.  The functions here evaluate the
+bimodule test from support functions, and rank-one membership from the chain
+levels of the vector and the functional.  The functions here evaluate the
 definitions instead: m_of as the nullspace of the constraints f(T b) = 0, the
-generated bimodule as a fixed-point closure under the algebra, and the
-bimodule test by multiplying against the algebra basis.  They are much slower
-and share no logic with `opspace` beyond the linear-algebra kernel, so the
-property suites compare the two.  Only `suites` and the tests import this
-module.
+generated bimodule as a fixed-point closure under the algebra, the bimodule
+test by multiplying against the algebra basis, and rank-one membership by
+direct invariance and by the chain-witness criteria.  Two identities that
+hold for every bimodule and every nest element at finite dimension, rank-one
+absorption and the annihilator identity along the chain, are evaluated here
+literally as well.  The functions are much slower and share no logic with
+`opspace` beyond the linear-algebra kernel, so the property suites compare
+the two.  Only `suites` and the tests import this module.
 """
 
 from __future__ import annotations
@@ -15,17 +19,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import AmbientMismatchError
-from .nest import Nest
-from .opspace import OperatorSpace, SupportFn
+from .errors import AmbientMismatchError, NotABimoduleError, ZeroVectorError
+from .nest import Nest, adjacent
+from .opspace import OperatorSpace, RankOne, SupportFn
 from .ratlin import (
     IntEchelon,
     Matrix,
+    Subspace,
     Vector,
     _subspace_from_echelon,
     annihilator,
     int_row,
+    join,
+    meet,
     nullspace_of_rows,
+    outer,
 )
 
 
@@ -133,3 +141,122 @@ def is_bimodule(nest: Nest, s: OperatorSpace) -> bool:
             if not ech.contains(_flat_mul(t, a, n)):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# rank-one membership
+# ---------------------------------------------------------------------------
+
+def _check_rank_one(nest: Nest, r: RankOne) -> None:
+    if len(r.vector) != nest.ambient_dim:
+        raise AmbientMismatchError("rank-one factor has the wrong length for the nest")
+    if r.is_zero():
+        raise ZeroVectorError("rank-one membership needs nonzero functional and vector")
+
+
+def rank_one_in_alg(nest: Nest, r: RankOne) -> tuple[bool, Subspace | None, bool]:
+    """The three membership criteria for a rank-one operator in the algebra.
+
+    Returns the direct invariance check, the first element E with the vector
+    inside E and the functional killing the predecessor of E (None if there is
+    none), and the successor criterion: some element E whose successor holds
+    the vector while the functional kills E.
+    """
+    _check_rank_one(nest, r)
+    t = r.matrix()
+    direct = all(
+        e.contains_vector(t.apply(b)) for e in nest.elements for b in e.basis.entries
+    )
+    witness = None
+    for e in nest.elements:
+        below, _ = adjacent(nest, e)
+        if e.contains_vector(r.vector) and annihilator(below).contains_vector(r.functional):
+            witness = e
+            break
+    by_successor = False
+    for e in nest.elements:
+        _, above = adjacent(nest, e)
+        if above.contains_vector(r.vector) and annihilator(e).contains_vector(r.functional):
+            by_successor = True
+            break
+    return direct, witness, by_successor
+
+
+def rank_one_in_m(nest: Nest, phi: SupportFn, r: RankOne) -> tuple[bool, Subspace | None]:
+    """The two membership criteria for a rank-one operator in m_of(phi).
+
+    Returns the direct check T E <= phi(E) over every element, and the first
+    element E whose annihilator contains the functional while the vector lies
+    in the meet of phi over all elements strictly above E (None if there is
+    none).
+    """
+    if phi.nest != nest:
+        raise AmbientMismatchError("support function belongs to a different nest")
+    _check_rank_one(nest, r)
+    n = nest.ambient_dim
+    t = r.matrix()
+    direct = all(
+        phi(i).contains_vector(t.apply(b))
+        for i, e in enumerate(nest.elements)
+        for b in e.basis.entries
+    )
+    witness = None
+    for i, e in enumerate(nest.elements):
+        if not annihilator(e).contains_vector(r.functional):
+            continue
+        cap = Subspace.full(n)
+        for f in range(i + 1, len(nest.elements)):
+            cap = meet(cap, phi(f))
+        if cap.contains_vector(r.vector):
+            witness = e
+            break
+    return direct, witness
+
+
+# ---------------------------------------------------------------------------
+# identities that hold at finite dimension
+# ---------------------------------------------------------------------------
+
+def absorption_check(nest: Nest, j: OperatorSpace, n_idx: int, l_idx: int) -> bool:
+    """Rank-one absorption along a pair of chain elements.
+
+    If some member of j pushes N outside the predecessor of L, then every
+    rank-one built from a functional killing the predecessor of N and a vector
+    inside L must already lie in j.  Returns the truth of that implication.
+    """
+    if not is_bimodule(nest, j):
+        raise NotABimoduleError("absorption is defined for bimodules only")
+    big_n = nest.element(n_idx)
+    big_l = nest.element(l_idx)
+    n_below, _ = adjacent(nest, big_n)
+    l_below, _ = adjacent(nest, big_l)
+
+    mats = j.basis_matrices()
+    escapes = any(
+        not l_below.contains_vector(t.apply(b))
+        for t in mats
+        for b in big_n.basis.entries
+    )
+    if not escapes:
+        return True
+    for f in annihilator(n_below).basis.entries:
+        for x in big_l.basis.entries:
+            if not j.contains(outer(x, f)):
+                return False
+    return True
+
+
+def perp_span_check(nest: Nest, e: Subspace) -> bool:
+    """Annihilator identity along the chain.
+
+    Compares the join of annihilator(N) over all N whose successor strictly
+    contains e against annihilator(e).
+    """
+    i = nest.index_of(e)
+    n = nest.ambient_dim
+    lhs = Subspace.zero(n)
+    for nel in nest.elements:
+        _, above = adjacent(nest, nel)
+        if above.contains(e) and above.dim > e.dim:
+            lhs = join(lhs, annihilator(nel))
+    return lhs == annihilator(nest.elements[i])

@@ -63,7 +63,7 @@ def _primitive(row: Sequence[int]) -> list[int] | None:
 def int_row(entries: Sequence[Fraction]) -> list[int] | None:
     """Primitive integer row with the same span as a rational row."""
     scale = lcm(*(x.denominator for x in entries)) if entries else 1
-    return _primitive([int(x * scale) for x in entries])
+    return _primitive([x.numerator * (scale // x.denominator) for x in entries])
 
 
 class IntEchelon:

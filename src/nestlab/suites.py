@@ -320,7 +320,7 @@ def suite_decompose(seed: int, cases: int) -> list[PropertyOutcome]:
             ok = len(factors) == rank(t)
             total = Matrix.zero(nest.ambient_dim, nest.ambient_dim)
             for f in factors:
-                member, _ = rank_one_in_m(nest, phi, f)
+                member, _ = oracles.rank_one_in_m(nest, phi, f)
                 ok = ok and member
                 total = total + f.matrix()
             ok = ok and total == t
@@ -346,12 +346,12 @@ def suite_rankone(seed: int, cases: int) -> list[PropertyOutcome]:
             for w in itertools.product(vals, repeat=3):
                 if not any(w):
                     continue
-                try:
-                    # rank_one_in_alg asserts that all membership criteria agree
-                    member, witness = rank_one_in_alg(nest, RankOne.of(f, w))
-                    ok = (not member) or witness is not None
-                except AssertionError:
-                    ok = False
+                r = RankOne.of(f, w)
+                direct, witness, by_successor = oracles.rank_one_in_alg(nest, r)
+                ok = (
+                    direct == (witness is not None) == by_successor
+                    and rank_one_in_alg(nest, r) == (direct, witness)
+                )
                 yield ok, (f, w), {"functional": list(f), "vector": list(w)}
 
     def density() -> Iterator[Case]:
@@ -376,11 +376,12 @@ def suite_rankone(seed: int, cases: int) -> list[PropertyOutcome]:
             w = [sampling.random_entry(rng) for _ in range(n)]
             if not any(f) or not any(w):
                 continue
-            try:
-                member, witness = rank_one_in_m(rnest, phi, RankOne.of(f, w))
-                ok = (not member) or witness is not None
-            except AssertionError:
-                ok = False
+            r = RankOne.of(f, w)
+            direct, witness = oracles.rank_one_in_m(rnest, phi, r)
+            ok = (
+                direct == (witness is not None)
+                and rank_one_in_m(rnest, phi, r) == (direct, witness)
+            )
             yield ok, (n,), {
                 "nest": _nest_desc(rnest), "phi": list(phi.values),
                 "functional": f, "vector": w,

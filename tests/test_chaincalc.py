@@ -30,6 +30,7 @@ from nestlab import (
     predict_me_support,
     validate_chain,
 )
+from nestlab.suites import _chain_desc, sweep_chains, sweep_maps
 
 
 def dense_chain():
@@ -198,6 +199,32 @@ def test_essential_needs_equal_values_at_finite_distance():
     f = AbstractSupportFn.from_labels(chain, {"0": "0", "A": "X", "X": "X"})
     # 0 and A are one dimension apart yet map to different nodes
     assert not check_essential(f)
+
+
+def test_essential_matches_the_pairwise_definition():
+    # the definition as stated: values in the finite stratum are fixed from
+    # above, and every two nodes a finite dimension apart share their value
+    def pairwise(f):
+        chain = f.chain
+        k = len(chain)
+        fixed = all(
+            chain.upper_limit_fixed(v) for v in f.value if chain.in_finite_stratum(v)
+        )
+        stable = all(
+            f.value[i] == f.value[j]
+            for i in range(k)
+            for j in range(i + 1, k)
+            if chain.quotient_dim(i, j) < INFINITE
+        )
+        return fixed and stable
+
+    verdicts = []
+    for chain in sweep_chains(3):
+        for f in sweep_maps(chain):
+            verdict = check_essential(f)
+            assert verdict == pairwise(f), _chain_desc(f)
+            verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_pair_validation():

@@ -11,11 +11,11 @@ from nestlab import (
     ZeroSubspaceError,
     adjacent,
     meet,
-    perp_span_check,
     smallest_intersecting,
     span,
     validate_nest,
 )
+from nestlab.oracles import perp_span_check
 
 
 def triangular():

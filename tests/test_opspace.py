@@ -14,7 +14,6 @@ from nestlab import (
     SupportFn,
     SupportFunctionError,
     ZeroVectorError,
-    absorption_check,
     annihilator,
     decompose,
     essential_support_of,
@@ -31,7 +30,7 @@ from nestlab import (
     validate_nest,
 )
 from nestlab import oracles, sampling
-from nestlab.suites import monotone_tables
+from nestlab.suites import bimodule_samples, monotone_tables
 
 F = Fraction
 
@@ -240,6 +239,34 @@ def test_rank_one_in_m_agrees_with_containment():
     assert member and witness is not None
 
 
+def test_rank_one_in_m_witness_sits_below_the_kernel_level():
+    # f kills E_2, but phi already sends E_1 into E_2, which holds x, so the
+    # first witness is E_0, two levels below the largest element f kills
+    nest = triangular()
+    phi = SupportFn(nest, (0, 2, 2, 3))
+    r = RankOne.of((0, 0, 1), (1, 0, 0))
+    assert annihilator(nest.element(2)).contains_vector(r.functional)
+    assert not annihilator(nest.element(3)).contains_vector(r.functional)
+    assert rank_one_in_m(nest, phi, r) == (True, nest.element(0))
+    assert oracles.rank_one_in_m(nest, phi, r) == (True, nest.element(0))
+
+
+def test_rank_one_verdicts_match_the_oracles_on_random_factors():
+    rng = random.Random(17)
+    for _ in range(60):
+        nest = sampling.random_nest(rng)
+        phi = sampling.random_support(rng, nest)
+        n = nest.ambient_dim
+        f = [sampling.random_entry(rng) for _ in range(n)]
+        x = [sampling.random_entry(rng) for _ in range(n)]
+        if not any(f) or not any(x):
+            continue
+        r = RankOne.of(f, x)
+        direct, witness, _ = oracles.rank_one_in_alg(nest, r)
+        assert rank_one_in_alg(nest, r) == (direct, witness)
+        assert rank_one_in_m(nest, phi, r) == oracles.rank_one_in_m(nest, phi, r)
+
+
 # --- decomposition ------------------------------------------------------------
 
 def test_decompose_frozen_factors():
@@ -255,6 +282,25 @@ def test_decompose_frozen_factors():
     for f in factors:
         total = total + f.matrix()
     assert total == t
+
+
+def test_decompose_with_support_above_the_identity():
+    # phi pushes every element one step up, so the range of T need not meet
+    # the first element; the factors are frozen and each is a member by the
+    # literal criteria
+    nest = triangular()
+    phi = SupportFn(nest, (1, 2, 3, 3))
+    t = mat([[1, 1, 0], [1, 2, 1], [0, 1, 1]])
+    assert oracles.m_of(nest, phi).contains(t)
+    factors = decompose(nest, phi, t)
+    assert [(f.functional, f.vector) for f in factors] == [
+        ((F(1), F(1), F(0)), (F(1), F(1), F(0))),
+        ((F(0), F(1), F(1)), (F(0), F(1), F(1))),
+    ]
+    for f, level in zip(factors, (0, 1)):
+        assert oracles.rank_one_in_m(nest, phi, f) == (True, nest.element(level))
+        assert rank_one_in_m(nest, phi, f) == (True, nest.element(level))
+    assert factors[0].matrix() + factors[1].matrix() == t
 
 
 def test_decompose_rejects_outsiders():
@@ -277,7 +323,7 @@ def test_decompose_factor_count_is_rank():
     factors = decompose(nest, phi, t)
     assert len(factors) == rank(t) == 3
     for f in factors:
-        member, _ = rank_one_in_m(nest, phi, f)
+        member, _ = oracles.rank_one_in_m(nest, phi, f)
         assert member
 
 
@@ -286,14 +332,22 @@ def test_decompose_factor_count_is_rank():
 def test_absorption_on_corner_bimodule():
     nest = triangular()
     j = generate_bimodule(nest, [unit(3, 0, 2)])
-    assert absorption_check(nest, j, 3, 1)
-    assert absorption_check(nest, j, 1, 1)
+    assert oracles.absorption_check(nest, j, 3, 1)
+    assert oracles.absorption_check(nest, j, 1, 1)
+
+
+def test_absorption_holds_on_every_sampled_pair():
+    for nest, j in bimodule_samples(3, 20):
+        for n_idx, l_idx in itertools.product(range(len(nest)), repeat=2):
+            assert oracles.absorption_check(nest, j, n_idx, l_idx)
 
 
 def test_absorption_needs_a_bimodule():
     nest = triangular()
     with pytest.raises(NotABimoduleError):
-        absorption_check(nest, OperatorSpace.from_matrices(3, [unit(3, 2, 0)]), 1, 1)
+        oracles.absorption_check(
+            nest, OperatorSpace.from_matrices(3, [unit(3, 2, 0)]), 1, 1
+        )
 
 
 def test_annihilator_matches_operator_constraints():

@@ -1,6 +1,7 @@
 """The seeded harness itself: every suite runs green at small case counts."""
 
-from nestlab.suites import SUITES, bimodule_samples, run_suite
+from nestlab import suites
+from nestlab.suites import SUITES, PropertyOutcome, bimodule_samples, run_suite
 
 
 def test_every_suite_passes_at_small_scale():
@@ -10,10 +11,22 @@ def test_every_suite_passes_at_small_scale():
             assert outcome.passed, (name, outcome.name, outcome.minimal_failure)
 
 
-def test_all_concatenates_every_suite():
-    outcomes = run_suite("all", 5, 5)
-    per_suite = sum(len(run_suite(name, 5, 5)) for name in SUITES)
-    assert len(outcomes) == per_suite
+def test_all_concatenates_every_suite(monkeypatch):
+    def stub(name, count):
+        def suite(seed, cases):
+            return [
+                PropertyOutcome(f"{name}-{k}", cases, seed, None) for k in range(count)
+            ]
+        return suite
+
+    stubs = {"first": stub("first", 2), "second": stub("second", 1), "third": stub("third", 3)}
+    monkeypatch.setattr(suites, "SUITES", stubs)
+    outcomes = run_suite("all", 5, 7)
+    expected = [o for suite in stubs.values() for o in suite(5, 7)]
+    assert outcomes == expected
+    assert [o.name for o in outcomes] == [
+        "first-0", "first-1", "second-0", "third-0", "third-1", "third-2",
+    ]
 
 
 def test_samples_are_reproducible():
