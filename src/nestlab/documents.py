@@ -29,6 +29,12 @@ from .ratlin import Matrix, Subspace, Vector, span
 
 VERSION = "nestlab/1"
 
+# Bounds on a rational string, checked before Fraction sees it, so that a
+# short document cannot ask for a huge integer: at most this many characters,
+# and a decimal exponent ("1e5", "2.5E-3") of at most this magnitude.
+MAX_RATIONAL_CHARS = 256
+MAX_RATIONAL_EXPONENT = 256
+
 
 def _is_int(raw: Any) -> bool:
     # JSON true and false load as bool, which is an int subclass
@@ -40,6 +46,23 @@ def _rational(raw: Any, path: str) -> Fraction:
         raise DocumentError(
             f"rationals are strings like '3/4' or '-2', got {raw!r}", path=path
         )
+    if len(raw) > MAX_RATIONAL_CHARS:
+        raise DocumentError(
+            f"rational has {len(raw)} characters, more than {MAX_RATIONAL_CHARS}",
+            path=path,
+        )
+    _, e, exponent = raw.lower().partition("e")
+    if e:
+        try:
+            magnitude = abs(int(exponent))
+        except ValueError:
+            magnitude = 0  # malformed; Fraction rejects it below
+        if magnitude > MAX_RATIONAL_EXPONENT:
+            raise DocumentError(
+                f"rational exponent {exponent.strip()} is beyond "
+                f"+-{MAX_RATIONAL_EXPONENT}",
+                path=path,
+            )
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
@@ -78,11 +101,15 @@ def _fmt_matrix(m: Matrix) -> list[list[str]]:
 def _parse_chain(raw: Any, path: str) -> AbstractNest:
     if not isinstance(raw, dict) or "nodes" not in raw:
         raise DocumentError("a chain needs a 'nodes' array", path=path)
+    if not isinstance(raw["nodes"], list):
+        raise DocumentError("'nodes' must be an array of nodes", path=f"{path}.nodes")
     nodes = []
     for i, item in enumerate(raw["nodes"]):
         npath = f"{path}.nodes[{i}]"
         if not isinstance(item, dict) or "label" not in item:
             raise DocumentError("each node needs at least a 'label'", path=npath)
+        if not isinstance(item["label"], str):
+            raise DocumentError("a node 'label' is a string", path=f"{npath}.label")
         below = item.get("below")
         above = item.get("above")
         kw: dict[str, Any] = {"label": item["label"]}
@@ -140,7 +167,7 @@ def _parse_abstract_fn(raw: Any, chain: AbstractNest, path: str) -> AbstractSupp
     for key, target in value.items():
         if key not in labels:
             raise DocumentError(f"unknown node {key!r} in value table", path=path)
-        if target not in labels:
+        if not isinstance(target, str) or target not in labels:
             raise DocumentError(f"unknown node {target!r} in value table", path=path)
     missing = labels - set(value)
     if missing:
@@ -153,6 +180,10 @@ def _parse_abstract_fn(raw: Any, chain: AbstractNest, path: str) -> AbstractSupp
     for key, target in left.items():
         if key not in labels:
             raise DocumentError(f"unknown node {key!r} in left_limit table", path=path)
+        if not isinstance(target, str):
+            raise DocumentError(
+                f"left limit at {key!r} is {target!r}, not a node label", path=path
+            )
         if target not in labels:
             raise JoinNotRepresentedError(
                 f"left limit at {key!r} names {target!r}, which is not a chain node"
@@ -227,6 +258,10 @@ def parse_document(text: str) -> WorkbenchDoc:
         raise DocumentError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DocumentError(
+            "JSON nests deeper than the parser can follow", path="$"
+        ) from None
     if not isinstance(raw, dict):
         raise DocumentError("a document is a JSON object")
     if raw.get("version") != VERSION:
@@ -257,13 +292,14 @@ def parse_document(text: str) -> WorkbenchDoc:
             raise DocumentError("a nest needs 'ambient_dim'", path="nest")
         if not isinstance(raw["nest"], list):
             raise DocumentError("'nest' must be an array of bases", path="nest")
-        doc.nest_bases = [
-            [
-                _vector(v, f"nest[{i}][{k}]")
-                for k, v in enumerate(basis)
-            ]
-            for i, basis in enumerate(raw["nest"])
-        ]
+        doc.nest_bases = []
+        for i, basis in enumerate(raw["nest"]):
+            if not isinstance(basis, list):
+                raise DocumentError("each nest element is an array of vectors",
+                                    path=f"nest[{i}]")
+            doc.nest_bases.append(
+                [_vector(v, f"nest[{i}][{k}]") for k, v in enumerate(basis)]
+            )
     if "operators" in raw:
         ops = raw["operators"]
         if not isinstance(ops, dict):

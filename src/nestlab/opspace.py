@@ -38,7 +38,7 @@ from .ratlin import (
     Matrix,
     Subspace,
     Vector,
-    _echelon_from_rows,
+    _primitive,
     _subspace_from_echelon,
     as_vector,
     int_row,
@@ -150,10 +150,9 @@ def _adapted_levels(nest: Nest) -> list[list[list[int]]]:
     levels = []
     for e in nest.elements:
         level = []
-        for r in e.basis.entries:
-            w = int_row(r)
-            if seen.insert(w) is not None:
-                level.append(w)
+        for r in e.echelon.rows:
+            if seen.insert(r) is not None:
+                level.append(r)
         levels.append(level)
     return levels
 
@@ -168,7 +167,6 @@ def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...
     """
     n = nest.ambient_dim
     top = len(nest.elements) - 1
-    echelons: dict[int, IntEchelon] = {}
     values = []
     at = 0
     for level in _adapted_levels(nest):
@@ -181,11 +179,7 @@ def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...
                     sum(t[base + c] * x for c, x in support) for base in range(0, n * n, n)
                 ]
                 while at < top:
-                    ech = echelons.get(at)
-                    if ech is None:
-                        e = nest.elements[at]
-                        ech = echelons[at] = _echelon_from_rows(e.basis.entries, n)
-                    if ech.contains(image):
+                    if nest.elements[at].echelon.contains(image):
                         break
                     at += 1
                 if at == top:
@@ -201,7 +195,7 @@ def _dual_basis(vectors: Sequence[Sequence[int]], n: int) -> list[list[int]]:
     ech = IntEchelon(2 * n)
     for i in range(n):
         ech.insert([u[i] for u in vectors] + [int(i == c) for c in range(n)])
-    return [int_row(row[n:]) for row in ech.canonical()]
+    return [_primitive(row[n:]) for row in ech.reduced().rows]
 
 
 def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:
@@ -220,7 +214,7 @@ def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:
     dual = iter(_dual_basis([u for level in levels for u in level], n))
     ech = IntEchelon(n * n)
     for j, level in enumerate(levels):
-        xs = [int_row(x) for x in phi(j).basis.entries]
+        xs = phi(j).echelon.rows
         for _ in level:
             f = next(dual)
             for x in xs:
@@ -269,7 +263,7 @@ def _support_values(nest: Nest, j: OperatorSpace) -> tuple[int, ...] | None:
     """
     if j.ambient_dim != nest.ambient_dim:
         raise AmbientMismatchError("operator space and nest ambient dimensions differ")
-    values = _hull_values(nest, [int_row(r) for r in j.space.basis.entries])
+    values = _hull_values(nest, j.space.echelon.rows)
     reach = sum(nest.gap(i) * nest.elements[v].dim for i, v in enumerate(values))
     return values if reach == j.dim else None
 

@@ -9,7 +9,8 @@ test by multiplying against the algebra basis, and rank-one membership by
 direct invariance and by the chain-witness criteria.  Two identities that
 hold for every bimodule and every nest element at finite dimension, rank-one
 absorption and the annihilator identity along the chain, are evaluated here
-literally as well.  The functions are much slower and share no logic with
+literally as well, and so is the reduced echelon form, by back-substitution
+over Fraction.  The functions are much slower and share no logic with
 `opspace` beyond the linear-algebra kernel, so the property suites compare
 the two.  Only `suites` and the tests import this module.
 """
@@ -27,6 +28,7 @@ from .ratlin import (
     Matrix,
     Subspace,
     Vector,
+    _echelon_from_rows,
     _subspace_from_echelon,
     annihilator,
     int_row,
@@ -44,6 +46,22 @@ def _int_rows(vectors: Iterable[Sequence[Fraction]]) -> list[list[int]]:
         if w is not None:
             out.append(w)
     return out
+
+
+def fraction_rref(rows: Iterable[Sequence], ncols: int) -> tuple[Vector, ...]:
+    """The reduced row-echelon basis of the span of rows: the integer echelon
+    with each row divided by its pivot, then back-substitution over Fraction."""
+    ech = _echelon_from_rows(rows, ncols)
+    frac: list[list[Fraction]] = [
+        [Fraction(x, row[p]) for x in row] for row, p in zip(ech.rows, ech.pivots)
+    ]
+    for i in range(len(frac) - 1, -1, -1):
+        p = ech.pivots[i]
+        for j in range(i):
+            c = frac[j][p]
+            if c:
+                frac[j] = [a - c * b for a, b in zip(frac[j], frac[i])]
+    return tuple(tuple(r) for r in frac)
 
 
 def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:

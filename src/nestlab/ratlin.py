@@ -5,15 +5,24 @@ rounding anywhere).  Subspaces of Q^n are stored through the unique reduced
 row-echelon basis of their span, so two subspaces are equal exactly when their
 representations are equal bit for bit.
 
-The hot loops run on an integer echelon kernel: a rational row is scaled to a
-primitive integer vector (same span), eliminated by cross-multiplication, and
-only converted back to the fractional reduced echelon form at the boundary.
+The kernel is integer from input to output.  A rational row is scaled to a
+primitive integer vector (same span) and eliminated by cross-multiplication
+(`IntEchelon.insert`).  `IntEchelon.reduced` clears the entries above every
+pivot fraction-free, row_j = (b/g) row_j - (a/g) row_i with g = gcd(a, b),
+which gives the reduced echelon form with each row scaled to a primitive
+integer vector with a positive pivot; that scaling is unique too.
+`IntEchelon.canonical` divides each such row by its pivot, the only place a
+`Fraction` is made: one per nonzero entry of a returned basis.  Every
+`Subspace` keeps the integer form of its basis as `Subspace.echelon`, built
+once per object, and the lattice operations read it instead of the
+fractional rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -67,7 +76,8 @@ def int_row(entries: Sequence[Fraction]) -> list[int] | None:
 
 
 class IntEchelon:
-    """Row space of integer vectors kept in (non-reduced) echelon form.
+    """Row space of integer vectors kept in echelon form, not necessarily
+    reduced (`reduced` returns the reduced one).
 
     Rows are primitive, pivot columns strictly increase, and existing rows are
     never mutated by an insert, so callers may keep references to them.
@@ -114,18 +124,49 @@ class IntEchelon:
         self.pivots.insert(at, p)
         return w
 
+    def copy(self) -> "IntEchelon":
+        """An echelon over the same rows that can be extended independently;
+        the rows themselves are shared, since an insert never mutates them."""
+        out = IntEchelon(self.ncols)
+        out.rows = list(self.rows)
+        out.pivots = list(self.pivots)
+        return out
+
+    def reduced(self) -> "IntEchelon":
+        """The same row space with zeros above every pivot, each row primitive
+        with a positive pivot: the reduced row-echelon form scaled row by row
+        to integers, which is unique.  Fraction-free: a row is cleared at a
+        lower pivot by an integer combination of the two rows, then made
+        primitive again."""
+        rows = list(self.rows)
+        for i in range(len(rows) - 1, 0, -1):
+            ri = rows[i]
+            p = self.pivots[i]
+            b = ri[p]
+            for j in range(i):
+                rj = rows[j]
+                a = rj[p]
+                if a:
+                    g = gcd(a, b)
+                    a //= g
+                    bg = b // g
+                    rows[j] = _primitive([bg * x - a * y for x, y in zip(rj, ri)])
+        out = IntEchelon(self.ncols)
+        out.rows = rows
+        out.pivots = list(self.pivots)
+        return out
+
     def canonical(self) -> tuple[Vector, ...]:
         """The reduced row-echelon basis over Fraction (pivots 1, zeros above)."""
-        frac: list[list[Fraction]] = [
-            [Fraction(x, row[p]) for x in row] for row, p in zip(self.rows, self.pivots)
-        ]
-        for i in range(len(frac) - 1, -1, -1):
-            p = self.pivots[i]
-            for j in range(i):
-                c = frac[j][p]
-                if c:
-                    frac[j] = [a - c * b for a, b in zip(frac[j], frac[i])]
-        return tuple(tuple(r) for r in frac)
+        return _fraction_rows(self.reduced())
+
+
+def _fraction_rows(red: IntEchelon) -> tuple[Vector, ...]:
+    # each row of a reduced echelon divided by its pivot
+    return tuple(
+        tuple(Fraction(x, row[p]) if x else ZERO for x in row)
+        for row, p in zip(red.rows, red.pivots)
+    )
 
 
 def _echelon_from_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> IntEchelon:
@@ -304,22 +345,25 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
+    @cached_property
+    def echelon(self) -> IntEchelon:
+        """The basis as primitive integer rows with positive pivots, built at
+        most once per object.  Read-only: extend a copy, never this object.
+        It is not a field, so equality, hashing and repr ignore it."""
+        return _echelon_from_rows(self.basis.entries, self.ambient_dim)
+
     def contains_vector(self, v: Sequence) -> bool:
         vec = as_vector(v, self.ambient_dim)
         w = int_row(vec)
-        if w is None:
-            return True
-        return _echelon_from_rows(self.basis.entries, self.ambient_dim).contains(w)
+        return w is None or self.echelon.contains(w)
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatchError("subspaces live in different ambients")
         if other.dim > self.dim:
             return False
-        ech = _echelon_from_rows(self.basis.entries, self.ambient_dim)
-        return all(
-            ech.contains(int_row(r)) for r in other.basis.entries
-        )
+        ech = self.echelon
+        return all(ech.contains(r) for r in other.echelon.rows)
 
 
 def span(vectors: Iterable[Sequence], n: int) -> Subspace:
@@ -330,20 +374,30 @@ def span(vectors: Iterable[Sequence], n: int) -> Subspace:
         w = int_row(vec)
         if w is not None:
             ech.insert(w)
-    rows = ech.canonical()
-    return Subspace(n, Matrix(len(rows), n, rows))
+    return _subspace_from_echelon(ech, n)
 
 
 def _subspace_from_echelon(ech: IntEchelon, n: int) -> Subspace:
-    rows = ech.canonical()
-    return Subspace(n, Matrix(len(rows), n, rows))
+    red = ech.reduced()
+    rows = _fraction_rows(red)
+    s = Subspace(n, Matrix(len(rows), n, rows))
+    # red is exactly what Subspace.echelon would rebuild from these rows
+    s.__dict__["echelon"] = red
+    return s
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
     """Smallest subspace containing both a and b."""
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatchError("join of subspaces in different ambients")
-    return span(a.basis.entries + b.basis.entries, a.ambient_dim)
+    if b.dim > a.dim:
+        a, b = b, a
+    ech = a.echelon.copy()
+    grew = False
+    for r in b.echelon.rows:
+        if ech.insert(r) is not None:
+            grew = True
+    return _subspace_from_echelon(ech, a.ambient_dim) if grew else a
 
 
 def annihilator(s: Subspace) -> Subspace:
@@ -352,7 +406,7 @@ def annihilator(s: Subspace) -> Subspace:
     The same computation serves as pre-annihilator: row functionals and column
     vectors are both plain coordinate tuples here.
     """
-    return nullspace_of_rows(s.basis.entries, s.ambient_dim)
+    return _nullspace(s.echelon, s.ambient_dim)
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
@@ -371,15 +425,24 @@ def quotient_dim(a: Subspace, b: Subspace) -> int:
 
 def nullspace_of_rows(rows: Iterable[Sequence[Fraction]], n: int) -> Subspace:
     """Solutions x of r . x = 0 for every constraint row r."""
-    ech = _echelon_from_rows(rows, n)
-    reduced = ech.canonical()
-    pivots = [next(j for j, x in enumerate(r) if x) for r in reduced]
-    free = [j for j in range(n) if j not in pivots]
-    out: list[list[Fraction]] = []
-    for f in free:
-        v = [ZERO] * n
-        v[f] = ONE
-        for r, p in zip(reduced, pivots):
-            v[p] = -r[f]
-        out.append(v)
-    return span(out, n)
+    return _nullspace(_echelon_from_rows(rows, n), n)
+
+
+def _nullspace(ech: IntEchelon, n: int) -> Subspace:
+    """One solution per free column f of the reduced rows: x_f = 1 and
+    x_p = -r_f / r_p at the pivot p of each row r, scaled by the lcm of the
+    pivots r_p involved so that it stays integer."""
+    red = ech.reduced()
+    pivots = set(red.pivots)
+    out = IntEchelon(n)
+    for f in range(n):
+        if f in pivots:
+            continue
+        involved = [(r, p) for r, p in zip(red.rows, red.pivots) if r[f]]
+        scale = lcm(*(r[p] for r, p in involved))
+        v = [0] * n
+        v[f] = scale
+        for r, p in involved:
+            v[p] = -r[f] * (scale // r[p])
+        out.insert(v)
+    return _subspace_from_echelon(out, n)

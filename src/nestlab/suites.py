@@ -456,7 +456,8 @@ def oracle_greatest_lc_minorant(f: AbstractSupportFn) -> tuple[int, ...]:
     """
     chain = f.chain
     k = len(chain)
-    best = None
+    # the constant-zero table always qualifies, and values are never negative
+    best = (0,) * k
     for values in monotone_tables(k):
         if any(values[i] > f.value[i] for i in range(k)):
             continue
@@ -464,8 +465,7 @@ def oracle_greatest_lc_minorant(f: AbstractSupportFn) -> tuple[int, ...]:
             chain.limit_below(i) and values[i] > f.left_limit[i] for i in range(k)
         ):
             continue
-        best = values if best is None else tuple(map(max, best, values))
-    assert best is not None  # the constant-zero table always qualifies
+        best = tuple(map(max, best, values))
     return best
 
 

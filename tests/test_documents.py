@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ from nestlab import (
     parse_document,
     serialize_document,
 )
+from nestlab.cli import main
+from nestlab.documents import MAX_RATIONAL_CHARS, MAX_RATIONAL_EXPONENT
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -136,3 +139,80 @@ def test_support_fn_rejects_booleans():
     raw["support_fn"] = [0, True, 2, 3]
     with pytest.raises(DocumentError, match="support_fn"):
         parse_document(json.dumps(raw))
+
+
+def test_chain_nodes_must_be_an_array():
+    raw = json.loads(fixture_text("chain-pinf"))
+    raw["chain"]["nodes"] = 5
+    with pytest.raises(DocumentError, match=r"^chain\.nodes: "):
+        parse_document(json.dumps(raw))
+
+
+def test_nest_elements_must_be_arrays():
+    raw = json.loads(fixture_text("support"))
+    raw["nest"] = [5]
+    with pytest.raises(DocumentError, match=r"^nest\[0\]: "):
+        parse_document(json.dumps(raw))
+
+
+def test_node_labels_must_be_strings():
+    raw = json.loads(fixture_text("chain-pinf"))
+    raw["chain"]["nodes"][1]["label"] = 5
+    with pytest.raises(DocumentError, match=r"^chain\.nodes\[1\]\.label: "):
+        parse_document(json.dumps(raw))
+
+
+def test_map_targets_must_be_node_labels():
+    raw = json.loads(fixture_text("chain-pinf"))
+    raw["abstract_fn"]["value"]["A"] = []
+    with pytest.raises(DocumentError, match=r"^abstract_fn: "):
+        parse_document(json.dumps(raw))
+    raw = json.loads(fixture_text("chain-continuous"))
+    raw["abstract_fn"]["left_limit"]["A"] = ["X"]
+    with pytest.raises(DocumentError, match=r"^abstract_fn: "):
+        parse_document(json.dumps(raw))
+
+
+def test_deeply_nested_json_is_a_document_error():
+    depth = 100_000
+    with pytest.raises(DocumentError, match="deeper"):
+        parse_document("[" * depth + "]" * depth)
+
+
+def _one_rational(text):
+    return json.dumps({"version": "nestlab/1", "ambient_dim": 1, "nest": [[[text]]]})
+
+
+def test_rational_length_is_bounded():
+    at_limit = "1" * MAX_RATIONAL_CHARS
+    (basis,) = parse_document(_one_rational(at_limit)).nest_bases
+    assert basis[0][0] == int(at_limit)
+    with pytest.raises(DocumentError, match=r"^nest\[0\]\[0\]\[0\]: .*characters"):
+        parse_document(_one_rational(at_limit + "1"))
+
+
+def test_rational_exponent_is_bounded():
+    at_limit = f"1e{MAX_RATIONAL_EXPONENT}"
+    (basis,) = parse_document(_one_rational(at_limit)).nest_bases
+    assert basis[0][0] == 10 ** MAX_RATIONAL_EXPONENT
+    (basis,) = parse_document(_one_rational(f"1e-{MAX_RATIONAL_EXPONENT}")).nest_bases
+    assert basis[0][0] == Fraction(1, 10 ** MAX_RATIONAL_EXPONENT)
+    for beyond in (f"1e{MAX_RATIONAL_EXPONENT + 1}", f"1E-{MAX_RATIONAL_EXPONENT + 1}"):
+        with pytest.raises(DocumentError, match=r"^nest\[0\]\[0\]\[0\]: .*exponent"):
+            parse_document(_one_rational(beyond))
+
+
+@pytest.mark.parametrize("text, path", [
+    (json.dumps({"version": "nestlab/1", "chain": {"nodes": 5}}), "chain.nodes"),
+    (json.dumps({"version": "nestlab/1", "ambient_dim": 2, "nest": [5]}), "nest[0]"),
+    (json.dumps({"version": "nestlab/1", "chain": {"nodes": [{"label": 5}]}}),
+     "chain.nodes[0].label"),
+    (_one_rational("1e999999"), "nest[0][0][0]"),
+    ("[" * 100_000 + "]" * 100_000, "$"),
+])
+def test_malformed_documents_exit_two_with_a_path(tmp_path, capsys, text, path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    assert main(["chain-validate", "--doc", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {path}: ") and "Traceback" not in err

@@ -1,3 +1,6 @@
+import copy
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +22,8 @@ from nestlab import (
     rref,
     span,
 )
+from nestlab.oracles import fraction_rref
+from nestlab.ratlin import _echelon_from_rows
 
 F = Fraction
 
@@ -169,3 +174,55 @@ def test_span_contains_generators(pair):
     s, _ = pair
     for r in s.basis.entries:
         assert s.contains_vector(r)
+
+
+# --- integer kernel against the Fraction back-substitution -------------------
+
+def _random_rows(rng, n):
+    """Rows of width n spanned by fewer independent rows than there are rows
+    (so rank-deficient), mixing entries up to 2**64 with small ones and zeros;
+    every third width gets rational entries."""
+    big = 2 ** 64
+    base = [
+        [rng.choice((0, rng.randint(-big, big), rng.randint(-3, 3))) for _ in range(n)]
+        for _ in range(rng.randint(1, min(n, 5)))
+    ]
+    rows = [
+        [sum(rng.randint(-2, 2) * b[c] for b in base) for c in range(n)]
+        for _ in range(rng.randint(1, min(n + 1, 6)))
+    ]
+    if n % 3 == 0:
+        rows = [[Fraction(x, rng.randint(1, 9)) for x in r] for r in rows]
+    return rows
+
+
+def test_canonical_matches_the_fraction_oracle():
+    rng = random.Random(0)
+    for n in range(1, 145):
+        rows = _random_rows(rng, n)
+        got = _echelon_from_rows(rows, n).canonical()
+        want = fraction_rref(rows, n)
+        assert got == want and repr(got) == repr(want), n
+
+
+def test_echelon_cache_is_invisible():
+    s = span([(2, 4, 0, 1), (0, 3, 3, 0), (1, 2, 0, 1)], 4)
+    fresh = Subspace(s.ambient_dim, s.basis)
+    assert "echelon" in vars(s) and "echelon" not in vars(fresh)
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert fresh.echelon.rows == s.echelon.rows
+    assert fresh.echelon.pivots == s.echelon.pivots
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s == fresh and back.echelon.rows == s.echelon.rows
+
+
+def test_lattice_operations_leave_cached_rows_unchanged():
+    a = span([(1, 2, 0, 0), (0, 0, 1, 3)], 4)
+    b = span([(1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1)], 4)
+    before = [copy.deepcopy((s.echelon.rows, s.echelon.pivots)) for s in (a, b)]
+    join(a, b)
+    join(b, a)
+    meet(a, b)
+    a.contains(b)
+    b.contains(a)
+    assert [(s.echelon.rows, s.echelon.pivots) for s in (a, b)] == before
