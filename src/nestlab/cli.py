@@ -25,7 +25,7 @@ from .chaincalc import (
     predict_max_pair,
     predict_me_support,
 )
-from .documents import WorkbenchDoc, parse_document
+from .documents import WorkbenchDoc, _fmt_abstract_fn, _fmt_matrix, parse_document
 from .errors import DocumentError, NestlabError, UnknownCommandError
 from .opspace import (
     decompose,
@@ -88,10 +88,6 @@ def _table_lines(key: str, value: Any, indent: str) -> list[str]:
     return [f"{indent}{key}: {json.dumps(value)}"]
 
 
-def _fmt_matrix(m) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries]
-
-
 def _fmt_space(space: OperatorSpace) -> dict:
     return {
         "dimension": space.dim,
@@ -104,11 +100,6 @@ def _support_table(phi) -> dict:
         "values": list(phi.values),
         "element_dims": [e.dim for e in phi.nest.elements],
     }
-
-
-def _abstract_tables(f) -> dict:
-    value, left = f.as_tables()
-    return {"value": value, "left_limit": left}
 
 
 def _operator_space(doc: WorkbenchDoc, nest) -> OperatorSpace:
@@ -194,7 +185,7 @@ def _cmd_chain_validate(doc: WorkbenchDoc) -> Any:
 
 
 def _cmd_chain_regularize(doc: WorkbenchDoc) -> Any:
-    return _abstract_tables(lower_regularization(doc.require_abstract_fn()))
+    return _fmt_abstract_fn(lower_regularization(doc.require_abstract_fn()))
 
 
 CHAIN_CHECKS = ("left-continuous", "essential", "pair", "p", "p-infinity")
@@ -223,7 +214,7 @@ PREDICT_KINDS = ("me", "max-pair", "m0", "m0-pair")
 
 def _cmd_chain_predict(doc: WorkbenchDoc, kind: str) -> Any:
     if kind == "me":
-        return _abstract_tables(predict_me_support(doc.require_abstract_fn()))
+        return _fmt_abstract_fn(predict_me_support(doc.require_abstract_fn()))
     if kind == "max-pair":
         pair = predict_max_pair(doc.require_abstract_pair())
     elif kind == "m0":
@@ -232,7 +223,7 @@ def _cmd_chain_predict(doc: WorkbenchDoc, kind: str) -> Any:
         pair = predict_m0_pair(doc.require_abstract_pair())
     else:
         raise UnknownCommandError(f"unknown prediction {kind!r}")
-    return {"phi": _abstract_tables(pair.phi), "psi": _abstract_tables(pair.psi)}
+    return {"phi": _fmt_abstract_fn(pair.phi), "psi": _fmt_abstract_fn(pair.psi)}
 
 
 COMMANDS = {

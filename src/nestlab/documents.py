@@ -22,10 +22,10 @@ from .chaincalc import (
     SupportPair,
     validate_chain,
 )
-from .errors import DocumentError, JoinNotRepresentedError, NestlabError
+from .errors import DocumentError, JoinNotRepresentedError
 from .nest import Nest, validate_nest
 from .opspace import RankOne, SupportFn
-from .ratlin import Matrix, Subspace, Vector, span
+from .ratlin import Matrix, Vector, span
 
 VERSION = "nestlab/1"
 
@@ -34,6 +34,9 @@ VERSION = "nestlab/1"
 # and a decimal exponent ("1e5", "2.5E-3") of at most this magnitude.
 MAX_RATIONAL_CHARS = 256
 MAX_RATIONAL_EXPONENT = 256
+# A concrete nest lives in Q^n with n at most this; operator spaces have
+# width n^2 and the exact elimination over them grows faster than that.
+MAX_AMBIENT_DIM = 16
 
 
 def _is_int(raw: Any) -> bool:
@@ -119,9 +122,9 @@ def _parse_chain(raw: Any, path: str) -> AbstractNest:
             kw["below"] = below["kind"]
             if "gap" in below:
                 gap = below["gap"]
-                if isinstance(gap, bool):
+                if gap != "inf" and not _is_int(gap):
                     raise DocumentError(
-                        "'gap' is a positive integer or \"inf\", not a boolean",
+                        "'gap' is a positive integer or \"inf\"",
                         path=f"{npath}.below.gap",
                     )
                 kw["gap"] = math.inf if gap == "inf" else gap
@@ -262,6 +265,11 @@ def parse_document(text: str) -> WorkbenchDoc:
         raise DocumentError(
             "JSON nests deeper than the parser can follow", path="$"
         ) from None
+    except ValueError:
+        # an integer literal longer than int's string conversion limit
+        raise DocumentError(
+            "a JSON integer has more digits than the parser converts", path="$"
+        ) from None
     if not isinstance(raw, dict):
         raise DocumentError("a document is a JSON object")
     if raw.get("version") != VERSION:
@@ -286,6 +294,8 @@ def parse_document(text: str) -> WorkbenchDoc:
         dim = raw["ambient_dim"]
         if not _is_int(dim) or dim < 1:
             raise DocumentError("'ambient_dim' must be a positive integer", path="ambient_dim")
+        if dim > MAX_AMBIENT_DIM:
+            raise DocumentError(f"'ambient_dim' is at most {MAX_AMBIENT_DIM}", path="ambient_dim")
         doc.ambient_dim = dim
     if "nest" in raw:
         if doc.ambient_dim is None:

@@ -49,10 +49,6 @@ class NotABimoduleError(NestlabError):
     """The operator space is not invariant under the nest algebra action."""
 
 
-class NotInNestError(NestlabError):
-    """An image subspace produced by a support computation is no nest member."""
-
-
 class NotAMemberError(NestlabError):
     """The operator does not belong to the operator space it was checked against."""
 

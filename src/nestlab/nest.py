@@ -11,7 +11,7 @@ decided by the first element that has it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     AmbientMismatchError,

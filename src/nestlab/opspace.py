@@ -69,14 +69,6 @@ class OperatorSpace:
             flats.append(m.flatten())
         return cls(n, span(flats, n * n))
 
-    @classmethod
-    def zero(cls, n: int) -> "OperatorSpace":
-        return cls(n, Subspace.zero(n * n))
-
-    @classmethod
-    def full(cls, n: int) -> "OperatorSpace":
-        return cls(n, Subspace.full(n * n))
-
     @property
     def dim(self) -> int:
         return self.space.dim
@@ -143,14 +135,14 @@ class RankOne:
 # algebra and bimodules
 # ---------------------------------------------------------------------------
 
-def _adapted_levels(nest: Nest) -> list[list[list[int]]]:
+def _adapted_levels(nest: Nest) -> list[list[tuple[int, ...]]]:
     """Integer vectors grouped by nest level: level j holds gap_j vectors that
     extend a basis of E_(j-1) to one of E_j (level 0 is empty)."""
     seen = IntEchelon(nest.ambient_dim)
     levels = []
     for e in nest.elements:
         level = []
-        for r in e.echelon.rows:
+        for r in e.rows:
             if seen.insert(r) is not None:
                 level.append(r)
         levels.append(level)
@@ -214,7 +206,7 @@ def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:
     dual = iter(_dual_basis([u for level in levels for u in level], n))
     ech = IntEchelon(n * n)
     for j, level in enumerate(levels):
-        xs = phi(j).echelon.rows
+        xs = phi(j).rows
         for _ in level:
             f = next(dual)
             for x in xs:
@@ -263,7 +255,7 @@ def _support_values(nest: Nest, j: OperatorSpace) -> tuple[int, ...] | None:
     """
     if j.ambient_dim != nest.ambient_dim:
         raise AmbientMismatchError("operator space and nest ambient dimensions differ")
-    values = _hull_values(nest, j.space.echelon.rows)
+    values = _hull_values(nest, j.space.rows)
     reach = sum(nest.gap(i) * nest.elements[v].dim for i, v in enumerate(values))
     return values if reach == j.dim else None
 

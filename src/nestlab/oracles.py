@@ -39,15 +39,6 @@ from .ratlin import (
 )
 
 
-def _int_rows(vectors: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for v in vectors:
-        w = int_row(tuple(v))
-        if w is not None:
-            out.append(w)
-    return out
-
-
 def fraction_rref(rows: Iterable[Sequence], ncols: int) -> tuple[Vector, ...]:
     """The reduced row-echelon basis of the span of rows: the integer echelon
     with each row divided by its pivot, then back-substitution over Fraction."""
@@ -114,7 +105,7 @@ def generate_bimodule(nest: Nest, generators: Iterable[Matrix]) -> OperatorSpace
     on both sides by the algebra basis until no product adds dimension.
     """
     n = nest.ambient_dim
-    alg_flats = _int_rows(nest_algebra(nest).space.basis.entries)
+    alg_flats = nest_algebra(nest).space.rows
     ech = IntEchelon(n * n)
     pending: list[list[int]] = []
     for g in generators:
@@ -147,12 +138,9 @@ def is_bimodule(nest: Nest, s: OperatorSpace) -> bool:
     if s.ambient_dim != nest.ambient_dim:
         raise AmbientMismatchError("operator space and nest ambient dimensions differ")
     n = nest.ambient_dim
-    alg_flats = _int_rows(nest_algebra(nest).space.basis.entries)
-    s_flats = _int_rows(s.space.basis.entries)
-    ech = IntEchelon(n * n)
-    for r in s_flats:
-        ech.insert(r)
-    for t in s_flats:
+    alg_flats = nest_algebra(nest).space.rows
+    ech = s.space.echelon
+    for t in s.space.rows:
         for a in alg_flats:
             if not ech.contains(_flat_mul(a, t, n)):
                 return False

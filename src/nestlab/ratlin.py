@@ -1,21 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` (always reduced, positive denominator, no
-rounding anywhere).  Subspaces of Q^n are stored through the unique reduced
-row-echelon basis of their span, so two subspaces are equal exactly when their
-representations are equal bit for bit.
+rounding anywhere).  A subspace of Q^n is stored as the reduced row-echelon
+form of its span with each row scaled to a primitive integer vector with a
+positive pivot.  That form is unique, so two subspaces are equal exactly when
+their integer rows are equal.
 
 The kernel is integer from input to output.  A rational row is scaled to a
 primitive integer vector (same span) and eliminated by cross-multiplication
 (`IntEchelon.insert`).  `IntEchelon.reduced` clears the entries above every
 pivot fraction-free, row_j = (b/g) row_j - (a/g) row_i with g = gcd(a, b),
-which gives the reduced echelon form with each row scaled to a primitive
-integer vector with a positive pivot; that scaling is unique too.
-`IntEchelon.canonical` divides each such row by its pivot, the only place a
-`Fraction` is made: one per nonzero entry of a returned basis.  Every
-`Subspace` keeps the integer form of its basis as `Subspace.echelon`, built
-once per object, and the lattice operations read it instead of the
-fractional rows.
+which gives the stored form directly.  A `Fraction` is made only when
+`Subspace.basis` is read: each stored row divided by its pivot, one
+`Fraction` per nonzero entry.
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, ContainmentError, DimensionMismatchError
@@ -69,6 +67,13 @@ def _primitive(row: Sequence[int]) -> list[int] | None:
     return [x // g for x in row]
 
 
+def _pivot(row: Sequence[int]) -> int | None:
+    """Column of the first nonzero entry, or None for the zero row."""
+    lead = next(filter(None, row), None)
+    # every entry before the first nonzero one is 0, so index finds it there
+    return None if lead is None else row.index(lead)
+
+
 def int_row(entries: Sequence[Fraction]) -> list[int] | None:
     """Primitive integer row with the same span as a rational row."""
     scale = lcm(*(x.denominator for x in entries)) if entries else 1
@@ -87,7 +92,7 @@ class IntEchelon:
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[int]] = []
+        self.rows: list[Sequence[int]] = []
         self.pivots: list[int] = []
 
     @property
@@ -114,7 +119,7 @@ class IntEchelon:
         w = self._residue(v)
         if w is None:
             return None
-        p = next(i for i, x in enumerate(w) if x)
+        p = _pivot(w)
         at = len(self.pivots)
         for k, q in enumerate(self.pivots):
             if q > p:
@@ -156,27 +161,11 @@ class IntEchelon:
         out.pivots = list(self.pivots)
         return out
 
-    def canonical(self) -> tuple[Vector, ...]:
-        """The reduced row-echelon basis over Fraction (pivots 1, zeros above)."""
-        return _fraction_rows(self.reduced())
-
-
-def _fraction_rows(red: IntEchelon) -> tuple[Vector, ...]:
-    # each row of a reduced echelon divided by its pivot
-    return tuple(
-        tuple(Fraction(x, row[p]) if x else ZERO for x in row)
-        for row, p in zip(red.rows, red.pivots)
-    )
-
 
 def _echelon_from_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> IntEchelon:
     ech = IntEchelon(ncols)
     for r in rows:
-        if len(r) != ncols:
-            raise DimensionMismatchError(
-                f"vector has {len(r)} entries, expected {ncols}"
-            )
-        w = int_row(tuple(as_fraction(x) for x in r))
+        w = int_row(as_vector(r, ncols))
         if w is not None:
             ech.insert(w)
     return ech
@@ -280,13 +269,11 @@ class Matrix:
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form of m; zero rows are dropped."""
-    ech = _echelon_from_rows(m.entries, m.cols)
-    rows = ech.canonical()
-    return Matrix(len(rows), m.cols, rows)
+    return span(m.entries, m.cols).basis
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rows
+    return _echelon_from_rows(m.entries, m.cols).dim
 
 
 def outer(vector: Sequence, functional: Sequence) -> Matrix:
@@ -302,55 +289,67 @@ def outer(vector: Sequence, functional: Sequence) -> Matrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n held by its reduced row-echelon basis.
+    """A subspace of Q^n held by its reduced row-echelon basis, each row
+    scaled to a primitive integer vector with a positive pivot.
 
-    The representation is canonical: no zero rows, pivot entries 1, pivot
-    columns strictly increasing, zeros above and below every pivot.  Equality
-    of subspaces is therefore plain equality of the dataclass fields.
+    The representation is canonical: no zero rows, pivot columns strictly
+    increasing, zeros above and below every pivot, each row of gcd 1 with a
+    positive pivot.  Equality of subspaces is therefore plain equality of the
+    dataclass fields.
     """
 
     ambient_dim: int
-    basis: Matrix
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.basis.rows and self.basis.cols != self.ambient_dim:
-            raise AmbientMismatchError("basis width does not match ambient dimension")
-        last = -1
-        for i, row in enumerate(self.basis.entries):
-            p = next((j for j, x in enumerate(row) if x), None)
+        pivots: list[int] = []
+        for row in self.rows:
+            if len(row) != self.ambient_dim:
+                raise AmbientMismatchError("basis width does not match ambient dimension")
+            p = _pivot(row)
             if p is None:
                 raise DimensionMismatchError("zero row in echelon basis")
-            if p <= last or row[p] != 1:
+            if (pivots and p <= pivots[-1]) or row[p] < 0:
                 raise DimensionMismatchError("basis is not in reduced echelon form")
-            for k in range(i):
-                if self.basis.entries[k][p] != 0:
-                    raise DimensionMismatchError("basis is not fully reduced")
-            last = p
+            if gcd(*row) != 1:
+                raise DimensionMismatchError("basis row is not a primitive integer vector")
+            if any(map(itemgetter(p), self.rows[:len(pivots)])):
+                raise DimensionMismatchError("basis is not fully reduced")
+            pivots.append(p)
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, Matrix(0, n, ()))
+        return cls(n, ())
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, Matrix.identity(n))
+        return cls(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
-
-    def basis_vectors(self) -> tuple[Vector, ...]:
-        return self.basis.entries
+        return len(self.rows)
 
     def is_zero(self) -> bool:
         return self.dim == 0
 
     @cached_property
+    def basis(self) -> Matrix:
+        """The reduced row-echelon basis over Fraction (pivots 1), built when
+        first read: each row divided by its pivot."""
+        entries = []
+        for row in self.rows:
+            d = next(filter(None, row))  # the pivot
+            entries.append(tuple(Fraction(x, d) if x else ZERO for x in row))
+        return Matrix(self.dim, self.ambient_dim, tuple(entries))
+
+    @cached_property
     def echelon(self) -> IntEchelon:
-        """The basis as primitive integer rows with positive pivots, built at
-        most once per object.  Read-only: extend a copy, never this object.
-        It is not a field, so equality, hashing and repr ignore it."""
-        return _echelon_from_rows(self.basis.entries, self.ambient_dim)
+        """The stored rows as an echelon, which they already are.  Read-only:
+        extend a copy, never this object."""
+        ech = IntEchelon(self.ambient_dim)
+        ech.rows = list(self.rows)
+        ech.pivots = [_pivot(r) for r in self.rows]
+        return ech
 
     def contains_vector(self, v: Sequence) -> bool:
         vec = as_vector(v, self.ambient_dim)
@@ -363,27 +362,16 @@ class Subspace:
         if other.dim > self.dim:
             return False
         ech = self.echelon
-        return all(ech.contains(r) for r in other.echelon.rows)
+        return all(ech.contains(r) for r in other.rows)
 
 
 def span(vectors: Iterable[Sequence], n: int) -> Subspace:
     """The subspace of Q^n spanned by the given vectors."""
-    ech = IntEchelon(n)
-    for v in vectors:
-        vec = as_vector(v, n)
-        w = int_row(vec)
-        if w is not None:
-            ech.insert(w)
-    return _subspace_from_echelon(ech, n)
+    return _subspace_from_echelon(_echelon_from_rows(vectors, n), n)
 
 
 def _subspace_from_echelon(ech: IntEchelon, n: int) -> Subspace:
-    red = ech.reduced()
-    rows = _fraction_rows(red)
-    s = Subspace(n, Matrix(len(rows), n, rows))
-    # red is exactly what Subspace.echelon would rebuild from these rows
-    s.__dict__["echelon"] = red
-    return s
+    return Subspace(n, tuple(map(tuple, ech.reduced().rows)))
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
@@ -394,7 +382,7 @@ def join(a: Subspace, b: Subspace) -> Subspace:
         a, b = b, a
     ech = a.echelon.copy()
     grew = False
-    for r in b.echelon.rows:
+    for r in b.rows:
         if ech.insert(r) is not None:
             grew = True
     return _subspace_from_echelon(ech, a.ambient_dim) if grew else a
@@ -405,8 +393,26 @@ def annihilator(s: Subspace) -> Subspace:
 
     The same computation serves as pre-annihilator: row functionals and column
     vectors are both plain coordinate tuples here.
+
+    One solution per free column f of the stored rows: x_f = 1 and
+    x_p = -r_f / r_p at the pivot p of each row r, scaled by the lcm of the
+    pivots r_p involved so that it stays integer.
     """
-    return _nullspace(s.echelon, s.ambient_dim)
+    n = s.ambient_dim
+    ech = s.echelon
+    pivots = set(ech.pivots)
+    out = IntEchelon(n)
+    for f in range(n):
+        if f in pivots:
+            continue
+        involved = [(r, p) for r, p in zip(ech.rows, ech.pivots) if r[f]]
+        scale = lcm(*(r[p] for r, p in involved))
+        v = [0] * n
+        v[f] = scale
+        for r, p in involved:
+            v[p] = -r[f] * (scale // r[p])
+        out.insert(v)
+    return _subspace_from_echelon(out, n)
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
@@ -425,24 +431,4 @@ def quotient_dim(a: Subspace, b: Subspace) -> int:
 
 def nullspace_of_rows(rows: Iterable[Sequence[Fraction]], n: int) -> Subspace:
     """Solutions x of r . x = 0 for every constraint row r."""
-    return _nullspace(_echelon_from_rows(rows, n), n)
-
-
-def _nullspace(ech: IntEchelon, n: int) -> Subspace:
-    """One solution per free column f of the reduced rows: x_f = 1 and
-    x_p = -r_f / r_p at the pivot p of each row r, scaled by the lcm of the
-    pivots r_p involved so that it stays integer."""
-    red = ech.reduced()
-    pivots = set(red.pivots)
-    out = IntEchelon(n)
-    for f in range(n):
-        if f in pivots:
-            continue
-        involved = [(r, p) for r, p in zip(red.rows, red.pivots) if r[f]]
-        scale = lcm(*(r[p] for r, p in involved))
-        v = [0] * n
-        v[f] = scale
-        for r, p in involved:
-            v[p] = -r[f] * (scale // r[p])
-        out.insert(v)
-    return _subspace_from_echelon(out, n)
+    return annihilator(span(rows, n))

@@ -29,10 +29,8 @@ from .chaincalc import (
     AbstractSupportFn,
     ChainNode,
     SupportPair,
-    check_essential,
     check_left_continuous,
     check_p_infinity,
-    check_p_property,
     check_pair,
     lower_regularization,
     predict_m0,
@@ -41,6 +39,7 @@ from .chaincalc import (
     predict_me_support,
     validate_chain,
 )
+from .documents import _fmt_matrix
 from .errors import (
     NonzeroAtZeroError,
     NotEssentialError,
@@ -106,15 +105,11 @@ def _rng(seed: int, tag: str) -> random.Random:
     return random.Random(f"{seed}:{tag}")
 
 
-def _mat_desc(m: Matrix) -> list[list[str]]:
-    return [[str(x) for x in r] for r in m.entries]
-
-
 def _nest_desc(nest) -> dict:
     return {
         "ambient_dim": nest.ambient_dim,
         "element_dims": [e.dim for e in nest.elements],
-        "bases": [_mat_desc(e.basis) for e in nest.elements],
+        "bases": [_fmt_matrix(e.basis) for e in nest.elements],
     }
 
 
@@ -139,12 +134,12 @@ def suite_lattice(seed: int, cases: int) -> list[PropertyOutcome]:
     def modular() -> Iterator[Case]:
         for n, a, b, _ in samples("modular"):
             ok = meet(a, b).dim + join(a, b).dim == a.dim + b.dim
-            yield ok, (n, a.dim + b.dim), {"ambient": n, "a": _mat_desc(a.basis), "b": _mat_desc(b.basis)}
+            yield ok, (n, a.dim + b.dim), {"ambient": n, "a": _fmt_matrix(a.basis), "b": _fmt_matrix(b.basis)}
 
     def involution() -> Iterator[Case]:
         for n, a, _, _ in samples("involution"):
             ok = annihilator(annihilator(a)) == a and annihilator(a).dim == n - a.dim
-            yield ok, (n, a.dim), {"ambient": n, "a": _mat_desc(a.basis)}
+            yield ok, (n, a.dim), {"ambient": n, "a": _fmt_matrix(a.basis)}
 
     def order_reversal() -> Iterator[Case]:
         for n, a, b, _ in samples("order"):
@@ -152,7 +147,7 @@ def suite_lattice(seed: int, cases: int) -> list[PropertyOutcome]:
             ok = annihilator(a).contains(annihilator(big)) and annihilator(b).contains(
                 annihilator(big)
             )
-            yield ok, (n, big.dim), {"ambient": n, "a": _mat_desc(a.basis), "b": _mat_desc(b.basis)}
+            yield ok, (n, big.dim), {"ambient": n, "a": _fmt_matrix(a.basis), "b": _fmt_matrix(b.basis)}
 
     def canonical() -> Iterator[Case]:
         for n, a, _, rng in samples("canonical"):
@@ -166,7 +161,7 @@ def suite_lattice(seed: int, cases: int) -> list[PropertyOutcome]:
                 c = rng.choice((1, 2, 3, -1))
                 scaled.append(tuple(c * x for x in r))
             ok = span(scaled, n) == a
-            yield ok, (n, a.dim), {"ambient": n, "a": _mat_desc(a.basis)}
+            yield ok, (n, a.dim), {"ambient": n, "a": _fmt_matrix(a.basis)}
 
     return [
         _run("meet/join dimensions are modular", modular()),
@@ -289,7 +284,7 @@ def suite_closedcar(seed: int, cases: int) -> list[PropertyOutcome]:
             ok = j == closure and oracles.m_of(nest, support_of(nest, j)) == closure
             yield ok, (nest.ambient_dim, j.dim), {
                 "nest": _nest_desc(nest), "bimodule_dim": j.dim,
-                "basis": [_mat_desc(m) for m in j.basis_matrices()],
+                "basis": [_fmt_matrix(m) for m in j.basis_matrices()],
             }
 
     def essential_zero() -> Iterator[Case]:
@@ -325,7 +320,7 @@ def suite_decompose(seed: int, cases: int) -> list[PropertyOutcome]:
                 total = total + f.matrix()
             ok = ok and total == t
             yield ok, (nest.ambient_dim, rank(t)), {
-                "nest": _nest_desc(nest), "phi": list(phi.values), "t": _mat_desc(t),
+                "nest": _nest_desc(nest), "phi": list(phi.values), "t": _fmt_matrix(t),
             }
 
     return [_run("decomposition is exact, rank-counted, and memberwise", sound())]

@@ -11,7 +11,7 @@ from nestlab import (
     serialize_document,
 )
 from nestlab.cli import main
-from nestlab.documents import MAX_RATIONAL_CHARS, MAX_RATIONAL_EXPONENT
+from nestlab.documents import MAX_AMBIENT_DIM, MAX_RATIONAL_CHARS, MAX_RATIONAL_EXPONENT
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -202,6 +202,43 @@ def test_rational_exponent_is_bounded():
             parse_document(_one_rational(beyond))
 
 
+
+def _with_literal(name, place, literal):
+    """A fixture's text with one field set to a raw JSON literal."""
+    raw = json.loads(fixture_text(name))
+    place(raw, "LITERAL")
+    return json.dumps(raw).replace('"LITERAL"', literal)
+
+
+def _set_gap(raw, v):
+    raw["chain"]["nodes"][1]["below"]["gap"] = v
+
+
+@pytest.mark.parametrize("literal", ["1e400", "1.0", '"2"', "null"])
+def test_gap_is_an_integer_or_inf(literal):
+    with pytest.raises(DocumentError, match=r"^chain\.nodes\[1\]\.below\.gap: "):
+        parse_document(_with_literal("chain-pinf", _set_gap, literal))
+
+
+@pytest.mark.parametrize("name, place", [
+    ("support", lambda raw, v: raw.update(ambient_dim=v)),
+    ("support", lambda raw, v: raw["support_fn"].__setitem__(0, v)),
+    ("chain-pinf", _set_gap),
+], ids=["ambient_dim", "support_fn", "gap"])
+def test_huge_integer_literals_are_document_errors(name, place):
+    with pytest.raises(DocumentError, match=r"^\$: .*digits"):
+        parse_document(_with_literal(name, place, "9" * 5000))
+
+
+def test_ambient_dim_is_bounded():
+    nest = [[["1"] + ["0"] * (MAX_AMBIENT_DIM - 1)]]
+    doc = {"version": "nestlab/1", "ambient_dim": MAX_AMBIENT_DIM, "nest": nest}
+    assert parse_document(json.dumps(doc)).require_nest().ambient_dim == MAX_AMBIENT_DIM
+    doc["ambient_dim"] = MAX_AMBIENT_DIM + 1
+    with pytest.raises(DocumentError, match=r"^ambient_dim: "):
+        parse_document(json.dumps(doc))
+
+
 @pytest.mark.parametrize("text, path", [
     (json.dumps({"version": "nestlab/1", "chain": {"nodes": 5}}), "chain.nodes"),
     (json.dumps({"version": "nestlab/1", "ambient_dim": 2, "nest": [5]}), "nest[0]"),
@@ -209,6 +246,12 @@ def test_rational_exponent_is_bounded():
      "chain.nodes[0].label"),
     (_one_rational("1e999999"), "nest[0][0][0]"),
     ("[" * 100_000 + "]" * 100_000, "$"),
+    pytest.param(_with_literal("support", lambda raw, v: raw.update(ambient_dim=v),
+                               "9" * 5000), "$", id="huge-integer"),
+    pytest.param(_with_literal("chain-pinf", _set_gap, "1e400"),
+                 "chain.nodes[1].below.gap", id="float-gap"),
+    pytest.param(json.dumps({"version": "nestlab/1", "ambient_dim": 100_000_000, "nest": []}),
+                 "ambient_dim", id="huge-ambient-dim"),
 ])
 def test_malformed_documents_exit_two_with_a_path(tmp_path, capsys, text, path):
     doc = tmp_path / "doc.json"

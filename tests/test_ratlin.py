@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,20 +11,24 @@ from hypothesis import strategies as st
 from nestlab import (
     AmbientMismatchError,
     ContainmentError,
+    DimensionMismatchError,
     Matrix,
     Subspace,
+    SupportFn,
     annihilator,
     as_vector,
     join,
+    m_of,
     meet,
+    nest_algebra,
     outer,
     quotient_dim,
     rank,
     rref,
     span,
+    validate_nest,
 )
 from nestlab.oracles import fraction_rref
-from nestlab.ratlin import _echelon_from_rows
 
 F = Fraction
 
@@ -200,20 +205,47 @@ def test_canonical_matches_the_fraction_oracle():
     rng = random.Random(0)
     for n in range(1, 145):
         rows = _random_rows(rng, n)
-        got = _echelon_from_rows(rows, n).canonical()
+        got = span(rows, n).basis.entries
         want = fraction_rref(rows, n)
         assert got == want and repr(got) == repr(want), n
 
 
 def test_echelon_cache_is_invisible():
     s = span([(2, 4, 0, 1), (0, 3, 3, 0), (1, 2, 0, 1)], 4)
-    fresh = Subspace(s.ambient_dim, s.basis)
-    assert "echelon" in vars(s) and "echelon" not in vars(fresh)
+    s.basis, s.echelon
+    fresh = Subspace(s.ambient_dim, s.rows)
+    assert {"basis", "echelon"} <= set(vars(s))
+    assert not {"basis", "echelon"} & set(vars(fresh))
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
     assert fresh.echelon.rows == s.echelon.rows
     assert fresh.echelon.pivots == s.echelon.pivots
     back = pickle.loads(pickle.dumps(s))
     assert back == s == fresh and back.echelon.rows == s.echelon.rows
+    assert back.basis == fresh.basis == s.basis
+
+
+@pytest.mark.parametrize("ambient, rows, error", [
+    (3, ((1, 0, 0), (0, 0, 0)), DimensionMismatchError),
+    (3, ((2, 0, 4),), DimensionMismatchError),
+    (3, ((-1, 0, 2),), DimensionMismatchError),
+    (3, ((1, 2, 0), (0, 1, 3)), DimensionMismatchError),
+    (3, ((0, 1, 0), (1, 0, 0)), DimensionMismatchError),
+    (3, ((1, 0, 0), (0, 1, 0), (0, 1, 1)), DimensionMismatchError),
+    (3, ((1, 0),), AmbientMismatchError),
+    (2, ((1, 0), (0, 1, 0)), AmbientMismatchError),
+], ids=[
+    "zero-row", "non-primitive", "negative-pivot", "entry-above-pivot",
+    "pivots-out-of-order", "repeated-pivot", "short-row", "long-row",
+])
+def test_subspace_rejects_non_canonical_rows(ambient, rows, error):
+    with pytest.raises(error):
+        Subspace(ambient, rows)
+
+
+def test_subspace_accepts_its_canonical_rows():
+    s = Subspace(3, ((2, 0, 1), (0, 1, -3)))
+    assert s == span([(4, 0, 2), (2, 1, -2)], 3)
+    assert s.basis == mat([[1, 0, F(1, 2)], [0, 1, -3]])
 
 
 def test_lattice_operations_leave_cached_rows_unchanged():
@@ -226,3 +258,43 @@ def test_lattice_operations_leave_cached_rows_unchanged():
     a.contains(b)
     b.contains(a)
     assert [(s.echelon.rows, s.echelon.pivots) for s in (a, b)] == before
+
+
+def _fractions_made(work):
+    """How many Fraction objects work() constructs."""
+    new = Fraction.__new__.__code__
+    made = 0
+
+    def count(frame, event, arg):
+        nonlocal made
+        if event == "call" and frame.f_code is new:
+            made += 1
+
+    sys.setprofile(count)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return made
+
+
+def test_no_fraction_is_made_until_a_basis_is_read():
+    vecs = [as_vector(r) for r in ((1, 2, 0, 3), (0, 1, 1, 1), (2, 0, 1, 0), (1, 1, 1, 1))]
+    nest = validate_nest([span(vecs[:1], 4), span(vecs[:3], 4)], 4)
+    k = len(nest.elements)
+    phi = SupportFn(nest, tuple(min(i + 1, k - 1) for i in range(k)))
+    a, b = span(vecs[:2], 4), span(vecs[2:], 4)
+
+    def lattice_and_operator_spaces():
+        span(vecs, 4)
+        join(a, b)
+        meet(a, b)
+        annihilator(a)
+        a.contains(b)
+        b.contains_vector(vecs[0])
+        nest_algebra(nest)
+        m_of(nest, phi)
+
+    assert _fractions_made(lattice_and_operator_spaces) == 0
+    fresh = span(vecs[:2], 4)
+    assert _fractions_made(lambda: fresh.basis) > 0
