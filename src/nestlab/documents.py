@@ -16,6 +16,10 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .chaincalc import (
+    ATTAINED,
+    COUNTABLE,
+    LIMIT,
+    UNCOUNTABLE,
     AbstractNest,
     AbstractSupportFn,
     ChainNode,
@@ -101,6 +105,14 @@ def _fmt_matrix(m: Matrix) -> list[list[str]]:
     return [_fmt_vector(r) for r in m.entries]
 
 
+def _choice(raw: Any, allowed: tuple[str, ...], path: str) -> str:
+    if raw not in allowed:
+        raise DocumentError(
+            f"expected one of {', '.join(map(repr, allowed))}", path=path
+        )
+    return raw
+
+
 def _parse_chain(raw: Any, path: str) -> AbstractNest:
     if not isinstance(raw, dict) or "nodes" not in raw:
         raise DocumentError("a chain needs a 'nodes' array", path=path)
@@ -119,7 +131,7 @@ def _parse_chain(raw: Any, path: str) -> AbstractNest:
         if below is not None:
             if not isinstance(below, dict) or "kind" not in below:
                 raise DocumentError("'below' needs a 'kind'", path=npath)
-            kw["below"] = below["kind"]
+            kw["below"] = _choice(below["kind"], (ATTAINED, LIMIT), f"{npath}.below.kind")
             if "gap" in below:
                 gap = below["gap"]
                 if gap != "inf" and not _is_int(gap):
@@ -129,13 +141,18 @@ def _parse_chain(raw: Any, path: str) -> AbstractNest:
                     )
                 kw["gap"] = math.inf if gap == "inf" else gap
             if "cofinality" in below:
-                kw["cofinality"] = below["cofinality"]
+                kw["cofinality"] = _choice(
+                    below["cofinality"], (COUNTABLE, UNCOUNTABLE), f"{npath}.below.cofinality"
+                )
         if above is not None:
             if not isinstance(above, dict) or "kind" not in above:
                 raise DocumentError("'above' needs a 'kind'", path=npath)
-            kw["above"] = above["kind"]
+            kw["above"] = _choice(above["kind"], (ATTAINED, LIMIT), f"{npath}.above.kind")
             if "coinitiality" in above:
-                kw["coinitiality"] = above["coinitiality"]
+                kw["coinitiality"] = _choice(
+                    above["coinitiality"], (COUNTABLE, UNCOUNTABLE),
+                    f"{npath}.above.coinitiality",
+                )
         nodes.append(ChainNode(**kw))
     return validate_chain(nodes)
 
@@ -307,9 +324,16 @@ def parse_document(text: str) -> WorkbenchDoc:
             if not isinstance(basis, list):
                 raise DocumentError("each nest element is an array of vectors",
                                     path=f"nest[{i}]")
-            doc.nest_bases.append(
-                [_vector(v, f"nest[{i}][{k}]") for k, v in enumerate(basis)]
-            )
+            vectors = []
+            for k, v in enumerate(basis):
+                vec = _vector(v, f"nest[{i}][{k}]")
+                if len(vec) != doc.ambient_dim:
+                    raise DocumentError(
+                        f"vector has {len(vec)} entries, expected {doc.ambient_dim}",
+                        path=f"nest[{i}][{k}]",
+                    )
+                vectors.append(vec)
+            doc.nest_bases.append(vectors)
     if "operators" in raw:
         ops = raw["operators"]
         if not isinstance(ops, dict):

@@ -11,6 +11,7 @@ decided by the first element that has it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     NotAnElementError,
     ZeroSubspaceError,
 )
-from .ratlin import Subspace, join
+from .ratlin import IntEchelon, Subspace, _primitive, join
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,32 @@ class Nest:
         if i == 0:
             return 0
         return self.elements[i].dim - self.elements[i - 1].dim
+
+    # The two caches below are not fields, so ==, hash and repr ignore them.
+    # They are computed once per nest, when first read.
+
+    @cached_property
+    def adapted_levels(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Integer vectors grouped by nest level: level j holds gap_j vectors
+        that extend a basis of E_(j-1) to one of E_j (level 0 is empty)."""
+        seen = IntEchelon(self.ambient_dim)
+        return tuple(
+            tuple(r for r in e.rows if seen.insert(r) is not None)
+            for e in self.elements
+        )
+
+    @cached_property
+    def dual_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Integer functionals f_a with f_a(u_b) = 0 for a != b and
+        f_a(u_a) != 0, for the adapted basis u in level order: the rows of the
+        inverse of the matrix with columns u, read off the reduced echelon
+        form of [U | I]."""
+        n = self.ambient_dim
+        vectors = [u for level in self.adapted_levels for u in level]
+        ech = IntEchelon(2 * n)
+        for i in range(n):
+            ech.insert([u[i] for u in vectors] + [int(i == c) for c in range(n)])
+        return tuple(tuple(_primitive(row[n:])) for row in ech.reduced().rows)
 
 
 def validate_nest(subspaces: Iterable[Subspace], n: int) -> Nest:

@@ -22,6 +22,8 @@ property suites and the tests use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,19 +34,18 @@ from .errors import (
     SupportFunctionError,
     ZeroVectorError,
 )
-from .nest import Nest, smallest_intersecting
+from .nest import Nest
 from .ratlin import (
+    ZERO,
     IntEchelon,
     Matrix,
     Subspace,
     Vector,
-    _primitive,
+    _pivot,
     _subspace_from_echelon,
     as_vector,
     int_row,
-    meet,
     outer,
-    rank,
     span,
 )
 
@@ -135,20 +136,6 @@ class RankOne:
 # algebra and bimodules
 # ---------------------------------------------------------------------------
 
-def _adapted_levels(nest: Nest) -> list[list[tuple[int, ...]]]:
-    """Integer vectors grouped by nest level: level j holds gap_j vectors that
-    extend a basis of E_(j-1) to one of E_j (level 0 is empty)."""
-    seen = IntEchelon(nest.ambient_dim)
-    levels = []
-    for e in nest.elements:
-        level = []
-        for r in e.rows:
-            if seen.insert(r) is not None:
-                level.append(r)
-        levels.append(level)
-    return levels
-
-
 def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """For each nest element E, the index of the smallest element containing
     T E for every T in int_ops (row-major integer flats).
@@ -161,7 +148,7 @@ def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...
     top = len(nest.elements) - 1
     values = []
     at = 0
-    for level in _adapted_levels(nest):
+    for level in nest.adapted_levels:
         for u in level:
             if at == top:
                 break
@@ -180,16 +167,6 @@ def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...
     return tuple(values)
 
 
-def _dual_basis(vectors: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """Integer functionals f_a with f_a(u_b) = 0 for a != b and f_a(u_a) != 0,
-    for a basis u of Q^n: the rows of the inverse of the matrix with columns
-    u, read off the reduced echelon form of [U | I]."""
-    ech = IntEchelon(2 * n)
-    for i in range(n):
-        ech.insert([u[i] for u in vectors] + [int(i == c) for c in range(n)])
-    return [_primitive(row[n:]) for row in ech.reduced().rows]
-
-
 def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:
     """All operators T with T E contained in phi(E) for every nest element E.
 
@@ -202,10 +179,9 @@ def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:
     if phi.nest != nest:
         raise AmbientMismatchError("support function belongs to a different nest")
     n = nest.ambient_dim
-    levels = _adapted_levels(nest)
-    dual = iter(_dual_basis([u for level in levels for u in level], n))
+    dual = iter(nest.dual_basis)
     ech = IntEchelon(n * n)
-    for j, level in enumerate(levels):
+    for j, level in enumerate(nest.adapted_levels):
         xs = phi(j).rows
         for _ in level:
             f = next(dual)
@@ -318,7 +294,7 @@ def _rank_one_levels(nest: Nest, r: RankOne) -> tuple[int, int]:
     x, f = int_row(r.vector), int_row(r.functional)
     ech = IntEchelon(nest.ambient_dim)
     p = m = None
-    for j, level in enumerate(_adapted_levels(nest)):
+    for j, level in enumerate(nest.adapted_levels):
         for u in level:
             if m is None and sum(a * b for a, b in zip(f, u)):
                 m = j - 1
@@ -365,41 +341,86 @@ def rank_one_in_m(nest: Nest, phi: SupportFn, r: RankOne) -> tuple[bool, Subspac
 # finite-rank decomposition
 # ---------------------------------------------------------------------------
 
+def _first_meet_vector(nest: Nest, r: Sequence[Sequence[int]]) -> list[int] | None:
+    """The first row of the primitive integer RREF of L meet W, where W is the
+    column space of the integer matrix r and L the smallest nest element
+    meeting W; None when that meet is zero.
+
+    One Zassenhaus echelon answers both questions.  It holds [w | 0] for the
+    columns w of r, then [u | u] for the adapted basis vectors u, level by
+    level.  Once the vectors up to level j are in, its rows with a zero left
+    half hold E_j meet W in their right halves, so the first level that
+    leaves such a row is L.
+    """
+    n = nest.ambient_dim
+    zeros = [0] * n
+    z = IntEchelon(2 * n)
+    for column in zip(*r):
+        z.insert([*column, *zeros])
+    for level in nest.adapted_levels:
+        for u in level:
+            z.insert([*u, *u])
+        if z.pivots and z.pivots[-1] >= n:
+            break
+    cap = IntEchelon(n)
+    for row, p in zip(z.rows, z.pivots):
+        if p >= n:
+            cap.rows.append(row[n:])
+            cap.pivots.append(p - n)
+    return cap.reduced().rows[0] if cap.rows else None
+
+
 def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
     """Write a member of the operator space of phi as a sum of rank-one
     members, one factor per unit of rank.
 
-    Tie-breaking is canonical: the vector is the first echelon basis vector x
-    of L meet W (W the range of the current remainder, L the smallest nest
-    element meeting W), and the functional is the row of the remainder at the
-    pivot position p of x.  Since x lies in the range and x_p = 1, each step
-    is a Wedderburn rank-one reduction and lowers the rank by exactly one, so
-    rank(t) steps leave the zero operator.
+    The remainder is held in integers, r / d with one common denominator d.
+    Tie-breaking is canonical: the vector is the first reduced echelon basis
+    vector x of L meet W (W the range of the remainder, L the smallest nest
+    element meeting W; see `_first_meet_vector`), and the functional is the
+    row of the remainder at the pivot position p of x.  With c = x_p, a step
+    sets r to c r - x (x) r_p and d to c d, then divides both by their gcd.
+    Since x lies in the range, each step is a Wedderburn rank-one reduction
+    and lowers the rank by exactly one, so rank(t) steps leave the zero
+    operator.  A `Fraction` is made only in the returned factors, r_p / d and
+    x / c.  `oracles.decompose` is the same reduction over Fraction, through
+    `span`, `smallest_intersecting` and `meet`.
     """
     n = nest.ambient_dim
     if phi.nest != nest:
         raise AmbientMismatchError("support function belongs to a different nest")
     if (t.rows, t.cols) != (n, n):
         raise AmbientMismatchError(f"operator is not a {n}x{n} matrix")
-    flat = int_row(t.flatten())
-    hull = _hull_values(nest, [] if flat is None else [flat])
+    d = lcm(*(x.denominator for row in t.entries for x in row))
+    r = [[x.numerator * (d // x.denominator) for x in row] for row in t.entries]
+    flat = [x for row in r for x in row]
+    hull = _hull_values(nest, [flat] if any(flat) else [])
     if any(h > v for h, v in zip(hull, phi.values)):
         raise NotAMemberError(
             "operator does not map every nest element into its support value"
         )
 
+    steps = IntEchelon(n)
+    for row in r:
+        steps.insert(row)
     factors: list[RankOne] = []
-    current = t
-    for _ in range(rank(t)):
-        w = span([current.column(j) for j in range(n)], n)
-        pick = meet(smallest_intersecting(nest, w), w)
-        if pick.dim == 0:
+    for _ in range(steps.dim):
+        x = _first_meet_vector(nest, r)
+        if x is None:
             raise InvariantError("the smallest element meeting the range misses it")
-        x = pick.basis.entries[0]
-        pivot = next(j for j, c in enumerate(x) if c)
-        factor = RankOne(current.row(pivot), x)
-        factors.append(factor)
-        current = current - factor.matrix()
-    if not current.is_zero():
+        p = _pivot(x)
+        c = x[p]
+        rp = r[p]
+        factors.append(RankOne(
+            tuple(Fraction(a, d) if a else ZERO for a in rp),
+            tuple(Fraction(a, c) if a else ZERO for a in x),
+        ))
+        r = [[c * a - xi * b for a, b in zip(row, rp)] for row, xi in zip(r, x)]
+        d *= c
+        g = gcd(d, *(a for row in r for a in row))
+        if g > 1:
+            r = [[a // g for a in row] for row in r]
+            d //= g
+    if any(map(any, r)):
         raise InvariantError("a rank-one factor did not lower the rank by one")
     return factors

@@ -5,8 +5,10 @@ bimodule test from support functions, and rank-one membership from the chain
 levels of the vector and the functional.  The functions here evaluate the
 definitions instead: m_of as the nullspace of the constraints f(T b) = 0, the
 generated bimodule as a fixed-point closure under the algebra, the bimodule
-test by multiplying against the algebra basis, and rank-one membership by
-direct invariance and by the chain-witness criteria.  Two identities that
+test by multiplying against the algebra basis, rank-one membership by
+direct invariance and by the chain-witness criteria, and the rank-one
+decomposition by Wedderburn steps over Fraction that rebuild the range and
+its meet with the nest through the lattice operations.  Two identities that
 hold for every bimodule and every nest element at finite dimension, rank-one
 absorption and the annihilator identity along the chain, are evaluated here
 literally as well, and so is the reduced echelon form, by back-substitution
@@ -20,8 +22,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import AmbientMismatchError, NotABimoduleError, ZeroVectorError
-from .nest import Nest, adjacent
+from .errors import (
+    AmbientMismatchError,
+    InvariantError,
+    NotABimoduleError,
+    NotAMemberError,
+    ZeroVectorError,
+)
+from .nest import Nest, adjacent, smallest_intersecting
 from .opspace import OperatorSpace, RankOne, SupportFn
 from .ratlin import (
     IntEchelon,
@@ -36,6 +44,8 @@ from .ratlin import (
     meet,
     nullspace_of_rows,
     outer,
+    rank,
+    span,
 )
 
 
@@ -217,6 +227,51 @@ def rank_one_in_m(nest: Nest, phi: SupportFn, r: RankOne) -> tuple[bool, Subspac
             witness = e
             break
     return direct, witness
+
+
+# ---------------------------------------------------------------------------
+# finite-rank decomposition
+# ---------------------------------------------------------------------------
+
+def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
+    """Wedderburn rank-one reduction over Fraction, with the same canonical
+    tie-breaking as `opspace.decompose`.
+
+    Membership is checked directly, T E inside phi(E) for every basis vector
+    of every element.  Each step rebuilds the range W of the remainder with
+    `span`, takes L = `smallest_intersecting(nest, W)`, the first basis vector
+    x of `meet(L, W)` and the remainder's row at the pivot of x, and
+    subtracts their outer product.
+    """
+    n = nest.ambient_dim
+    if phi.nest != nest:
+        raise AmbientMismatchError("support function belongs to a different nest")
+    if (t.rows, t.cols) != (n, n):
+        raise AmbientMismatchError(f"operator is not a {n}x{n} matrix")
+    if not all(
+        phi(i).contains_vector(t.apply(b))
+        for i, e in enumerate(nest.elements)
+        for b in e.basis.entries
+    ):
+        raise NotAMemberError(
+            "operator does not map every nest element into its support value"
+        )
+
+    factors: list[RankOne] = []
+    current = t
+    for _ in range(rank(t)):
+        w = span([current.column(j) for j in range(n)], n)
+        pick = meet(smallest_intersecting(nest, w), w)
+        if pick.dim == 0:
+            raise InvariantError("the smallest element meeting the range misses it")
+        x = pick.basis.entries[0]
+        pivot = next(j for j, c in enumerate(x) if c)
+        factor = RankOne(current.row(pivot), x)
+        factors.append(factor)
+        current = current - factor.matrix()
+    if not current.is_zero():
+        raise InvariantError("a rank-one factor did not lower the rank by one")
+    return factors
 
 
 # ---------------------------------------------------------------------------

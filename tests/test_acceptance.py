@@ -47,11 +47,6 @@ def correspondence():
     return timed_suite("correspondence", 100)
 
 
-@pytest.fixture(scope="module")
-def chaincalc():
-    return timed_suite("chaincalc", 100)
-
-
 def test_c1_generated_bimodules_are_reflexive(closedcar):
     outcomes, elapsed = closedcar
     reflexive = outcomes[0]
@@ -118,15 +113,15 @@ def test_c7_dense_chain_fixture_tables(fixture_dir):
     report(7, ok, elapsed, "dense-chain fixture tables reproduce exactly")
 
 
-def test_c8_regularization_matches_enumerated_minorant(chaincalc):
-    outcomes, elapsed = chaincalc
+def test_c8_regularization_matches_enumerated_minorant(chaincalc_outcomes):
+    outcomes, elapsed = chaincalc_outcomes
     oracle, laws = outcomes[0], outcomes[1]
     ok = oracle.passed and laws.passed
     report(8, ok, elapsed, f"{outcome_detail(oracle)}; {outcome_detail(laws)}")
 
 
-def test_c9_prediction_guards_reject_bad_hypotheses(chaincalc):
-    outcomes, elapsed = chaincalc
+def test_c9_prediction_guards_reject_bad_hypotheses(chaincalc_outcomes):
+    outcomes, elapsed = chaincalc_outcomes
     guards = outcomes[3]
     report(9, guards.passed, elapsed, outcome_detail(guards))
 

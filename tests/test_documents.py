@@ -220,6 +220,37 @@ def test_gap_is_an_integer_or_inf(literal):
         parse_document(_with_literal("chain-pinf", _set_gap, literal))
 
 
+@pytest.mark.parametrize("side, field", [
+    ("below", "kind"), ("below", "cofinality"), ("above", "kind"), ("above", "coinitiality"),
+])
+@pytest.mark.parametrize("literal", ["5", "1e400", "null", '["limit"]', '"countably"'])
+def test_chain_annotations_are_checked_words(side, field, literal):
+    def place(raw, v):
+        raw["chain"]["nodes"][1][side][field] = v
+
+    with pytest.raises(DocumentError, match=rf"^chain\.nodes\[1\]\.{side}\.{field}: "):
+        parse_document(_with_literal("chain-continuous", place, literal))
+
+
+def test_nest_vectors_have_the_ambient_width():
+    doc = {"version": "nestlab/1", "ambient_dim": 2, "nest": [[["1", "0"], ["0", "1", "0"]]]}
+    with pytest.raises(DocumentError, match=r"^nest\[0\]\[1\]: vector has 3 entries"):
+        parse_document(json.dumps(doc))
+    doc["nest"] = [[["1"]]]
+    with pytest.raises(DocumentError, match=r"^nest\[0\]\[0\]: vector has 1 entries"):
+        parse_document(json.dumps(doc))
+
+
+def test_wrong_width_nest_vector_exits_two_under_alg(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(
+        {"version": "nestlab/1", "ambient_dim": 2, "nest": [[["1", "0", "0"]]]}
+    ))
+    assert main(["alg", "--doc", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("parse error: nest[0][0]: ")
+
+
 @pytest.mark.parametrize("name, place", [
     ("support", lambda raw, v: raw.update(ambient_dim=v)),
     ("support", lambda raw, v: raw["support_fn"].__setitem__(0, v)),
@@ -252,6 +283,17 @@ def test_ambient_dim_is_bounded():
                  "chain.nodes[1].below.gap", id="float-gap"),
     pytest.param(json.dumps({"version": "nestlab/1", "ambient_dim": 100_000_000, "nest": []}),
                  "ambient_dim", id="huge-ambient-dim"),
+    pytest.param(json.dumps({"version": "nestlab/1", "ambient_dim": 2,
+                             "nest": [[["1", "0", "0"]]]}),
+                 "nest[0][0]", id="wide-nest-vector"),
+    pytest.param(_with_literal("chain-continuous",
+                               lambda raw, v: raw["chain"]["nodes"][0]["above"].update(kind=v),
+                               "5"),
+                 "chain.nodes[0].above.kind", id="numeric-kind"),
+    pytest.param(_with_literal("chain-continuous",
+                               lambda raw, v: raw["chain"]["nodes"][1]["below"].update(cofinality=v),
+                               "7"),
+                 "chain.nodes[1].below.cofinality", id="numeric-cofinality"),
 ])
 def test_malformed_documents_exit_two_with_a_path(tmp_path, capsys, text, path):
     doc = tmp_path / "doc.json"

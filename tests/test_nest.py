@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,3 +131,28 @@ def test_perp_span_identity_holds(case):
     nest, _ = case
     for e in nest:
         assert perp_span_check(nest, e)
+
+
+def test_adapted_basis_is_cached_and_invisible():
+    nest = validate_nest([span([(1, 2, 0)], 3), span([(1, 2, 0), (0, 1, 1)], 3)], 3)
+    fresh = Nest(nest.ambient_dim, nest.elements)
+    levels, dual = nest.adapted_levels, nest.dual_basis
+    assert {"adapted_levels", "dual_basis"} <= set(vars(nest))
+    assert not {"adapted_levels", "dual_basis"} & set(vars(fresh))
+    assert nest == fresh and hash(nest) == hash(fresh) and repr(nest) == repr(fresh)
+    assert nest.adapted_levels is levels and nest.dual_basis is dual
+    back = pickle.loads(pickle.dumps(nest))
+    assert back == nest == fresh
+    assert back.adapted_levels == fresh.adapted_levels == levels
+    assert back.dual_basis == fresh.dual_basis == dual
+
+    # level j extends a basis of E_(j-1) to one of E_j, and f_a(u_b) != 0
+    # exactly when a == b
+    assert [len(level) for level in levels] == [nest.gap(j) for j in range(len(nest))]
+    vectors = []
+    for e, level in zip(nest.elements, levels):
+        vectors.extend(level)
+        assert span(vectors, 3) == e
+    for a, f in enumerate(dual):
+        for b, u in enumerate(vectors):
+            assert (sum(x * y for x, y in zip(f, u)) != 0) == (a == b)

@@ -22,6 +22,7 @@ from nestlab import (
     is_reflexive,
     m_of,
     nest_algebra,
+    rank,
     rank_one_in_alg,
     rank_one_in_m,
     span,
@@ -315,8 +316,6 @@ def test_decompose_zero_operator():
 
 
 def test_decompose_factor_count_is_rank():
-    from nestlab import rank
-
     nest = triangular()
     phi = SupportFn(nest, (0, 2, 2, 3))
     t = mat([[1, 1, 2], [0, 3, 4], [0, 0, 5]])
@@ -325,6 +324,87 @@ def test_decompose_factor_count_is_rank():
     for f in factors:
         member, _ = oracles.rank_one_in_m(nest, phi, f)
         assert member
+
+
+def _combination(rng, rows):
+    weights = [rng.randint(-3, 3) for _ in rows]
+    return [sum(w * x for w, x in zip(weights, column)) for column in zip(*rows)]
+
+
+def _member_of_rank_at_most(rng, nest, phi, count, big):
+    """A sum of count rank-ones c x (x) f of m_of(phi): f kills E_(j-1) and x
+    lies in phi(E_j), for a random level j with phi(E_j) nonzero; c is a
+    rational with a denominator up to 10**12 when big, else 1."""
+    n = nest.ambient_dim
+    levels = [j for j in range(1, len(nest)) if phi.values[j] > 0]
+    entries = [[F(0)] * n for _ in range(n)]
+    for _ in range(count):
+        j = rng.choice(levels)
+        x = _combination(rng, phi(j).rows)
+        f = _combination(rng, annihilator(nest.element(j - 1)).rows)
+        c = F(rng.randint(-10**9, 10**9), rng.randint(1, 10**12)) if big else 1
+        for a in range(n):
+            for b in range(n):
+                entries[a][b] += c * x[a] * f[b]
+    return Matrix.from_rows(entries)
+
+
+def _random_members(seed, n, big):
+    """Members for three random (nest, phi) pairs, each at every count 1..n."""
+    rng = random.Random(f"decompose:{seed}:{n}:{big}")
+    out = []
+    while len(out) < 3 * n:
+        nest = sampling.random_nest(rng, n)
+        phi = sampling.random_support(rng, nest)
+        if phi.values[-1] == 0:
+            continue
+        for count in range(1, n + 1):
+            out.append((nest, phi, _member_of_rank_at_most(rng, nest, phi, count, big)))
+    return out
+
+
+def _assert_matches_oracle(nest, phi, t):
+    fast = decompose(nest, phi, t)
+    slow = oracles.decompose(nest, phi, t)
+    assert fast == slow and repr(fast) == repr(slow)
+    return fast
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("big", [False, True], ids=["small", "large-denominators"])
+def test_decompose_matches_the_fraction_oracle(n, big):
+    ranks = set()
+    for nest, phi, t in _random_members(0, n, big):
+        ranks.add(len(_assert_matches_oracle(nest, phi, t)))
+    assert len(ranks) > 1
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_decompose_of_full_rank_operators_matches_the_oracle(n):
+    rng = random.Random(f"full-rank:{n}")
+    nest = sampling.random_nest(rng, n)
+    top = len(nest) - 1
+    everything = SupportFn(nest, (top,) * len(nest))
+    t = Matrix.from_rows([[F(rng.randint(-3, 3), rng.randint(1, 9)) for _ in range(n)]
+                          for _ in range(n)])
+    while rank(t) < n:
+        t = t + Matrix.identity(n)
+    assert len(_assert_matches_oracle(nest, everything, t)) == n
+    assert len(_assert_matches_oracle(nest, SupportFn.identity(nest), Matrix.identity(n))) == n
+
+
+def test_decompose_of_zero_matches_the_oracle():
+    for n in (1, 4):
+        nest = validate_nest([], n)
+        phi = SupportFn.identity(nest)
+        assert _assert_matches_oracle(nest, phi, Matrix.zero(n, n)) == []
+
+
+def test_decompose_makes_fractions_only_in_its_factors(fractions_made):
+    for nest, phi, t in _random_members(1, 7, True)[:7:3]:
+        n, r = nest.ambient_dim, rank(t)
+        made = fractions_made(lambda: decompose(nest, phi, t))
+        assert 0 < made <= 2 * n * r
 
 
 # --- absorption ----------------------------------------------------------------

@@ -1,7 +1,6 @@
 import copy
 import pickle
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -260,25 +259,7 @@ def test_lattice_operations_leave_cached_rows_unchanged():
     assert [(s.echelon.rows, s.echelon.pivots) for s in (a, b)] == before
 
 
-def _fractions_made(work):
-    """How many Fraction objects work() constructs."""
-    new = Fraction.__new__.__code__
-    made = 0
-
-    def count(frame, event, arg):
-        nonlocal made
-        if event == "call" and frame.f_code is new:
-            made += 1
-
-    sys.setprofile(count)
-    try:
-        work()
-    finally:
-        sys.setprofile(None)
-    return made
-
-
-def test_no_fraction_is_made_until_a_basis_is_read():
+def test_no_fraction_is_made_until_a_basis_is_read(fractions_made):
     vecs = [as_vector(r) for r in ((1, 2, 0, 3), (0, 1, 1, 1), (2, 0, 1, 0), (1, 1, 1, 1))]
     nest = validate_nest([span(vecs[:1], 4), span(vecs[:3], 4)], 4)
     k = len(nest.elements)
@@ -295,6 +276,6 @@ def test_no_fraction_is_made_until_a_basis_is_read():
         nest_algebra(nest)
         m_of(nest, phi)
 
-    assert _fractions_made(lattice_and_operator_spaces) == 0
+    assert fractions_made(lattice_and_operator_spaces) == 0
     fresh = span(vecs[:2], 4)
-    assert _fractions_made(lambda: fresh.basis) > 0
+    assert fractions_made(lambda: fresh.basis) > 0
