@@ -225,9 +225,6 @@ class AbstractSupportFn:
             lls[chain.index(label)] = chain.index(target)
         return cls(chain, vals, tuple(lls))
 
-    def value_label(self, i: int) -> str:
-        return self.chain.nodes[self.value[i]].label
-
     def as_tables(self) -> tuple[dict[str, str], dict[str, str]]:
         labels = self.chain.labels()
         value = {labels[i]: labels[v] for i, v in enumerate(self.value)}

@@ -25,7 +25,7 @@ from .chaincalc import (
     predict_max_pair,
     predict_me_support,
 )
-from .documents import WorkbenchDoc, _fmt_abstract_fn, _fmt_matrix, parse_document
+from .documents import WorkbenchDoc, _fmt_abstract_fn, _fmt_matrix, _fmt_vector, parse_document
 from .errors import DocumentError, NestlabError, UnknownCommandError
 from .opspace import (
     decompose,
@@ -149,10 +149,7 @@ def _cmd_decompose(doc: WorkbenchDoc) -> Any:
     factors = decompose(nest, phi, targets[0])
     return {
         "factors": [
-            {
-                "functional": [str(x) for x in f.functional],
-                "vector": [str(x) for x in f.vector],
-            }
+            {"functional": _fmt_vector(f.functional), "vector": _fmt_vector(f.vector)}
             for f in factors
         ]
     }
@@ -320,7 +317,12 @@ def main(argv: list[str] | None = None) -> int:
             emit(verdict)
             return 0 if verdict.result["all_passed"] else 1
         with open(args.doc, encoding="utf-8") as handle:
-            text = handle.read()
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise DocumentError(
+                    f"document is not UTF-8: {exc.reason} at byte {exc.start}", path="$"
+                ) from None
         doc = parse_document(text)
         kind = getattr(args, "kind", None)
         verdict = run(args.command, doc, kind)

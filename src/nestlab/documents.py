@@ -76,13 +76,18 @@ def _rational(raw: Any, path: str) -> Fraction:
         raise DocumentError(f"bad rational {raw!r}: {exc}", path=path) from None
 
 
-def _vector(raw: Any, path: str) -> Vector:
+def _vector(raw: Any, path: str, n: int | None = None) -> Vector:
+    """An array of rationals; with n given, it must have n entries."""
     if not isinstance(raw, list):
         raise DocumentError("expected an array of rationals", path=path)
-    return tuple(_rational(x, f"{path}[{i}]") for i, x in enumerate(raw))
+    vec = tuple(_rational(x, f"{path}[{i}]") for i, x in enumerate(raw))
+    if n is not None and len(vec) != n:
+        raise DocumentError(f"vector has {len(vec)} entries, expected {n}", path=path)
+    return vec
 
 
-def _matrix(raw: Any, path: str) -> Matrix:
+def _matrix(raw: Any, path: str, n: int | None) -> Matrix:
+    """A matrix of rationals; with n given, it must be n x n."""
     if not isinstance(raw, list) or not raw:
         raise DocumentError("expected a non-empty array of rows", path=path)
     rows = [_vector(r, f"{path}[{i}]") for i, r in enumerate(raw)]
@@ -90,15 +95,13 @@ def _matrix(raw: Any, path: str) -> Matrix:
     for i, r in enumerate(rows):
         if len(r) != width:
             raise DocumentError("matrix rows have unequal lengths", path=f"{path}[{i}]")
+    if n is not None and (len(rows), width) != (n, n):
+        raise DocumentError(f"matrix is {len(rows)}x{width}, expected {n}x{n}", path=path)
     return Matrix(len(rows), width, tuple(rows))
 
 
-def _fmt_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _fmt_vector(v: Sequence[Fraction]) -> list[str]:
-    return [_fmt_rational(x) for x in v]
+    return [str(x) for x in v]
 
 
 def _fmt_matrix(m: Matrix) -> list[list[str]]:
@@ -324,16 +327,9 @@ def parse_document(text: str) -> WorkbenchDoc:
             if not isinstance(basis, list):
                 raise DocumentError("each nest element is an array of vectors",
                                     path=f"nest[{i}]")
-            vectors = []
-            for k, v in enumerate(basis):
-                vec = _vector(v, f"nest[{i}][{k}]")
-                if len(vec) != doc.ambient_dim:
-                    raise DocumentError(
-                        f"vector has {len(vec)} entries, expected {doc.ambient_dim}",
-                        path=f"nest[{i}][{k}]",
-                    )
-                vectors.append(vec)
-            doc.nest_bases.append(vectors)
+            doc.nest_bases.append([
+                _vector(v, f"nest[{i}][{k}]", doc.ambient_dim) for k, v in enumerate(basis)
+            ])
     if "operators" in raw:
         ops = raw["operators"]
         if not isinstance(ops, dict):
@@ -343,7 +339,8 @@ def parse_document(text: str) -> WorkbenchDoc:
                 raise DocumentError("each operator role holds an array of matrices",
                                     path=f"operators.{role}")
             doc.operators[role] = [
-                _matrix(m, f"operators.{role}[{i}]") for i, m in enumerate(items)
+                _matrix(m, f"operators.{role}[{i}]", doc.ambient_dim)
+                for i, m in enumerate(items)
             ]
     if "support_fn" in raw:
         sv = raw["support_fn"]
@@ -354,10 +351,11 @@ def parse_document(text: str) -> WorkbenchDoc:
         ro = raw["rank_one"]
         if not isinstance(ro, dict) or "functional" not in ro or "vector" not in ro:
             raise DocumentError("'rank_one' needs 'functional' and 'vector'", path="rank_one")
-        doc.rank_one = RankOne(
-            _vector(ro["functional"], "rank_one.functional"),
-            _vector(ro["vector"], "rank_one.vector"),
-        )
+        functional = _vector(ro["functional"], "rank_one.functional", doc.ambient_dim)
+        vector = _vector(ro["vector"], "rank_one.vector", doc.ambient_dim)
+        if len(functional) != len(vector):
+            raise DocumentError("functional and vector sizes differ", path="rank_one")
+        doc.rank_one = RankOne(functional, vector)
     if "chain" in raw:
         doc.chain = _parse_chain(raw["chain"], "chain")
     if "abstract_fn" in raw:

@@ -42,7 +42,6 @@ from .ratlin import (
     int_row,
     join,
     meet,
-    nullspace_of_rows,
     outer,
     rank,
     span,
@@ -85,7 +84,7 @@ def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:
         for f in ann_target.basis.entries:
             for b in e.basis.entries:
                 constraints.append(tuple(fi * bj for fi in f for bj in b))
-    return OperatorSpace(n, nullspace_of_rows(constraints, n * n))
+    return OperatorSpace(n, annihilator(span(constraints, n * n)))
 
 
 def nest_algebra(nest: Nest) -> OperatorSpace:
@@ -258,18 +257,18 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
         )
 
     factors: list[RankOne] = []
-    current = t
+    current = t.entries
     for _ in range(rank(t)):
-        w = span([current.column(j) for j in range(n)], n)
+        w = span(zip(*current), n)
         pick = meet(smallest_intersecting(nest, w), w)
         if pick.dim == 0:
             raise InvariantError("the smallest element meeting the range misses it")
         x = pick.basis.entries[0]
         pivot = next(j for j, c in enumerate(x) if c)
-        factor = RankOne(current.row(pivot), x)
-        factors.append(factor)
-        current = current - factor.matrix()
-    if not current.is_zero():
+        row = current[pivot]
+        factors.append(RankOne(row, x))
+        current = [tuple(a - xi * b for a, b in zip(r, row)) for r, xi in zip(current, x)]
+    if any(map(any, current)):
         raise InvariantError("a rank-one factor did not lower the rank by one")
     return factors
 

@@ -177,7 +177,9 @@ def _echelon_from_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> IntEch
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix over Fraction."""
+    """Immutable dense matrix over Fraction: the value in which operators
+    enter and leave the package.  Operator arithmetic runs in integers in
+    `opspace`, and in the test oracles over Fraction rows."""
 
     rows: int
     cols: int
@@ -215,61 +217,13 @@ class Matrix:
             tuple(it[i * cols + j] for j in range(cols)) for i in range(rows)
         ))
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
     def flatten(self) -> Vector:
         """Row-major flattening, the layout used for operator spaces."""
         return tuple(x for r in self.entries for x in r)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(
-            tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)
-        ))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("matrix shapes differ")
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries)
-        ))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(-x for x in r) for r in self.entries
-        ))
-
-    def __rmul__(self, scalar) -> "Matrix":
-        c = as_fraction(scalar)
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(c * x for x in r) for r in self.entries
-        ))
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionMismatchError("inner matrix dimensions differ")
-        cols = other.transpose().entries
-        return Matrix(self.rows, other.cols, tuple(
-            tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in self.entries
-        ))
-
     def apply(self, v: Sequence) -> Vector:
         vec = as_vector(v, self.cols)
         return tuple(sum(a * b for a, b in zip(r, vec)) for r in self.entries)
-
-
-def rref(m: Matrix) -> Matrix:
-    """Unique reduced row-echelon form of m; zero rows are dropped."""
-    return span(m.entries, m.cols).basis
 
 
 def rank(m: Matrix) -> int:
@@ -427,8 +381,3 @@ def quotient_dim(a: Subspace, b: Subspace) -> int:
     if not b.contains(a):
         raise ContainmentError("quotient requires the first subspace inside the second")
     return b.dim - a.dim
-
-
-def nullspace_of_rows(rows: Iterable[Sequence[Fraction]], n: int) -> Subspace:
-    """Solutions x of r . x = 0 for every constraint row r."""
-    return annihilator(span(rows, n))

@@ -10,11 +10,10 @@ uniform monotone tables.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .nest import Nest, validate_nest
 from .opspace import OperatorSpace, SupportFn, m_of
-from .ratlin import IntEchelon, Matrix, Subspace, span
+from .ratlin import ZERO, IntEchelon, Matrix, Subspace, span
 
 ENTRY_RANGE = (-2, 2)
 DIM_RANGE = (2, 5)
@@ -71,12 +70,12 @@ def random_generators(rng: random.Random, n: int) -> list[Matrix]:
 def random_member(rng: random.Random, space: OperatorSpace) -> Matrix:
     """A random rational combination of the basis with small integer weights."""
     n = space.ambient_dim
-    total = Matrix.zero(n, n)
-    for b in space.basis_matrices():
-        c = Fraction(random_entry(rng))
+    flat = [ZERO] * (n * n)
+    for b in space.space.basis.entries:
+        c = random_entry(rng)
         if c:
-            total = total + c * b
-    return total
+            flat = [a + c * x for a, x in zip(flat, b)]
+    return Matrix.from_flat(flat, n, n)
 
 
 def random_support_with_space(rng: random.Random, max_tries: int = 20):

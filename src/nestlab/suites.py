@@ -62,7 +62,6 @@ from .opspace import (
     support_of,
 )
 from .ratlin import (
-    Matrix,
     annihilator,
     join,
     meet,
@@ -313,12 +312,15 @@ def suite_decompose(seed: int, cases: int) -> list[PropertyOutcome]:
             t = sampling.random_member(rng, space)
             factors = decompose(nest, phi, t)
             ok = len(factors) == rank(t)
-            total = Matrix.zero(nest.ambient_dim, nest.ambient_dim)
             for f in factors:
                 member, _ = oracles.rank_one_in_m(nest, phi, f)
                 ok = ok and member
-                total = total + f.matrix()
-            ok = ok and total == t
+            n = nest.ambient_dim
+            total = tuple(
+                tuple(sum(f.vector[i] * f.functional[j] for f in factors) for j in range(n))
+                for i in range(n)
+            )
+            ok = ok and total == t.entries
             yield ok, (nest.ambient_dim, rank(t)), {
                 "nest": _nest_desc(nest), "phi": list(phi.values), "t": _fmt_matrix(t),
             }

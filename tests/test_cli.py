@@ -144,6 +144,14 @@ def test_bad_document_exits_two(tmp_path, capsys):
     assert code == 2 and "version" in err
 
 
+def test_non_utf8_document_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = invoke(capsys, "alg", "--doc", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: $: ") and "Traceback" not in err
+
+
 def test_proptest_command(capsys):
     code, out, _ = invoke(capsys, "proptest", "lattice", "--seed", "1", "--cases", "40")
     assert code == 0

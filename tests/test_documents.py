@@ -294,6 +294,24 @@ def test_ambient_dim_is_bounded():
                                lambda raw, v: raw["chain"]["nodes"][1]["below"].update(cofinality=v),
                                "7"),
                  "chain.nodes[1].below.cofinality", id="numeric-cofinality"),
+    pytest.param(_with_literal("support",
+                               lambda raw, v: raw.update(operators={"generators": [v]}),
+                               json.dumps([["1", "0", "0"]] * 2)),
+                 "operators.generators[0]", id="short-generator"),
+    pytest.param(json.dumps({"version": "nestlab/1", "ambient_dim": 2,
+                             "operators": {"generators": [[["1", "0", "0"]] * 3]}}),
+                 "operators.generators[0]", id="wide-generator"),
+    pytest.param(_with_literal("decompose",
+                               lambda raw, v: raw["rank_one"].update(functional=v),
+                               '["0", "1"]'),
+                 "rank_one.functional", id="short-functional"),
+    pytest.param(_with_literal("decompose",
+                               lambda raw, v: raw["rank_one"].update(vector=v),
+                               '["1", "0", "0", "0"]'),
+                 "rank_one.vector", id="long-vector"),
+    pytest.param(json.dumps({"version": "nestlab/1",
+                             "rank_one": {"functional": ["1", "0", "0"], "vector": ["1", "0"]}}),
+                 "rank_one", id="rank-one-sizes-differ"),
 ])
 def test_malformed_documents_exit_two_with_a_path(tmp_path, capsys, text, path):
     doc = tmp_path / "doc.json"

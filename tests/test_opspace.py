@@ -47,6 +47,14 @@ def unit(n, i, j):
     return mat(rows)
 
 
+def sum_of(factors, n):
+    # the n x n operator sum of rank-one factors, entry by entry
+    return Matrix.from_rows([
+        [sum(f.vector[i] * f.functional[j] for f in factors) for j in range(n)]
+        for i in range(n)
+    ])
+
+
 def triangular():
     return validate_nest(
         [span([(1, 0, 0)], 3), span([(1, 0, 0), (0, 1, 0)], 3)], 3
@@ -279,10 +287,7 @@ def test_decompose_frozen_factors():
         ((F(1), F(1), F(0)), (F(1), F(0), F(0))),
         ((F(0), F(1), F(0)), (F(0), F(1), F(0))),
     ]
-    total = Matrix.zero(3, 3)
-    for f in factors:
-        total = total + f.matrix()
-    assert total == t
+    assert sum_of(factors, 3) == t
 
 
 def test_decompose_with_support_above_the_identity():
@@ -301,7 +306,7 @@ def test_decompose_with_support_above_the_identity():
     for f, level in zip(factors, (0, 1)):
         assert oracles.rank_one_in_m(nest, phi, f) == (True, nest.element(level))
         assert rank_one_in_m(nest, phi, f) == (True, nest.element(level))
-    assert factors[0].matrix() + factors[1].matrix() == t
+    assert sum_of(factors, 3) == t
 
 
 def test_decompose_rejects_outsiders():
@@ -388,7 +393,8 @@ def test_decompose_of_full_rank_operators_matches_the_oracle(n):
     t = Matrix.from_rows([[F(rng.randint(-3, 3), rng.randint(1, 9)) for _ in range(n)]
                           for _ in range(n)])
     while rank(t) < n:
-        t = t + Matrix.identity(n)
+        t = Matrix.from_rows([[x + (i == j) for j, x in enumerate(row)]
+                              for i, row in enumerate(t.entries)])
     assert len(_assert_matches_oracle(nest, everything, t)) == n
     assert len(_assert_matches_oracle(nest, SupportFn.identity(nest), Matrix.identity(n))) == n
 
