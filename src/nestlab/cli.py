@@ -2,7 +2,8 @@
 
 One subcommand per workbench operation plus the seeded property-test harness.
 Results are printed as a Verdict, either canonical JSON (default) or a plain
-text table.  Exit codes: 0 success, 1 validation failure, 2 parse failure.
+text table.  Exit codes: 0 success, 1 validation failure, 2 parse failure,
+3 internal error (an unexpected exception, reported on one line of stderr).
 """
 
 from __future__ import annotations
@@ -337,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
             "error": {"type": type(exc).__name__, "message": str(exc)}
         }))
         return 1
+    except Exception as exc:  # a fault in nestlab itself: no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     emit(verdict)
     return 0
 

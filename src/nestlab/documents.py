@@ -26,7 +26,7 @@ from .chaincalc import (
     SupportPair,
     validate_chain,
 )
-from .errors import DocumentError, JoinNotRepresentedError
+from .errors import DocumentError, JoinNotRepresentedError, SupportFunctionError
 from .nest import Nest, validate_nest
 from .opspace import RankOne, SupportFn
 from .ratlin import Matrix, Vector, span
@@ -231,23 +231,30 @@ class WorkbenchDoc:
     chain: AbstractNest | None = None
     abstract_fn: AbstractSupportFn | None = None
     abstract_pair: SupportPair | None = None
+    # the validated nest, built on first request
+    _nest: Nest | None = field(default=None, init=False, repr=False, compare=False)
 
     # --- builders ---------------------------------------------------------
 
     def require_nest(self) -> Nest:
-        if self.ambient_dim is None:
-            raise DocumentError("document has no 'ambient_dim'", path="ambient_dim")
-        if self.nest_bases is None:
-            raise DocumentError("document has no 'nest' section", path="nest")
-        subspaces = [
-            span(rows, self.ambient_dim) for rows in self.nest_bases
-        ]
-        return validate_nest(subspaces, self.ambient_dim)
+        if self._nest is None:
+            if self.ambient_dim is None:
+                raise DocumentError("document has no 'ambient_dim'", path="ambient_dim")
+            if self.nest_bases is None:
+                raise DocumentError("document has no 'nest' section", path="nest")
+            subspaces = [
+                span(rows, self.ambient_dim) for rows in self.nest_bases
+            ]
+            self._nest = validate_nest(subspaces, self.ambient_dim)
+        return self._nest
 
     def require_support(self, nest: Nest) -> SupportFn:
         if self.support_values is None:
             raise DocumentError("document has no 'support_fn' section", path="support_fn")
-        return SupportFn(nest, tuple(self.support_values))
+        try:
+            return SupportFn(nest, tuple(self.support_values))
+        except SupportFunctionError as exc:
+            raise DocumentError(str(exc), path="support_fn") from None
 
     def matrices(self, role: str) -> list[Matrix]:
         if role not in self.operators:
@@ -347,6 +354,9 @@ def parse_document(text: str) -> WorkbenchDoc:
         if not isinstance(sv, list) or not all(_is_int(x) for x in sv):
             raise DocumentError("'support_fn' is an array of element indices", path="support_fn")
         doc.support_values = list(sv)
+        if doc.nest_bases is not None:
+            # the table indexes the validated nest, so it is checked against it here
+            doc.require_support(doc.require_nest())
     if "rank_one" in raw:
         ro = raw["rank_one"]
         if not isinstance(ro, dict) or "functional" not in ro or "vector" not in ro:

@@ -20,7 +20,7 @@ from .errors import (
     NotAnElementError,
     ZeroSubspaceError,
 )
-from .ratlin import IntEchelon, Subspace, _primitive, join
+from .ratlin import IntEchelon, Subspace, annihilator, join
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,9 @@ class Nest:
         return self.elements[i].dim - self.elements[i - 1].dim
 
     # The two caches below are not fields, so ==, hash and repr ignore them.
-    # They are computed once per nest, when first read.
+    # They are computed once per nest, when first read: the adapted levels
+    # serve the chain-level walks (hull, rank-one levels, decompose), the
+    # annihilators the closed form of m_of.
 
     @cached_property
     def adapted_levels(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -84,17 +86,10 @@ class Nest:
         )
 
     @cached_property
-    def dual_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Integer functionals f_a with f_a(u_b) = 0 for a != b and
-        f_a(u_a) != 0, for the adapted basis u in level order: the rows of the
-        inverse of the matrix with columns u, read off the reduced echelon
-        form of [U | I]."""
-        n = self.ambient_dim
-        vectors = [u for level in self.adapted_levels for u in level]
-        ech = IntEchelon(2 * n)
-        for i in range(n):
-            ech.insert([u[i] for u in vectors] + [int(i == c) for c in range(n)])
-        return tuple(tuple(_primitive(row[n:])) for row in ech.reduced().rows)
+    def annihilators(self) -> tuple[Subspace, ...]:
+        """annihilator(E_j) for each element, in chain order: the functionals
+        killing E_j, as primitive integer echelon rows."""
+        return tuple(annihilator(e) for e in self.elements)
 
 
 def validate_nest(subspaces: Iterable[Subspace], n: int) -> Nest:

@@ -10,19 +10,28 @@ objects are the two mutually inverse constructions
 
 At finite dimension every bimodule of a nest algebra is reflexive,
 J = m_of(support_of(J)) (Erdos and Power, J. Operator Theory 7, 1982), so
-everything here is computed from support functions: m_of(Phi) is spanned by
-independent rank-ones, a generated bimodule is m_of of the hull of its
-generators, and J is a bimodule exactly when it has the dimension of m_of of
-its own hull.  Rank-one questions are answered from the chain levels of the
-vector and the functional (Ringrose, Proc. London Math. Soc. 15, 1965).  The
-literal constructions and criteria live in `oracles`, which only the
-property suites and the tests use.
+everything here is computed from support functions, in two closed forms and
+without elimination over Q^(n*n):
+
+- m_of(Phi) is the sum of the Phi(E_j) (x) E_(j-1)^perp, and its canonical
+  integer RREF is written row by row from the RREFs of the distinct values
+  of Phi and of the annihilators of the nest (see `m_of`);
+- the support of J is read off the number of J's pivots in each row block,
+  and certified by one comparison of J with m_of of it (see
+  `_support_values`), which is also the bimodule test.
+
+A generated bimodule is m_of of the hull of its generators.  Rank-one
+questions are answered from the chain levels of the vector and the
+functional (Ringrose, Proc. London Math. Soc. 15, 1965).  The literal
+constructions and criteria live in `oracles`, which only the property suites
+and the tests use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -42,7 +51,7 @@ from .ratlin import (
     Subspace,
     Vector,
     _pivot,
-    _subspace_from_echelon,
+    _primitive,
     as_vector,
     int_row,
     outer,
@@ -168,26 +177,77 @@ def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...
 
 
 def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:
-    """All operators T with T E contained in phi(E) for every nest element E.
+    """All operators T with T E contained in phi(E) for every nest element E,
+    written directly as its canonical integer RREF.
 
-    With a basis u adapted to the nest and its dual basis f, every operator is
-    T = sum_a (T u_a) (x) f_a, and T lies in the space exactly when T u_a lies
-    in phi(E_j) for each u_a of level j.  So the space is spanned by the
-    independent rank-ones x (x) f_a, x running over a basis of phi(E_j): f_a
-    kills E_(j-1), and the dimension is sum_j gap_j * dim phi(E_j).
+    The space is the sum over levels t >= 1 of phi(E_t) (x) E_(t-1)^perp.
+    Grouping the levels by distinct nonzero value gives C_1 < ... < C_M and
+    D_1 > ... > D_M, with D_m = E_(t_m - 1)^perp for the first level t_m with
+    phi(E_(t_m)) = C_m, and the space is the sum of the C_m (x) D_m.  Write
+    rho^m_i and sigma^m_c for the RREF rows of C_m and D_m with pivots i and c,
+    each divided by its pivot, sigma^m_c = 0 when c is not a pivot of D_m, and
+    m(i) for the first m with i a pivot of C_m.  Row-major, the pivots of the
+    space are the (i, c) with c a pivot of D_(m(i)), and the reduced row at
+    (i, c) is
+
+        sum over m >= m(i) of  rho^m_i (x) (sigma^m_c - sigma^(m+1)_c):
+
+    every term lies in C_m (x) D_m, the differences telescope to 1 at (i, c),
+    and at another pivot (i', c') the terms with m >= m(i') vanish by rho
+    while those below vanish by sigma.  Each row is made integer over the
+    lcm of its denominators and then primitive.  The dimension is
+    sum_t gap_t * dim phi(E_t).
     """
     if phi.nest != nest:
         raise AmbientMismatchError("support function belongs to a different nest")
     n = nest.ambient_dim
-    dual = iter(nest.dual_basis)
-    ech = IntEchelon(n * n)
-    for j, level in enumerate(nest.adapted_levels):
-        xs = phi(j).rows
-        for _ in level:
-            f = next(dual)
-            for x in xs:
-                ech.insert([xr * fc for xr in x for fc in f])
-    return OperatorSpace(n, _subspace_from_echelon(ech, n * n))
+    cs, ds = [], []  # pivot -> row of C_m, and of D_m, for m = 1 .. M
+    last = 0
+    for t in range(1, len(nest.elements)):
+        v = phi.values[t]
+        if v != last:
+            last = v
+            ce, de = nest.elements[v].echelon, nest.annihilators[t - 1].echelon
+            cs.append(dict(zip(ce.pivots, ce.rows)))
+            ds.append(dict(zip(de.pivots, de.rows)))
+    # tails[m][c]: the nonzero sigma^l_c - sigma^(l+1)_c for l >= m, each as
+    # (l, integer row, denominator); the last one is the bare row of D_l
+    tails: list[dict] = [{}] * len(ds)
+    below: dict = {}
+    for m in range(len(ds) - 1, -1, -1):
+        tail = {}
+        for c, s in ds[m].items():
+            u = below.get(c)
+            if u is None:
+                tail[c] = [(m, s, s[c])]
+            elif u == s:
+                tail[c] = tails[m + 1][c]
+            else:
+                diff = [u[c] * x - s[c] * y for x, y in zip(s, u)]
+                tail[c] = [(m, diff, s[c] * u[c]), *tails[m + 1][c]]
+        tails[m], below = tail, ds[m]
+    first: dict[int, int] = {}
+    for m, crows in enumerate(cs):
+        for i in crows:
+            first.setdefault(i, m)
+    rows = []
+    # pivots are the keys of C_M and of each tails[m], in increasing order
+    for i in cs[-1] if cs else ():
+        for c, tail in tails[first[i]].items():
+            if len(tail) == 1:
+                # a primitive row of C times a primitive row of D is primitive
+                r = cs[tail[0][0]][i]
+                rows.append(tuple([x * y for x in r for y in tail[0][1]]))
+                continue
+            terms = [(cs[m][i], s, cs[m][i][i] * den) for m, s, den in tail]
+            scale = lcm(*(den for _, _, den in terms))
+            products = []
+            for r, s, den in terms:
+                if den != scale:
+                    s = [scale // den * y for y in s]
+                products.append([x * y for x in r for y in s])
+            rows.append(tuple(_primitive(list(map(sum, zip(*products))))))
+    return OperatorSpace(n, Subspace(n * n, tuple(rows)))
 
 
 def nest_algebra(nest: Nest) -> OperatorSpace:
@@ -224,16 +284,35 @@ def generate_bimodule(nest: Nest, generators: Iterable[Matrix]) -> OperatorSpace
 
 
 def _support_values(nest: Nest, j: OperatorSpace) -> tuple[int, ...] | None:
-    """The hull psi of J, or None when J is not a bimodule.
+    """The support psi of J, read off J's pivots, or None when J is not a
+    bimodule.
 
-    J lies in m_of(psi) by construction, and m_of(psi) is a bimodule, so J is
-    one exactly when the two have the same dimension; psi is then [J E].
+    In m_of(psi) the pivots of row block i are (i, c) for the c in the pivot
+    set of E_(t_i - 1)^perp, where t_i is the first level whose psi value has
+    a pivot at i (see `m_of`).  So the w_i pivots of J in row block i give
+    dim E_(t_i - 1) = n - w_i, and psi(E_t) is the element of dimension
+    #{i : t_i <= t}, with psi(E_0) = 0.  A bimodule is m_of of its support
+    (Erdos and Power), so J is one exactly when m_of(psi) equals J; a
+    dimension that names no nest element rules J out at once.
     """
     if j.ambient_dim != nest.ambient_dim:
         raise AmbientMismatchError("operator space and nest ambient dimensions differ")
-    values = _hull_values(nest, j.space.rows)
-    reach = sum(nest.gap(i) * nest.elements[v].dim for i, v in enumerate(values))
-    return values if reach == j.dim else None
+    n = nest.ambient_dim
+    index = {e.dim: t for t, e in enumerate(nest.elements)}
+    width = [0] * n
+    for p in j.space.echelon.pivots:
+        width[p // n] += 1
+    # reached[t] counts the row blocks i with t_i = t
+    reached = [0] * len(nest.elements)
+    for w in width:
+        if w:
+            if n - w not in index:
+                return None
+            reached[index[n - w] + 1] += 1
+    values = tuple(index.get(d, -1) for d in accumulate(reached))
+    if -1 in values or m_of(nest, SupportFn(nest, values)).space != j.space:
+        return None
+    return values
 
 
 def _bimodule_support(nest: Nest, j: OperatorSpace, message: str) -> tuple[int, ...]:
@@ -245,7 +324,7 @@ def _bimodule_support(nest: Nest, j: OperatorSpace, message: str) -> tuple[int, 
 
 def is_bimodule(nest: Nest, s: OperatorSpace) -> bool:
     """Whether A s B stays inside s for all algebra members A and B,
-    decided by dimension against m_of of the hull of s."""
+    decided by comparing s with m_of of the support read off its pivots."""
     return _support_values(nest, s) is not None
 
 
@@ -258,8 +337,8 @@ def support_of(nest: Nest, j: OperatorSpace) -> SupportFn:
 def is_reflexive(nest: Nest, j: OperatorSpace) -> bool:
     """Whether J equals the full operator space of its own support.
 
-    The bimodule test is J = m_of(psi) for the hull psi of J, and psi is the
-    support of J, so every bimodule passes.
+    The bimodule test is J = m_of(psi) for the support psi of J, so every
+    bimodule passes.
     """
     _bimodule_support(nest, j, "reflexivity is defined for bimodules only")
     return True

@@ -5,7 +5,8 @@ bimodule test from support functions, and rank-one membership from the chain
 levels of the vector and the functional.  The functions here evaluate the
 definitions instead: m_of as the nullspace of the constraints f(T b) = 0, the
 generated bimodule as a fixed-point closure under the algebra, the bimodule
-test by multiplying against the algebra basis, rank-one membership by
+test by multiplying against the algebra basis, the support of an operator
+space by applying its basis to each element's basis, rank-one membership by
 direct invariance and by the chain-witness criteria, and the rank-one
 decomposition by Wedderburn steps over Fraction that rebuild the range and
 its meet with the nest through the lattice operations.  Two identities that
@@ -90,6 +91,22 @@ def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:
 def nest_algebra(nest: Nest) -> OperatorSpace:
     """Operators leaving every nest element invariant, from the constraints."""
     return m_of(nest, SupportFn.identity(nest))
+
+
+def support_of(nest: Nest, j: OperatorSpace) -> SupportFn:
+    """The map E |-> [J E] evaluated literally: for each nest element E, the
+    span of T b over J's basis operators T and E's basis vectors b, then the
+    first nest element containing that span.  Defined for any operator
+    space, bimodule or not."""
+    if j.ambient_dim != nest.ambient_dim:
+        raise AmbientMismatchError("operator space and nest ambient dimensions differ")
+    n = nest.ambient_dim
+    mats = j.basis_matrices()
+    values = []
+    for e in nest.elements:
+        image = span([t.apply(b) for t in mats for b in e.basis.entries], n)
+        values.append(next(i for i, f in enumerate(nest.elements) if f.contains(image)))
+    return SupportFn(nest, tuple(values))
 
 
 def _flat_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:

@@ -99,7 +99,9 @@ class IntEchelon:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _residue(self, v: Sequence[int]) -> list[int] | None:
+    def _residue(self, v: Sequence[int]) -> list[int]:
+        """v reduced by every row, up to an integer factor; zero exactly when
+        v lies in the span."""
         w = list(v)
         for row, p in zip(self.rows, self.pivots):
             a = w[p]
@@ -109,14 +111,14 @@ class IntEchelon:
                     w[i] = b * w[i]
                 for i in range(p, self.ncols):
                     w[i] = b * w[i] - a * row[i]
-        return _primitive(w)
+        return w
 
     def contains(self, v: Sequence[int]) -> bool:
-        return self._residue(v) is None
+        return not any(self._residue(v))
 
     def insert(self, v: Sequence[int]) -> list[int] | None:
         """Add v to the span; returns the new basis row, or None if redundant."""
-        w = self._residue(v)
+        w = _primitive(self._residue(v))
         if w is None:
             return None
         p = _pivot(w)

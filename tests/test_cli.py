@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from nestlab import cli
 from nestlab.cli import main, proptest, run
 from nestlab.documents import parse_document
 from nestlab.errors import UnknownCommandError, UnknownSuiteError
@@ -150,6 +151,16 @@ def test_non_utf8_document_exits_two(tmp_path, capsys):
     code, out, err = invoke(capsys, "alg", "--doc", str(bad))
     assert code == 2 and out == ""
     assert err.startswith("parse error: $: ") and "Traceback" not in err
+
+
+def test_unexpected_exception_exits_three_without_traceback(monkeypatch, capsys):
+    def broken(doc):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "alg", broken)
+    code, out, err = invoke(capsys, "alg", "--doc", doc_path("triangular"))
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_proptest_command(capsys):

@@ -312,6 +312,15 @@ def test_ambient_dim_is_bounded():
     pytest.param(json.dumps({"version": "nestlab/1",
                              "rank_one": {"functional": ["1", "0", "0"], "vector": ["1", "0"]}}),
                  "rank_one", id="rank-one-sizes-differ"),
+    pytest.param(_with_literal("support", lambda raw, v: raw.update(support_fn=v),
+                               "[0, 2, 3]"),
+                 "support_fn", id="short-support-fn"),
+    pytest.param(json.dumps({"version": "nestlab/1", "ambient_dim": 2,
+                             "nest": [[["1", "0"]]], "support_fn": [0, 1, 7]}),
+                 "support_fn", id="support-fn-out-of-range"),
+    pytest.param(_with_literal("support", lambda raw, v: raw.update(support_fn=v),
+                               "[0, 3, 2, 3]"),
+                 "support_fn", id="support-fn-not-monotone"),
 ])
 def test_malformed_documents_exit_two_with_a_path(tmp_path, capsys, text, path):
     doc = tmp_path / "doc.json"

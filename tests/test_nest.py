@@ -136,23 +136,23 @@ def test_perp_span_identity_holds(case):
 def test_adapted_basis_is_cached_and_invisible():
     nest = validate_nest([span([(1, 2, 0)], 3), span([(1, 2, 0), (0, 1, 1)], 3)], 3)
     fresh = Nest(nest.ambient_dim, nest.elements)
-    levels, dual = nest.adapted_levels, nest.dual_basis
-    assert {"adapted_levels", "dual_basis"} <= set(vars(nest))
-    assert not {"adapted_levels", "dual_basis"} & set(vars(fresh))
+    levels, perps = nest.adapted_levels, nest.annihilators
+    assert {"adapted_levels", "annihilators"} <= set(vars(nest))
+    assert not {"adapted_levels", "annihilators"} & set(vars(fresh))
     assert nest == fresh and hash(nest) == hash(fresh) and repr(nest) == repr(fresh)
-    assert nest.adapted_levels is levels and nest.dual_basis is dual
+    assert nest.adapted_levels is levels and nest.annihilators is perps
     back = pickle.loads(pickle.dumps(nest))
     assert back == nest == fresh
     assert back.adapted_levels == fresh.adapted_levels == levels
-    assert back.dual_basis == fresh.dual_basis == dual
+    assert back.annihilators == fresh.annihilators == perps
 
-    # level j extends a basis of E_(j-1) to one of E_j, and f_a(u_b) != 0
-    # exactly when a == b
+    # level j extends a basis of E_(j-1) to one of E_j, and the j-th
+    # annihilator is the largest space of functionals killing E_j
     assert [len(level) for level in levels] == [nest.gap(j) for j in range(len(nest))]
     vectors = []
-    for e, level in zip(nest.elements, levels):
+    for e, level, perp in zip(nest.elements, levels, perps):
         vectors.extend(level)
         assert span(vectors, 3) == e
-    for a, f in enumerate(dual):
-        for b, u in enumerate(vectors):
-            assert (sum(x * y for x, y in zip(f, u)) != 0) == (a == b)
+        assert perp.dim == 3 - e.dim
+        for f in perp.rows:
+            assert not any(sum(x * y for x, y in zip(f, u)) for u in e.rows)

@@ -178,11 +178,57 @@ def test_generate_matches_closure_on_unit_pairs():
         assert generate_bimodule(nest, pair) == oracles.generate_bimodule(nest, pair)
 
 
+def conjugated_nest(rng, n, dims, bound):
+    # the nest of spans of the first d columns of a random invertible integer
+    # matrix with entries up to bound, for each d in dims
+    while True:
+        cols = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if span(cols, n).dim == n:
+            return validate_nest([span(cols[:d], n) for d in dims], n)
+
+
+def assert_same_space(got, want):
+    assert got == want and repr(got) == repr(want)
+
+
 def test_m_of_matches_constraints_on_every_table():
-    nest = triangular()
-    for values in monotone_tables(len(nest)):
-        phi = SupportFn(nest, values)
-        assert m_of(nest, phi) == oracles.m_of(nest, phi)
+    # every monotone table on every nest shape at n = 1..4, each nest
+    # conjugated by a random integer matrix, and on the triangular nest
+    rng = random.Random(4)
+    nests = [triangular()] + [
+        conjugated_nest(rng, n, dims, 3)
+        for n in range(1, 5)
+        for r in range(n)
+        for dims in itertools.combinations(range(1, n), r)
+    ]
+    for nest in nests:
+        for values in monotone_tables(len(nest)):
+            phi = SupportFn(nest, values)
+            assert_same_space(m_of(nest, phi), oracles.m_of(nest, phi))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_m_of_matches_constraints_on_nests_with_huge_entries(n):
+    # entries up to 10^6 give long rows in C_m and D_m, and so rows of m_of
+    # summed over several levels and scaled by an lcm of large pivots
+    rng = random.Random(n)
+    for _ in range(3):
+        dims = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+        nest = conjugated_nest(rng, n, dims, 10 ** 6)
+        for _ in range(3):
+            phi = sampling.random_support(rng, nest)
+            assert_same_space(m_of(nest, phi), oracles.m_of(nest, phi))
+
+
+def test_m_of_and_support_of_make_no_fractions(fractions_made):
+    rng = random.Random(6)
+    for _ in range(20):
+        nest = sampling.random_nest(rng)
+        phi = sampling.random_support(rng, nest)
+        space = m_of(nest, phi)
+        fresh = validate_nest(nest.elements[1:-1], nest.ambient_dim)
+        assert fractions_made(lambda: m_of(fresh, SupportFn(fresh, phi.values))) == 0
+        assert fractions_made(lambda: support_of(nest, space)) == 0
 
 
 def test_is_bimodule_rejects_a_bimodule_missing_a_row():
@@ -209,6 +255,57 @@ def test_is_bimodule_agrees_with_products_on_random_spans():
             mats = basis if pick == 1 else basis[1:]
         s = OperatorSpace.from_matrices(n, mats)
         assert is_bimodule(nest, s) == oracles.is_bimodule(nest, s)
+
+
+def random_operator(rng, nest):
+    # a random matrix, or a rank-one x (x) f with x in a random element and f
+    # killing a random element, so that generated bimodules vary in support
+    n = nest.ambient_dim
+    if rng.random() < 0.25:
+        return sampling.random_matrix(rng, n)
+    k = len(nest.elements)
+    xs = nest.elements[rng.randrange(1, k)].rows
+    fs = nest.annihilators[rng.randrange(0, k - 1)].rows
+    x = [sum(rng.randint(-2, 2) * r[a] for r in xs) for a in range(n)]
+    f = [sum(rng.randint(-2, 2) * r[a] for r in fs) for a in range(n)]
+    return Matrix.from_rows([[xa * fb for fb in f] for xa in x])
+
+
+def test_support_and_bimodule_test_match_the_literal_oracles():
+    # 520 seeded operator spaces at n = 2..4, of four kinds in turn:
+    # generated bimodules, generated bimodules with one basis row dropped,
+    # random spans, and sums of two generated bimodules
+    rng = random.Random(9)
+    non_bimodules = 0
+    for case in range(520):
+        nest = sampling.random_nest(rng, rng.randint(2, 4))
+        n = nest.ambient_dim
+        gens = [random_operator(rng, nest) for _ in range(rng.randint(1, 3))]
+        kind = case % 4
+        if kind == 0:
+            s = generate_bimodule(nest, gens)
+        elif kind == 1:
+            basis = list(generate_bimodule(nest, gens).basis_matrices())
+            if basis:
+                del basis[rng.randrange(len(basis))]
+            s = OperatorSpace.from_matrices(n, basis)
+        elif kind == 2:
+            s = OperatorSpace.from_matrices(n, gens)
+        else:
+            other = [random_operator(rng, nest) for _ in range(rng.randint(1, 2))]
+            s = OperatorSpace.from_matrices(n, [
+                *generate_bimodule(nest, gens).basis_matrices(),
+                *generate_bimodule(nest, other).basis_matrices(),
+            ])
+        bimodule = oracles.is_bimodule(nest, s)
+        assert is_bimodule(nest, s) == bimodule
+        if bimodule:
+            assert support_of(nest, s) == oracles.support_of(nest, s)
+        else:
+            non_bimodules += 1
+            with pytest.raises(NotABimoduleError):
+                support_of(nest, s)
+    assert non_bimodules >= 100
 
 
 # --- rank ones ----------------------------------------------------------------
