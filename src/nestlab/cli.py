@@ -2,14 +2,17 @@
 
 One subcommand per workbench operation plus the seeded property-test harness.
 Results are printed as a Verdict, either canonical JSON (default) or a plain
-text table.  Exit codes: 0 success, 1 validation failure, 2 parse failure,
-3 internal error (an unexpected exception, reported on one line of stderr).
+text table.  Exit codes: 0 success, 1 validation failure (or a reader that
+closed stdout before the verdict was written), 2 an unreadable or malformed
+document or command line, 3 internal error (an unexpected exception,
+reported on one line of stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -269,6 +272,16 @@ def proptest(suite: str, seed: int, cases: int) -> Verdict:
     return Verdict("proptest", result, seed=seed, cases=cases)
 
 
+def _case_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nestlab",
@@ -301,48 +314,51 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("proptest", help="seeded property-test harness")
     p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_case_count, default=100)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    fmt = args.format
-
-    def emit(verdict: Verdict) -> None:
-        print(verdict.to_json() if fmt == "json" else verdict.to_table())
-
     try:
         if args.command == "proptest":
             verdict = proptest(args.suite, args.seed, args.cases)
-            emit(verdict)
-            return 0 if verdict.result["all_passed"] else 1
-        with open(args.doc, encoding="utf-8") as handle:
+            code = 0 if verdict.result["all_passed"] else 1
+        else:
             try:
-                text = handle.read()
+                with open(args.doc, encoding="utf-8") as handle:
+                    text = handle.read()
+            except OSError as exc:
+                print(f"cannot read document: {exc}", file=sys.stderr)
+                return 2
             except UnicodeDecodeError as exc:
                 raise DocumentError(
                     f"document is not UTF-8: {exc.reason} at byte {exc.start}", path="$"
                 ) from None
-        doc = parse_document(text)
-        kind = getattr(args, "kind", None)
-        verdict = run(args.command, doc, kind)
+            doc = parse_document(text)
+            verdict = run(args.command, doc, getattr(args, "kind", None))
+            code = 0
     except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"cannot read document: {exc}", file=sys.stderr)
-        return 2
     except NestlabError as exc:
-        emit(Verdict(args.command, {
+        verdict = Verdict(args.command, {
             "error": {"type": type(exc).__name__, "message": str(exc)}
-        }))
-        return 1
+        })
+        code = 1
     except Exception as exc:  # a fault in nestlab itself: no traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    emit(verdict)
-    return 0
+    try:
+        print(verdict.to_json() if args.format == "json" else verdict.to_table())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (say, `| head -1`): point stdout at devnull so
+        # that the flush at exit does not fail again, and end quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

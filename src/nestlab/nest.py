@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     AmbientMismatchError,
@@ -21,6 +21,9 @@ from .errors import (
     ZeroSubspaceError,
 )
 from .ratlin import IntEchelon, Subspace, annihilator, join
+
+if TYPE_CHECKING:
+    from .opspace import OperatorSpace
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,11 @@ class Nest:
             return 0
         return self.elements[i].dim - self.elements[i - 1].dim
 
-    # The two caches below are not fields, so ==, hash and repr ignore them.
+    # The three caches below are not fields, so ==, hash and repr ignore them.
     # They are computed once per nest, when first read: the adapted levels
     # serve the chain-level walks (hull, rank-one levels, decompose), the
-    # annihilators the closed form of m_of.
+    # annihilators the closed form of m_of, and `opspace.m_of` fills the
+    # operator spaces, one per support function it is asked for.
 
     @cached_property
     def adapted_levels(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -90,6 +94,12 @@ class Nest:
         """annihilator(E_j) for each element, in chain order: the functionals
         killing E_j, as primitive integer echelon rows."""
         return tuple(annihilator(e) for e in self.elements)
+
+    @cached_property
+    def operator_spaces(self) -> dict[tuple[int, ...], OperatorSpace]:
+        """m_of of each support function asked for so far, keyed by its
+        values; filled by `opspace.m_of`, which owns the entries."""
+        return {}
 
 
 def validate_nest(subspaces: Iterable[Subspace], n: int) -> Nest:

@@ -15,10 +15,15 @@ without elimination over Q^(n*n):
 
 - m_of(Phi) is the sum of the Phi(E_j) (x) E_(j-1)^perp, and its canonical
   integer RREF is written row by row from the RREFs of the distinct values
-  of Phi and of the annihilators of the nest (see `m_of`);
+  of Phi and of the annihilators of the nest (see `_m_of_rows`);
 - the support of J is read off the number of J's pivots in each row block,
   and certified by one comparison of J with m_of of it (see
   `_support_values`), which is also the bimodule test.
+
+Since m_of is a function of the nest and the values of Phi alone, each
+space is computed once per nest and kept on it (`Nest.operator_spaces`):
+the algebra, a generated bimodule and the m_of that certifies its support
+are then one computation each, however many callers ask.
 
 A generated bimodule is m_of of the hull of its generators.  Rank-one
 questions are answered from the chain levels of the vector and the
@@ -101,6 +106,8 @@ class SupportFn:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        # a tuple, so that the values can key the operator-space memo
+        object.__setattr__(self, "values", tuple(self.values))
         k = len(self.nest.elements)
         if len(self.values) != k:
             raise SupportFunctionError("support table length does not match the nest")
@@ -178,7 +185,23 @@ def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...
 
 def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:
     """All operators T with T E contained in phi(E) for every nest element E,
-    written directly as its canonical integer RREF.
+    as its canonical integer RREF (see `_m_of_rows`).
+
+    The result is shared: it is computed once per nest and support values and
+    kept in `nest.operator_spaces`, so every call on the same nest returns
+    the same immutable object.
+    """
+    if phi.nest != nest:
+        raise AmbientMismatchError("support function belongs to a different nest")
+    space = nest.operator_spaces.get(phi.values)
+    if space is None:
+        space = nest.operator_spaces[phi.values] = _m_of_rows(nest, phi.values)
+    return space
+
+
+def _m_of_rows(nest: Nest, values: tuple[int, ...]) -> OperatorSpace:
+    """m_of of the support function phi with these values, written directly
+    as its canonical integer RREF.
 
     The space is the sum over levels t >= 1 of phi(E_t) (x) E_(t-1)^perp.
     Grouping the levels by distinct nonzero value gives C_1 < ... < C_M and
@@ -198,13 +221,11 @@ def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:
     lcm of its denominators and then primitive.  The dimension is
     sum_t gap_t * dim phi(E_t).
     """
-    if phi.nest != nest:
-        raise AmbientMismatchError("support function belongs to a different nest")
     n = nest.ambient_dim
     cs, ds = [], []  # pivot -> row of C_m, and of D_m, for m = 1 .. M
     last = 0
     for t in range(1, len(nest.elements)):
-        v = phi.values[t]
+        v = values[t]
         if v != last:
             last = v
             ce, de = nest.elements[v].echelon, nest.annihilators[t - 1].echelon
@@ -293,7 +314,9 @@ def _support_values(nest: Nest, j: OperatorSpace) -> tuple[int, ...] | None:
     dim E_(t_i - 1) = n - w_i, and psi(E_t) is the element of dimension
     #{i : t_i <= t}, with psi(E_0) = 0.  A bimodule is m_of of its support
     (Erdos and Power), so J is one exactly when m_of(psi) equals J; a
-    dimension that names no nest element rules J out at once.
+    dimension that names no nest element rules J out at once.  A J that m_of
+    returned on this nest is the memoized m_of(psi) itself, and any other J
+    is compared row by row.
     """
     if j.ambient_dim != nest.ambient_dim:
         raise AmbientMismatchError("operator space and nest ambient dimensions differ")

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,10 +133,54 @@ def test_validation_failure_exits_one(capsys):
     assert result["error"]["type"] == "NonzeroAtZeroError"
 
 
-def test_missing_file_exits_two(capsys):
-    code, out, err = invoke(capsys, "alg", "--doc", "/no/such/file.json")
-    assert code == 2 and out == ""
-    assert "cannot read" in err
+def test_missing_file_exits_two(tmp_path, capsys):
+    # a missing --doc file, and a --doc path that is a directory
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, out, err = invoke(capsys, "alg", "--doc", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("cannot read document: ") and "Traceback" not in err
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone away, as under `nestlab ... | head -1`.
+    Its file descriptor is a scratch file's, which the CLI may point at
+    devnull."""
+
+    def __init__(self, sink):
+        self.sink = sink
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.sink.fileno()
+
+
+@pytest.mark.parametrize("argv", [
+    ["alg", "--doc", doc_path("triangular")],
+    ["--format", "table", "support", "--doc", doc_path("triangular")],
+    ["chain-predict", "m0", "--doc", doc_path("chain-offzero")],
+    ["proptest", "lattice", "--cases", "2"],
+])
+def test_closed_stdout_ends_quietly(argv, tmp_path, monkeypatch, capsys):
+    with open(tmp_path / "sink", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(sink))
+        code = main(argv)
+        monkeypatch.undo()
+    out = capsys.readouterr()
+    assert code == 1 and out.out == "" and out.err == ""
+
+
+@pytest.mark.parametrize("cases", ["-3", "0"])
+def test_proptest_rejects_fewer_than_one_case(cases, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["proptest", "lattice", "--cases", cases])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert f"argument --cases: must be at least 1, got {cases}" in err
 
 
 def test_bad_document_exits_two(tmp_path, capsys):

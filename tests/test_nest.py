@@ -10,11 +10,15 @@ from nestlab import (
     Nest,
     NotAnElementError,
     Subspace,
+    SupportFn,
     ZeroSubspaceError,
     adjacent,
+    m_of,
     meet,
+    nest_algebra,
     smallest_intersecting,
     span,
+    span_of_rank_ones,
     validate_nest,
 )
 from nestlab.oracles import perp_span_check
@@ -156,3 +160,26 @@ def test_adapted_basis_is_cached_and_invisible():
         assert perp.dim == 3 - e.dim
         for f in perp.rows:
             assert not any(sum(x * y for x, y in zip(f, u)) for u in e.rows)
+
+
+def test_operator_spaces_are_memoized_and_invisible():
+    nest = validate_nest([span([(1, 2, 0)], 3), span([(1, 2, 0), (0, 1, 1)], 3)], 3)
+    phi = SupportFn(nest, (0, 2, 2, 3))
+    space, alg = m_of(nest, phi), nest_algebra(nest)
+    assert set(nest.operator_spaces) == {phi.values, tuple(range(len(nest)))}
+    fresh = Nest(nest.ambient_dim, nest.elements)
+    assert "operator_spaces" not in vars(fresh)
+    assert nest == fresh and hash(nest) == hash(fresh) and repr(nest) == repr(fresh)
+
+    # repeated calls share one object; on an equal nest the memo is its own
+    assert m_of(nest, phi) is space and m_of(nest, SupportFn(nest, (0, 2, 2, 3))) is space
+    assert span_of_rank_ones(nest) is alg is nest_algebra(nest)
+    assert m_of(fresh, SupportFn(fresh, phi.values)) == space
+    assert nest_algebra(fresh) == alg
+    assert m_of(fresh, SupportFn(fresh, phi.values)) is not space
+
+    back = pickle.loads(pickle.dumps(nest))
+    assert back == nest == fresh and hash(back) == hash(nest)
+    assert back.operator_spaces == nest.operator_spaces
+    assert m_of(back, SupportFn(back, phi.values)) == space
+    assert nest_algebra(back) == alg

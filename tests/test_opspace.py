@@ -30,7 +30,7 @@ from nestlab import (
     support_of,
     validate_nest,
 )
-from nestlab import oracles, sampling
+from nestlab import opspace, oracles, sampling
 from nestlab.suites import bimodule_samples, monotone_tables
 
 F = Fraction
@@ -255,6 +255,52 @@ def test_is_bimodule_agrees_with_products_on_random_spans():
             mats = basis if pick == 1 else basis[1:]
         s = OperatorSpace.from_matrices(n, mats)
         assert is_bimodule(nest, s) == oracles.is_bimodule(nest, s)
+
+
+def test_bimodule_case_computes_two_operator_spaces(monkeypatch):
+    # the call sequence of one bimodule benchmark case: the hull's space and
+    # the algebra are computed once each, every other call is a lookup
+    computed, compute = [], opspace._m_of_rows
+
+    def counting(nest, values):
+        computed.append(values)
+        return compute(nest, values)
+
+    monkeypatch.setattr(opspace, "_m_of_rows", counting)
+    nest = triangular()
+    j = generate_bimodule(nest, [unit(3, 0, 2)])
+    phi = support_of(nest, j)
+    m = m_of(nest, phi)
+    ess = essential_support_of(nest, j)
+    alg = nest_algebra(nest)
+    ones = span_of_rank_ones(nest)
+    assert computed == [(0, 0, 0, 1), (0, 1, 2, 3)]
+    assert m is j and ones is alg and ess.values == (0, 0, 0, 0)
+    assert m == oracles.m_of(nest, phi) and alg == oracles.m_of(nest, SupportFn.identity(nest))
+    # values given as a list key the same entry
+    assert m_of(nest, SupportFn(nest, [0, 0, 0, 1])) is j and len(computed) == 2
+
+
+def test_a_memoized_space_does_not_pass_for_an_impostor():
+    # with m_of(psi) in the memo, a space with the same pivots but other rows,
+    # and m_of(psi) with a row dropped, are still not bimodules
+    nest = triangular()
+    j = generate_bimodule(nest, [unit(3, 1, 2)])
+    warm = m_of(nest, support_of(nest, j))
+    n, rows, pivots = 3, [list(r) for r in warm.space.rows], warm.space.echelon.pivots
+    # raise an entry of the first row in a later column that is no pivot
+    free = next(c for c in range(pivots[0] + 1, n * n) if c not in pivots)
+    rows[0][free] += 1
+    foreign = OperatorSpace.from_matrices(n, [Matrix.from_flat(r, n, n) for r in rows])
+    dropped = OperatorSpace.from_matrices(n, warm.basis_matrices()[1:])
+    assert foreign.space.echelon.pivots == pivots and foreign != warm
+    for impostor in (foreign, dropped):
+        assert not oracles.is_bimodule(nest, impostor)
+        assert not is_bimodule(nest, impostor)
+        for guarded in (support_of, essential_support_of, is_reflexive):
+            with pytest.raises(NotABimoduleError):
+                guarded(nest, impostor)
+    assert m_of(nest, support_of(nest, j)) is warm
 
 
 def random_operator(rng, nest):
