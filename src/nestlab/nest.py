@@ -34,6 +34,14 @@ class Nest:
     elements: tuple[Subspace, ...]
 
     def __post_init__(self):
+        # a tuple, so that a nest built from a list equals and hashes as one
+        # built from a tuple
+        object.__setattr__(self, "elements", tuple(self.elements))
+        for e in self.elements:
+            if e.ambient_dim != self.ambient_dim:
+                raise AmbientMismatchError(
+                    f"subspace of Q^{e.ambient_dim} cannot join a nest in Q^{self.ambient_dim}"
+                )
         if not self.elements:
             raise IncomparableError("a nest needs at least the two trivial elements")
         if self.elements[0].dim != 0 or self.elements[-1].dim != self.ambient_dim:

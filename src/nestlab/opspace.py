@@ -174,7 +174,7 @@ def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...
                     sum(t[base + c] * x for c, x in support) for base in range(0, n * n, n)
                 ]
                 while at < top:
-                    if nest.elements[at].echelon.contains(image):
+                    if nest.elements[at].contains_row(image):
                         break
                     at += 1
                 if at == top:
@@ -228,7 +228,7 @@ def _m_of_rows(nest: Nest, values: tuple[int, ...]) -> OperatorSpace:
         v = values[t]
         if v != last:
             last = v
-            ce, de = nest.elements[v].echelon, nest.annihilators[t - 1].echelon
+            ce, de = nest.elements[v], nest.annihilators[t - 1]
             cs.append(dict(zip(ce.pivots, ce.rows)))
             ds.append(dict(zip(de.pivots, de.rows)))
     # tails[m][c]: the nonzero sigma^l_c - sigma^(l+1)_c for l >= m, each as
@@ -323,7 +323,7 @@ def _support_values(nest: Nest, j: OperatorSpace) -> tuple[int, ...] | None:
     n = nest.ambient_dim
     index = {e.dim: t for t, e in enumerate(nest.elements)}
     width = [0] * n
-    for p in j.space.echelon.pivots:
+    for p in j.space.pivots:
         width[p // n] += 1
     # reached[t] counts the row blocks i with t_i = t
     reached = [0] * len(nest.elements)
@@ -385,27 +385,21 @@ def _rank_one_levels(nest: Nest, r: RankOne) -> tuple[int, int]:
     """Chain levels (p, m) of a nonzero rank-one x (x) f: E_p is the smallest
     element containing x, and E_m the largest element that f kills.
 
-    One pass over the adapted levels: f kills E_j until some level vector of
-    E_(j+1) has a nonzero dot product with it, and x lies in E_j once the
-    level vectors up to j span it.
+    Both properties pass up or down the chain, so each level is the first
+    that changes: p is the first element holding x, and m + 1 the first
+    level with an adapted vector on which f is nonzero.
     """
     if len(r.vector) != nest.ambient_dim:
         raise AmbientMismatchError("rank-one factor has the wrong length for the nest")
     if r.is_zero():
         raise ZeroVectorError("rank-one membership needs nonzero functional and vector")
     x, f = int_row(r.vector), int_row(r.functional)
-    ech = IntEchelon(nest.ambient_dim)
-    p = m = None
-    for j, level in enumerate(nest.adapted_levels):
-        for u in level:
-            if m is None and sum(a * b for a, b in zip(f, u)):
-                m = j - 1
-            if p is None:
-                ech.insert(u)
-        if p is None and ech.contains(x):
-            p = j
-        if p is not None and m is not None:
-            break
+    p = next(j for j, e in enumerate(nest.elements) if e.contains_row(x))
+    m = next(
+        j - 1
+        for j, level in enumerate(nest.adapted_levels)
+        if any(sum(a * b for a, b in zip(f, u)) for u in level)
+    )
     return p, m
 
 
@@ -464,12 +458,11 @@ def _first_meet_vector(nest: Nest, r: Sequence[Sequence[int]]) -> list[int] | No
             z.insert([*u, *u])
         if z.pivots and z.pivots[-1] >= n:
             break
-    cap = IntEchelon(n)
-    for row, p in zip(z.rows, z.pivots):
-        if p >= n:
-            cap.rows.append(row[n:])
-            cap.pivots.append(p - n)
-    return cap.reduced().rows[0] if cap.rows else None
+    cap = [(row[n:], p - n) for row, p in zip(z.rows, z.pivots) if p >= n]
+    if not cap:
+        return None
+    rows, pivots = zip(*cap)
+    return IntEchelon(n, rows, pivots).reduced().rows[0]
 
 
 def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:

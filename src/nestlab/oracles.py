@@ -165,12 +165,11 @@ def is_bimodule(nest: Nest, s: OperatorSpace) -> bool:
         raise AmbientMismatchError("operator space and nest ambient dimensions differ")
     n = nest.ambient_dim
     alg_flats = nest_algebra(nest).space.rows
-    ech = s.space.echelon
     for t in s.space.rows:
         for a in alg_flats:
-            if not ech.contains(_flat_mul(a, t, n)):
+            if not s.space.contains_row(_flat_mul(a, t, n)):
                 return False
-            if not ech.contains(_flat_mul(t, a, n)):
+            if not s.space.contains_row(_flat_mul(t, a, n)):
                 return False
     return True
 

@@ -10,9 +10,12 @@ The kernel is integer from input to output.  A rational row is scaled to a
 primitive integer vector (same span) and eliminated by cross-multiplication
 (`IntEchelon.insert`).  `IntEchelon.reduced` clears the entries above every
 pivot fraction-free, row_j = (b/g) row_j - (a/g) row_i with g = gcd(a, b),
-which gives the stored form directly.  A `Fraction` is made only when
-`Subspace.basis` is read: each stored row divided by its pivot, one
-`Fraction` per nonzero entry.
+which gives the stored form directly.  A `Subspace` keeps the pivot columns
+its constructor finds while checking that form, and answers membership
+(`Subspace.contains_row`) by the same reduction, `_residue`, that an
+`IntEchelon` runs; a join seeds its echelon with the rows and pivots of one
+side.  A `Fraction` is made only when `Subspace.basis` is read: each stored
+row divided by its pivot, one `Fraction` per nonzero entry.
 """
 
 from __future__ import annotations
@@ -80,45 +83,48 @@ def int_row(entries: Sequence[Fraction]) -> list[int] | None:
     return _primitive([x.numerator * (scale // x.denominator) for x in entries])
 
 
+def _residue(rows: Sequence[Sequence[int]], pivots: Sequence[int],
+             v: Sequence[int]) -> list[int]:
+    """v reduced by every echelon row, up to an integer factor; zero exactly
+    when v lies in the span of the rows."""
+    w = list(v)
+    ncols = len(w)
+    for row, p in zip(rows, pivots):
+        a = w[p]
+        if a:
+            b = row[p]
+            for i in range(p):
+                w[i] = b * w[i]
+            for i in range(p, ncols):
+                w[i] = b * w[i] - a * row[i]
+    return w
+
+
 class IntEchelon:
     """Row space of integer vectors kept in echelon form, not necessarily
     reduced (`reduced` returns the reduced one).
 
     Rows are primitive, pivot columns strictly increase, and existing rows are
-    never mutated by an insert, so callers may keep references to them.
+    never mutated by an insert, so callers may keep references to them.  An
+    echelon may start from rows already in that form, with their pivots, such
+    as those of a `Subspace`; the lists are copied, the rows shared.
     """
 
     __slots__ = ("ncols", "rows", "pivots")
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, rows: Iterable[Sequence[int]] = (),
+                 pivots: Iterable[int] = ()):
         self.ncols = ncols
-        self.rows: list[Sequence[int]] = []
-        self.pivots: list[int] = []
+        self.rows: list[Sequence[int]] = list(rows)
+        self.pivots: list[int] = list(pivots)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _residue(self, v: Sequence[int]) -> list[int]:
-        """v reduced by every row, up to an integer factor; zero exactly when
-        v lies in the span."""
-        w = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            a = w[p]
-            if a:
-                b = row[p]
-                for i in range(p):
-                    w[i] = b * w[i]
-                for i in range(p, self.ncols):
-                    w[i] = b * w[i] - a * row[i]
-        return w
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return not any(self._residue(v))
-
     def insert(self, v: Sequence[int]) -> list[int] | None:
         """Add v to the span; returns the new basis row, or None if redundant."""
-        w = _primitive(self._residue(v))
+        w = _primitive(_residue(self.rows, self.pivots, v))
         if w is None:
             return None
         p = _pivot(w)
@@ -131,24 +137,17 @@ class IntEchelon:
         self.pivots.insert(at, p)
         return w
 
-    def copy(self) -> "IntEchelon":
-        """An echelon over the same rows that can be extended independently;
-        the rows themselves are shared, since an insert never mutates them."""
-        out = IntEchelon(self.ncols)
-        out.rows = list(self.rows)
-        out.pivots = list(self.pivots)
-        return out
-
     def reduced(self) -> "IntEchelon":
         """The same row space with zeros above every pivot, each row primitive
         with a positive pivot: the reduced row-echelon form scaled row by row
         to integers, which is unique.  Fraction-free: a row is cleared at a
         lower pivot by an integer combination of the two rows, then made
         primitive again."""
-        rows = list(self.rows)
+        out = IntEchelon(self.ncols, self.rows, self.pivots)
+        rows = out.rows
         for i in range(len(rows) - 1, 0, -1):
             ri = rows[i]
-            p = self.pivots[i]
+            p = out.pivots[i]
             b = ri[p]
             for j in range(i):
                 rj = rows[j]
@@ -158,9 +157,6 @@ class IntEchelon:
                     a //= g
                     bg = b // g
                     rows[j] = _primitive([bg * x - a * y for x, y in zip(rj, ri)])
-        out = IntEchelon(self.ncols)
-        out.rows = rows
-        out.pivots = list(self.pivots)
         return out
 
 
@@ -251,15 +247,21 @@ class Subspace:
     The representation is canonical: no zero rows, pivot columns strictly
     increasing, zeros above and below every pivot, each row of gcd 1 with a
     positive pivot.  Equality of subspaces is therefore plain equality of the
-    dataclass fields.
+    dataclass fields.  The constructor checks that form and keeps the pivot
+    columns it finds as `pivots`, a tuple that is not a field, so `==`,
+    `hash` and `repr` ignore it.  `contains_row` tests an integer vector
+    against the rows and pivots without building an echelon.
     """
 
     ambient_dim: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # tuples, so that rows given as lists compare and hash as one value
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
         pivots: list[int] = []
-        for row in self.rows:
+        for row in rows:
             if len(row) != self.ambient_dim:
                 raise AmbientMismatchError("basis width does not match ambient dimension")
             p = _pivot(row)
@@ -269,9 +271,10 @@ class Subspace:
                 raise DimensionMismatchError("basis is not in reduced echelon form")
             if gcd(*row) != 1:
                 raise DimensionMismatchError("basis row is not a primitive integer vector")
-            if any(map(itemgetter(p), self.rows[:len(pivots)])):
+            if any(map(itemgetter(p), rows[:len(pivots)])):
                 raise DimensionMismatchError("basis is not fully reduced")
             pivots.append(p)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -292,33 +295,27 @@ class Subspace:
     def basis(self) -> Matrix:
         """The reduced row-echelon basis over Fraction (pivots 1), built when
         first read: each row divided by its pivot."""
-        entries = []
-        for row in self.rows:
-            d = next(filter(None, row))  # the pivot
-            entries.append(tuple(Fraction(x, d) if x else ZERO for x in row))
+        entries = [
+            tuple(Fraction(x, row[p]) if x else ZERO for x in row)
+            for row, p in zip(self.rows, self.pivots)
+        ]
         return Matrix(self.dim, self.ambient_dim, tuple(entries))
 
-    @cached_property
-    def echelon(self) -> IntEchelon:
-        """The stored rows as an echelon, which they already are.  Read-only:
-        extend a copy, never this object."""
-        ech = IntEchelon(self.ambient_dim)
-        ech.rows = list(self.rows)
-        ech.pivots = [_pivot(r) for r in self.rows]
-        return ech
+    def contains_row(self, v: Sequence[int]) -> bool:
+        """Whether the integer vector v lies in the subspace."""
+        return not any(_residue(self.rows, self.pivots, v))
 
     def contains_vector(self, v: Sequence) -> bool:
         vec = as_vector(v, self.ambient_dim)
         w = int_row(vec)
-        return w is None or self.echelon.contains(w)
+        return w is None or self.contains_row(w)
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatchError("subspaces live in different ambients")
         if other.dim > self.dim:
             return False
-        ech = self.echelon
-        return all(ech.contains(r) for r in other.rows)
+        return all(map(self.contains_row, other.rows))
 
 
 def span(vectors: Iterable[Sequence], n: int) -> Subspace:
@@ -336,7 +333,7 @@ def join(a: Subspace, b: Subspace) -> Subspace:
         raise AmbientMismatchError("join of subspaces in different ambients")
     if b.dim > a.dim:
         a, b = b, a
-    ech = a.echelon.copy()
+    ech = IntEchelon(a.ambient_dim, a.rows, a.pivots)
     grew = False
     for r in b.rows:
         if ech.insert(r) is not None:
@@ -355,13 +352,12 @@ def annihilator(s: Subspace) -> Subspace:
     pivots r_p involved so that it stays integer.
     """
     n = s.ambient_dim
-    ech = s.echelon
-    pivots = set(ech.pivots)
+    pivots = set(s.pivots)
     out = IntEchelon(n)
     for f in range(n):
         if f in pivots:
             continue
-        involved = [(r, p) for r, p in zip(ech.rows, ech.pivots) if r[f]]
+        involved = [(r, p) for r, p in zip(s.rows, s.pivots) if r[f]]
         scale = lcm(*(r[p] for r, p in involved))
         v = [0] * n
         v[f] = scale

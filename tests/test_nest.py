@@ -60,6 +60,15 @@ def test_nest_constructor_requires_trivial_endpoints():
         Nest(2, (span([(1, 0)], 2), Subspace.full(2)))
 
 
+def test_nest_constructor_rejects_elements_of_another_ambient():
+    # the dimensions alone would pass: 0 at the bottom and 3 at the top
+    plane = Subspace(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
+    with pytest.raises(AmbientMismatchError):
+        Nest(3, (Subspace.zero(4), plane))
+    with pytest.raises(AmbientMismatchError):
+        Nest(3, (Subspace.zero(3), span([(1, 0, 0)], 3), Subspace.full(4)))
+
+
 def test_element_lookup():
     nest = triangular()
     assert nest.element(1) == span([(1, 0, 0)], 3)

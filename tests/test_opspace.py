@@ -287,13 +287,13 @@ def test_a_memoized_space_does_not_pass_for_an_impostor():
     nest = triangular()
     j = generate_bimodule(nest, [unit(3, 1, 2)])
     warm = m_of(nest, support_of(nest, j))
-    n, rows, pivots = 3, [list(r) for r in warm.space.rows], warm.space.echelon.pivots
+    n, rows, pivots = 3, [list(r) for r in warm.space.rows], warm.space.pivots
     # raise an entry of the first row in a later column that is no pivot
     free = next(c for c in range(pivots[0] + 1, n * n) if c not in pivots)
     rows[0][free] += 1
     foreign = OperatorSpace.from_matrices(n, [Matrix.from_flat(r, n, n) for r in rows])
     dropped = OperatorSpace.from_matrices(n, warm.basis_matrices()[1:])
-    assert foreign.space.echelon.pivots == pivots and foreign != warm
+    assert foreign.space.pivots == pivots and foreign != warm
     for impostor in (foreign, dropped):
         assert not oracles.is_bimodule(nest, impostor)
         assert not is_bimodule(nest, impostor)
@@ -404,6 +404,16 @@ def test_rank_one_in_m_witness_sits_below_the_kernel_level():
 
 
 def test_rank_one_verdicts_match_the_oracles_on_random_factors():
+    def check(nest, phi, r):
+        direct, witness, _ = oracles.rank_one_in_alg(nest, r)
+        assert rank_one_in_alg(nest, r) == (direct, witness)
+        assert rank_one_in_m(nest, phi, r) == oracles.rank_one_in_m(nest, phi, r)
+
+    def combination(rows, n):
+        # nonzero coefficients on independent rows give a nonzero vector
+        cs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in rows]
+        return [sum(c * row[col] for c, row in zip(cs, rows)) for col in range(n)]
+
     rng = random.Random(17)
     for _ in range(60):
         nest = sampling.random_nest(rng)
@@ -413,10 +423,23 @@ def test_rank_one_verdicts_match_the_oracles_on_random_factors():
         x = [sampling.random_entry(rng) for _ in range(n)]
         if not any(f) or not any(x):
             continue
-        r = RankOne.of(f, x)
-        direct, witness, _ = oracles.rank_one_in_alg(nest, r)
-        assert rank_one_in_alg(nest, r) == (direct, witness)
-        assert rank_one_in_m(nest, phi, r) == oracles.rank_one_in_m(nest, phi, r)
+        check(nest, phi, RankOne.of(f, x))
+    # generic f and x put almost every case above at p = top and m = 0; with x
+    # from E_j and f from annihilator(E_i) for every pair (i, j), on nests with
+    # entries up to 10^6, the levels (p, m) run over every pair
+    seen, wanted = set(), set()
+    for n in range(2, 7):
+        dims = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+        nest = conjugated_nest(rng, n, dims, 10 ** 6)
+        k = len(nest.elements)
+        wanted |= {(p, m) for p in range(1, k) for m in range(k - 1)}
+        for i, j in itertools.product(range(k - 1), range(1, k)):
+            x = combination(nest.elements[j].rows, n)
+            f = combination(annihilator(nest.elements[i]).rows, n)
+            r = RankOne.of(f, x)
+            seen.add(opspace._rank_one_levels(nest, r))
+            check(nest, sampling.random_support(rng, nest), r)
+    assert seen == wanted
 
 
 # --- decomposition ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from nestlab import (
     ContainmentError,
     DimensionMismatchError,
     Matrix,
+    Nest,
     Subspace,
     SupportFn,
     annihilator,
@@ -27,6 +29,7 @@ from nestlab import (
     validate_nest,
 )
 from nestlab.oracles import fraction_rref
+from nestlab.ratlin import _pivot
 
 F = Fraction
 
@@ -205,18 +208,32 @@ def test_canonical_matches_the_fraction_oracle():
         assert got == want and repr(got) == repr(want), n
 
 
-def test_echelon_cache_is_invisible():
+def test_stored_pivots_are_invisible():
     s = span([(2, 4, 0, 1), (0, 3, 3, 0), (1, 2, 0, 1)], 4)
-    s.basis, s.echelon
+    s.basis
     fresh = Subspace(s.ambient_dim, s.rows)
-    assert {"basis", "echelon"} <= set(vars(s))
-    assert not {"basis", "echelon"} & set(vars(fresh))
+    assert "basis" in vars(s) and "basis" not in vars(fresh)
+    assert "pivots" not in {f.name for f in dataclasses.fields(Subspace)}
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
-    assert fresh.echelon.rows == s.echelon.rows
-    assert fresh.echelon.pivots == s.echelon.pivots
-    back = pickle.loads(pickle.dumps(s))
-    assert back == s == fresh and back.echelon.rows == s.echelon.rows
-    assert back.basis == fresh.basis == s.basis
+    assert "pivots" not in repr(s)
+    assert s.pivots == fresh.pivots == tuple(_pivot(r) for r in s.rows) == (0, 1, 3)
+    for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert back == s == fresh and back.pivots == s.pivots
+        assert back.basis == fresh.basis == s.basis
+
+
+def test_subspace_and_nest_from_lists_equal_the_tuple_built_values():
+    line = span([(1, 0, 0)], 3)
+    listed = Subspace(3, [[1, 0, 0]])
+    assert listed == line and hash(listed) == hash(line)
+    assert listed.rows == ((1, 0, 0),) and listed.pivots == (0,)
+    assert validate_nest([listed], 3).index_of(line) == 1
+    assert validate_nest([line], 3).index_of(listed) == 1
+    nest = validate_nest([line, span([(1, 0, 0), (0, 1, 1)], 3)], 3)
+    rebuilt = Nest(3, list(nest.elements))
+    assert rebuilt == nest and hash(rebuilt) == hash(nest)
+    assert rebuilt.index_of(listed) == 1
+    assert m_of(nest, SupportFn.identity(rebuilt)) == nest_algebra(nest)
 
 
 @pytest.mark.parametrize("ambient, rows, error", [
@@ -246,13 +263,13 @@ def test_subspace_accepts_its_canonical_rows():
 def test_lattice_operations_leave_cached_rows_unchanged():
     a = span([(1, 2, 0, 0), (0, 0, 1, 3)], 4)
     b = span([(1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1)], 4)
-    before = [copy.deepcopy((s.echelon.rows, s.echelon.pivots)) for s in (a, b)]
+    before = [copy.deepcopy((s.rows, s.pivots)) for s in (a, b)]
     join(a, b)
     join(b, a)
     meet(a, b)
     a.contains(b)
     b.contains(a)
-    assert [(s.echelon.rows, s.echelon.pivots) for s in (a, b)] == before
+    assert [(s.rows, s.pivots) for s in (a, b)] == before
 
 
 def test_no_fraction_is_made_until_a_basis_is_read(fractions_made):
