@@ -52,23 +52,36 @@ class ChainNode:
 
 @dataclass(frozen=True)
 class AbstractNest:
-    """A finite presentation of a chain, validated on construction."""
+    """A finite presentation of a chain, validated on construction.
+
+    The constructor keeps the label -> index map it builds as `label_index`,
+    which resolves every label read against the chain (map tables, `labels`).
+    It is set with `object.__setattr__` rather than cached on first read: a
+    `cached_property` write materializes the instance `__dict__`, and every
+    later attribute read on the chain gets slower.
+    """
 
     nodes: tuple[ChainNode, ...]
 
     def __post_init__(self):
-        nodes = self.nodes
+        # a tuple, so that a chain built from a list equals and hashes as one
+        # built from a tuple
+        nodes = tuple(self.nodes)
+        object.__setattr__(self, "nodes", nodes)
         if len(nodes) < 2:
             raise MissingEndpointError("a chain needs at least the nodes 0 and X")
         if nodes[0].label != "0":
             raise MissingEndpointError('the chain must start at a node labelled "0"')
         if nodes[-1].label != "X":
             raise MissingEndpointError('the chain must end at a node labelled "X"')
-        seen = set()
-        for node in nodes:
-            if node.label in seen:
-                raise ChainError(f"duplicate node label {node.label!r}")
-            seen.add(node.label)
+        index = {node.label: i for i, node in enumerate(nodes)}
+        object.__setattr__(self, "label_index", index)
+        if len(index) != len(nodes):
+            seen = set()
+            for node in nodes:
+                if node.label in seen:
+                    raise ChainError(f"duplicate node label {node.label!r}")
+                seen.add(node.label)
         for i, node in enumerate(nodes):
             self._check_below(i, node)
             self._check_above(i, node)
@@ -117,13 +130,7 @@ class AbstractNest:
         return len(self.nodes)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(node.label for node in self.nodes)
-
-    def index(self, label: str) -> int:
-        for i, node in enumerate(self.nodes):
-            if node.label == label:
-                return i
-        raise ChainError(f"no node labelled {label!r}")
+        return tuple(self.label_index)
 
     def limit_below(self, i: int) -> bool:
         return self.nodes[i].below == LIMIT
@@ -166,7 +173,7 @@ class AbstractNest:
 
 def validate_chain(nodes: Sequence[ChainNode]) -> AbstractNest:
     """Check the chain axioms and return the validated presentation."""
-    return AbstractNest(tuple(nodes))
+    return AbstractNest(nodes)
 
 
 @dataclass(frozen=True)
@@ -183,32 +190,36 @@ class AbstractSupportFn:
     left_limit: tuple[int | None, ...]
 
     def __post_init__(self):
-        k = len(self.chain)
-        if len(self.value) != k or len(self.left_limit) != k:
+        # tuples, so that tables built from lists equal and hash as tuple-built
+        # ones
+        value = tuple(self.value)
+        left_limit = tuple(self.left_limit)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "left_limit", left_limit)
+        nodes = self.chain.nodes
+        k = len(nodes)
+        if len(value) != k or len(left_limit) != k:
             raise ChainError("map tables must cover every node exactly once")
-        for v in self.value:
+        for v in value:
             if not 0 <= v < k:
                 raise ChainError(f"value index {v} is out of range")
-        for a, b in zip(self.value, self.value[1:]):
+        for a, b in zip(value, value[1:]):
             if a > b:
                 raise ChainError("value table is not monotone")
-        for i in range(k):
-            ll = self.left_limit[i]
-            if self.chain.limit_below(i):
+        for i, (node, ll) in enumerate(zip(nodes, left_limit)):
+            if node.below == LIMIT:
                 if ll is None:
-                    raise ChainError(
-                        f"limit node {self.chain.nodes[i].label!r} needs a left limit"
-                    )
+                    raise ChainError(f"limit node {node.label!r} needs a left limit")
                 if not 0 <= ll < k:
                     raise ChainError(f"left limit index {ll} is out of range")
-                if not (self.value[i - 1] <= ll <= self.value[i]):
+                if not (value[i - 1] <= ll <= value[i]):
                     raise ChainError(
-                        f"left limit at {self.chain.nodes[i].label!r} must sit between "
+                        f"left limit at {node.label!r} must sit between "
                         "the value at the predecessor and the value at the node"
                     )
             elif ll is not None:
                 raise ChainError(
-                    f"node {self.chain.nodes[i].label!r} is attained from below "
+                    f"node {node.label!r} is attained from below "
                     "and takes no left limit"
                 )
 
@@ -219,10 +230,15 @@ class AbstractSupportFn:
         value: dict[str, str],
         left_limit: dict[str, str] | None = None,
     ) -> "AbstractSupportFn":
-        vals = tuple(chain.index(value[node.label]) for node in chain.nodes)
-        lls: list[int | None] = [None] * len(chain)
-        for label, target in (left_limit or {}).items():
-            lls[chain.index(label)] = chain.index(target)
+        index = chain.label_index
+        left_limit = left_limit or {}
+        try:
+            vals = tuple([index[value[label]] for label in index])
+            lls: list[int | None] = [None] * len(index)
+            for label, target in left_limit.items():
+                lls[index[label]] = index[target]
+        except (KeyError, TypeError) as exc:
+            raise _unresolved(chain, value, left_limit) or exc from None
         return cls(chain, vals, tuple(lls))
 
     def as_tables(self) -> tuple[dict[str, str], dict[str, str]]:
@@ -234,6 +250,24 @@ class AbstractSupportFn:
             if ll is not None
         }
         return value, left
+
+
+def _unresolved(
+    chain: AbstractNest, value: dict[str, str], left_limit: dict[str, str]
+) -> ChainError | None:
+    """The first label that `from_labels` cannot resolve, as a ChainError:
+    a node the value table misses, or a name that is no node label."""
+    labels = chain.labels()
+    for label in labels:
+        if label not in value:
+            return ChainError(f"value table misses node {label!r}")
+        if value[label] not in labels:
+            return ChainError(f"no node labelled {value[label]!r}")
+    for pair in left_limit.items():
+        for name in pair:
+            if name not in labels:
+                return ChainError(f"no node labelled {name!r}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -263,9 +297,9 @@ def check_left_continuous(f: AbstractSupportFn) -> bool:
     """True when the declared left limit agrees with the value at every
     limit-from-below node; attained nodes impose nothing."""
     return all(
-        f.left_limit[i] == f.value[i]
-        for i in range(len(f.chain))
-        if f.chain.limit_below(i)
+        ll == v
+        for node, ll, v in zip(f.chain.nodes, f.left_limit, f.value)
+        if node.below == LIMIT
     )
 
 

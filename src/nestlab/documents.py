@@ -108,55 +108,62 @@ def _fmt_matrix(m: Matrix) -> list[list[str]]:
     return [_fmt_vector(r) for r in m.entries]
 
 
-def _choice(raw: Any, allowed: tuple[str, ...], path: str) -> str:
-    if raw not in allowed:
-        raise DocumentError(
-            f"expected one of {', '.join(map(repr, allowed))}", path=path
-        )
-    return raw
+# the words a 'kind' and a cofinality or coinitiality mark may take
+KINDS = (ATTAINED, LIMIT)
+MARKS = (COUNTABLE, UNCOUNTABLE)
+
+
+def _not_one_of(allowed: tuple[str, ...], path: str) -> DocumentError:
+    return DocumentError(f"expected one of {', '.join(map(repr, allowed))}", path=path)
 
 
 def _parse_chain(raw: Any, path: str) -> AbstractNest:
+    # field paths are formatted only on the error branches
     if not isinstance(raw, dict) or "nodes" not in raw:
         raise DocumentError("a chain needs a 'nodes' array", path=path)
-    if not isinstance(raw["nodes"], list):
+    items = raw["nodes"]
+    if not isinstance(items, list):
         raise DocumentError("'nodes' must be an array of nodes", path=f"{path}.nodes")
     nodes = []
-    for i, item in enumerate(raw["nodes"]):
-        npath = f"{path}.nodes[{i}]"
+    for i, item in enumerate(items):
         if not isinstance(item, dict) or "label" not in item:
-            raise DocumentError("each node needs at least a 'label'", path=npath)
-        if not isinstance(item["label"], str):
-            raise DocumentError("a node 'label' is a string", path=f"{npath}.label")
+            raise DocumentError("each node needs at least a 'label'", path=f"{path}.nodes[{i}]")
+        label = item["label"]
+        if not isinstance(label, str):
+            raise DocumentError("a node 'label' is a string", path=f"{path}.nodes[{i}].label")
+        below_kind = gap = cofinality = above_kind = coinitiality = None
         below = item.get("below")
-        above = item.get("above")
-        kw: dict[str, Any] = {"label": item["label"]}
         if below is not None:
             if not isinstance(below, dict) or "kind" not in below:
-                raise DocumentError("'below' needs a 'kind'", path=npath)
-            kw["below"] = _choice(below["kind"], (ATTAINED, LIMIT), f"{npath}.below.kind")
+                raise DocumentError("'below' needs a 'kind'", path=f"{path}.nodes[{i}]")
+            below_kind = below["kind"]
+            if below_kind not in KINDS:
+                raise _not_one_of(KINDS, f"{path}.nodes[{i}].below.kind")
             if "gap" in below:
                 gap = below["gap"]
-                if gap != "inf" and not _is_int(gap):
+                if gap == "inf":
+                    gap = math.inf
+                elif not _is_int(gap):
                     raise DocumentError(
                         "'gap' is a positive integer or \"inf\"",
-                        path=f"{npath}.below.gap",
+                        path=f"{path}.nodes[{i}].below.gap",
                     )
-                kw["gap"] = math.inf if gap == "inf" else gap
             if "cofinality" in below:
-                kw["cofinality"] = _choice(
-                    below["cofinality"], (COUNTABLE, UNCOUNTABLE), f"{npath}.below.cofinality"
-                )
+                cofinality = below["cofinality"]
+                if cofinality not in MARKS:
+                    raise _not_one_of(MARKS, f"{path}.nodes[{i}].below.cofinality")
+        above = item.get("above")
         if above is not None:
             if not isinstance(above, dict) or "kind" not in above:
-                raise DocumentError("'above' needs a 'kind'", path=npath)
-            kw["above"] = _choice(above["kind"], (ATTAINED, LIMIT), f"{npath}.above.kind")
+                raise DocumentError("'above' needs a 'kind'", path=f"{path}.nodes[{i}]")
+            above_kind = above["kind"]
+            if above_kind not in KINDS:
+                raise _not_one_of(KINDS, f"{path}.nodes[{i}].above.kind")
             if "coinitiality" in above:
-                kw["coinitiality"] = _choice(
-                    above["coinitiality"], (COUNTABLE, UNCOUNTABLE),
-                    f"{npath}.above.coinitiality",
-                )
-        nodes.append(ChainNode(**kw))
+                coinitiality = above["coinitiality"]
+                if coinitiality not in MARKS:
+                    raise _not_one_of(MARKS, f"{path}.nodes[{i}].above.coinitiality")
+        nodes.append(ChainNode(label, below_kind, gap, cofinality, above_kind, coinitiality))
     return validate_chain(nodes)
 
 
@@ -183,31 +190,30 @@ def _fmt_chain(chain: AbstractNest) -> dict:
 def _parse_abstract_fn(raw: Any, chain: AbstractNest, path: str) -> AbstractSupportFn:
     if not isinstance(raw, dict) or "value" not in raw:
         raise DocumentError("an abstract map needs a 'value' table", path=path)
-    labels = set(chain.labels())
+    index = chain.label_index
     value = raw["value"]
     if not isinstance(value, dict):
         raise DocumentError("'value' must map node labels to node labels", path=path)
     for key, target in value.items():
-        if key not in labels:
+        if key not in index:
             raise DocumentError(f"unknown node {key!r} in value table", path=path)
-        if not isinstance(target, str) or target not in labels:
+        if not isinstance(target, str) or target not in index:
             raise DocumentError(f"unknown node {target!r} in value table", path=path)
-    missing = labels - set(value)
-    if missing:
-        raise DocumentError(
-            f"value table misses nodes {sorted(missing)}", path=path
-        )
+    if len(value) != len(index):
+        # every key is a node, so some node is missing
+        missing = sorted(set(index) - set(value))
+        raise DocumentError(f"value table misses nodes {missing}", path=path)
     left = raw.get("left_limit", {})
     if not isinstance(left, dict):
         raise DocumentError("'left_limit' must map node labels to node labels", path=path)
     for key, target in left.items():
-        if key not in labels:
+        if key not in index:
             raise DocumentError(f"unknown node {key!r} in left_limit table", path=path)
         if not isinstance(target, str):
             raise DocumentError(
                 f"left limit at {key!r} is {target!r}, not a node label", path=path
             )
-        if target not in labels:
+        if target not in index:
             raise JoinNotRepresentedError(
                 f"left limit at {key!r} names {target!r}, which is not a chain node"
             )

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from nestlab import (
@@ -151,6 +155,63 @@ def test_map_tables_validate():
             {"0": "0", "A": "A", "B": "B", "C": "X", "X": "X"},
             {"A": "A", "B": "B", "C": "X"},
         )
+
+
+def test_from_labels_names_the_node_a_value_table_misses():
+    chain = finite_chain()
+    with pytest.raises(ChainError, match="^value table misses node 'X'$"):
+        AbstractSupportFn.from_labels(chain, {"0": "0", "A": "A"})
+    with pytest.raises(ChainError, match="^no node labelled 'B'$"):
+        AbstractSupportFn.from_labels(chain, {"0": "0", "A": "B", "X": "X"})
+    with pytest.raises(ChainError, match=r"^no node labelled \['A'\]$"):
+        AbstractSupportFn.from_labels(chain, {"0": "0", "A": ["A"], "X": "X"})
+    value, left = dense_phi().as_tables()
+    with pytest.raises(ChainError, match="^no node labelled 'Y'$"):
+        AbstractSupportFn.from_labels(dense_chain(), value, {**left, "Y": "B"})
+    with pytest.raises(ChainError, match="^no node labelled 'Z'$"):
+        AbstractSupportFn.from_labels(dense_chain(), value, {**left, "B": "Z"})
+
+
+def test_the_label_map_is_not_a_field():
+    chain, fresh = dense_chain(), dense_chain()
+    assert "label_index" not in {f.name for f in dataclasses.fields(AbstractNest)}
+    before = (repr(chain), hash(chain))
+    tables = dense_phi().as_tables()
+    f = AbstractSupportFn.from_labels(chain, *tables)
+    assert (repr(chain), hash(chain)) == before and "label_index" not in repr(chain)
+    assert chain.label_index == {"0": 0, "A": 1, "B": 2, "C": 3, "X": 4}
+    assert chain == fresh and hash(chain) == hash(fresh) and repr(chain) == repr(fresh)
+    assert chain.labels() == tuple(node.label for node in chain.nodes) == ("0", "A", "B", "C", "X")
+    for back in (pickle.loads(pickle.dumps(chain)), copy.deepcopy(chain)):
+        assert back == chain == fresh and hash(back) == hash(fresh) and repr(back) == repr(chain)
+        assert back.labels() == chain.labels() and back.label_index == chain.label_index
+        assert AbstractSupportFn.from_labels(back, *tables) == f
+
+
+def test_a_chain_built_from_a_list_equals_the_tuple_built_one():
+    chain = dense_chain()
+    listed = AbstractNest(list(chain.nodes))
+    assert listed == chain and hash(listed) == hash(chain)
+    assert listed.nodes == chain.nodes and isinstance(listed.nodes, tuple)
+    phi = dense_step()
+    psi = AbstractSupportFn.from_labels(listed, *phi.as_tables())
+    assert psi == phi and hash(psi) == hash(phi)
+    assert SupportPair(phi, psi) == SupportPair(phi, phi)
+
+
+def test_a_value_table_built_from_a_list_equals_the_tuple_built_one():
+    f = dense_phi()
+    listed = AbstractSupportFn(f.chain, list(f.value), f.left_limit)
+    assert listed == f and hash(listed) == hash(f)
+    assert listed.value == f.value and isinstance(listed.value, tuple)
+
+
+def test_a_left_limit_table_built_from_a_list_equals_the_tuple_built_one():
+    f = dense_phi()
+    listed = AbstractSupportFn(f.chain, f.value, list(f.left_limit))
+    assert listed == f and hash(listed) == hash(f)
+    assert listed.left_limit == f.left_limit and isinstance(listed.left_limit, tuple)
+    assert lower_regularization(listed) == lower_regularization(f)
 
 
 def test_left_continuity_reads_the_declared_table():
