@@ -239,6 +239,9 @@ class AbstractSupportFn:
                 lls[index[label]] = index[target]
         except (KeyError, TypeError) as exc:
             raise _unresolved(chain, value, left_limit) or exc from None
+        if len(value) != len(vals):
+            # every node resolved, so some key of the table is no node
+            raise _unresolved(chain, value, left_limit)
         return cls(chain, vals, tuple(lls))
 
     def as_tables(self) -> tuple[dict[str, str], dict[str, str]]:
@@ -263,6 +266,9 @@ def _unresolved(
             return ChainError(f"value table misses node {label!r}")
         if value[label] not in labels:
             return ChainError(f"no node labelled {value[label]!r}")
+    for key in value:
+        if key not in labels:
+            return ChainError(f"no node labelled {key!r}")
     for pair in left_limit.items():
         for name in pair:
             if name not in labels:

@@ -47,8 +47,14 @@ class Nest:
         if self.elements[0].dim != 0 or self.elements[-1].dim != self.ambient_dim:
             raise IncomparableError("nest must run from the zero subspace to the full space")
         for a, b in zip(self.elements, self.elements[1:]):
-            if not (b.contains(a) and a.dim < b.dim):
+            if a.dim > b.dim or a == b:
                 raise IncomparableError("nest elements are not strictly increasing")
+            if not b.contains(a):
+                raise IncomparableError(
+                    "subspaces are incomparable: "
+                    f"span{[list(map(str, r)) for r in a.basis.entries]} and "
+                    f"span{[list(map(str, r)) for r in b.basis.entries]}"
+                )
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -114,28 +120,14 @@ def validate_nest(subspaces: Iterable[Subspace], n: int) -> Nest:
     """Build a nest from arbitrary subspaces of Q^n.
 
     The input is sorted by dimension, duplicates collapse, and the two trivial
-    elements are inserted when absent.  Any pair that fails to nest raises
-    IncomparableError naming both offenders.
+    elements are inserted when absent.  The Nest constructor then checks the
+    chain: a subspace of another ambient raises AmbientMismatchError, and any
+    pair that fails to nest raises IncomparableError naming both offenders.
     """
-    items = list(subspaces)
-    for s in items:
-        if s.ambient_dim != n:
-            raise AmbientMismatchError(
-                f"subspace of Q^{s.ambient_dim} cannot join a nest in Q^{n}"
-            )
-    items.sort(key=lambda s: s.dim)
     chain: list[Subspace] = []
-    for s in items:
-        if chain and s == chain[-1]:
-            continue
-        if chain and not s.contains(chain[-1]):
-            a, b = chain[-1], s
-            raise IncomparableError(
-                "subspaces are incomparable: "
-                f"span{[list(map(str, r)) for r in a.basis.entries]} and "
-                f"span{[list(map(str, r)) for r in b.basis.entries]}"
-            )
-        chain.append(s)
+    for s in sorted(subspaces, key=lambda s: s.dim):
+        if not chain or s != chain[-1]:
+            chain.append(s)
     if not chain or chain[0].dim != 0:
         chain.insert(0, Subspace.zero(n))
     if chain[-1].dim != n:

@@ -3,7 +3,9 @@
 Each suite turns a family of algebraic laws into executable checks over
 seeded random samples (see sampling) or exhaustive enumerations.  A suite
 reports one outcome per property with the number of cases run and, on
-failure, the smallest failing input encountered.
+failure, the smallest failing input encountered, described only once, after
+the run: as the nestlab/1 document and CLI command that replay it, or as a
+plain dict for subspace pairs and guard cases, which no command takes.
 
 The chain sweep is exhaustive over a pinned annotation alphabet: jumps are
 drawn from {1, inf} and limits on either side carry either cardinality mark.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from . import oracles, sampling
@@ -39,7 +42,7 @@ from .chaincalc import (
     predict_me_support,
     validate_chain,
 )
-from .documents import _fmt_matrix
+from .documents import WorkbenchDoc, _fmt_matrix, document_payload
 from .errors import (
     NonzeroAtZeroError,
     NotEssentialError,
@@ -82,34 +85,43 @@ class PropertyOutcome:
         return self.failures == 0
 
 
-Case = tuple[bool, tuple, dict]
+# (passed, complexity, describer): only the minimal failure's describer is
+# called, so its arguments are bound with partial, never read from loop variables
+Case = tuple[bool, tuple, Callable[[], dict]]
 
 
 def _run(name: str, cases: Iterable[Case]) -> PropertyOutcome:
     total = 0
     failures = 0
     minimal: tuple | None = None
-    minimal_desc: dict | None = None
-    for ok, complexity, desc in cases:
+    describe: Callable[[], dict] | None = None
+    for ok, complexity, describer in cases:
         total += 1
         if not ok:
             failures += 1
             if minimal is None or complexity < minimal:
                 minimal = complexity
-                minimal_desc = desc
-    return PropertyOutcome(name, total, failures, minimal_desc)
+                describe = describer
+    return PropertyOutcome(name, total, failures, describe and describe())
 
 
 def _rng(seed: int, tag: str) -> random.Random:
     return random.Random(f"{seed}:{tag}")
 
 
-def _nest_desc(nest) -> dict:
-    return {
-        "ambient_dim": nest.ambient_dim,
-        "element_dims": [e.dim for e in nest.elements],
-        "bases": [_fmt_matrix(e.basis) for e in nest.elements],
-    }
+def _replay(command: str, nest=None, **fields) -> dict:
+    """An input, given as WorkbenchDoc fields, as the document that
+    `nestlab <command> --doc` replays; a nest is written as its proper
+    elements, and a map brings its chain."""
+    if nest is not None:
+        fields.update(ambient_dim=nest.ambient_dim, nest_bases=[e.rows for e in nest][1:-1])
+    if "abstract_fn" in fields:
+        fields["chain"] = fields["abstract_fn"].chain
+    return {"command": command, "document": document_payload(WorkbenchDoc(**fields))}
+
+
+def _subspaces(n: int, **spaces) -> dict:
+    return {"ambient": n, **{k: _fmt_matrix(s.basis) for k, s in spaces.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +145,12 @@ def suite_lattice(seed: int, cases: int) -> list[PropertyOutcome]:
     def modular() -> Iterator[Case]:
         for n, a, b, _ in samples("modular"):
             ok = meet(a, b).dim + join(a, b).dim == a.dim + b.dim
-            yield ok, (n, a.dim + b.dim), {"ambient": n, "a": _fmt_matrix(a.basis), "b": _fmt_matrix(b.basis)}
+            yield ok, (n, a.dim + b.dim), partial(_subspaces, n, a=a, b=b)
 
     def involution() -> Iterator[Case]:
         for n, a, _, _ in samples("involution"):
             ok = annihilator(annihilator(a)) == a and annihilator(a).dim == n - a.dim
-            yield ok, (n, a.dim), {"ambient": n, "a": _fmt_matrix(a.basis)}
+            yield ok, (n, a.dim), partial(_subspaces, n, a=a)
 
     def order_reversal() -> Iterator[Case]:
         for n, a, b, _ in samples("order"):
@@ -146,7 +158,7 @@ def suite_lattice(seed: int, cases: int) -> list[PropertyOutcome]:
             ok = annihilator(a).contains(annihilator(big)) and annihilator(b).contains(
                 annihilator(big)
             )
-            yield ok, (n, big.dim), {"ambient": n, "a": _fmt_matrix(a.basis), "b": _fmt_matrix(b.basis)}
+            yield ok, (n, big.dim), partial(_subspaces, n, a=a, b=b)
 
     def canonical() -> Iterator[Case]:
         for n, a, _, rng in samples("canonical"):
@@ -160,7 +172,7 @@ def suite_lattice(seed: int, cases: int) -> list[PropertyOutcome]:
                 c = rng.choice((1, 2, 3, -1))
                 scaled.append(tuple(c * x for x in r))
             ok = span(scaled, n) == a
-            yield ok, (n, a.dim), {"ambient": n, "a": _fmt_matrix(a.basis)}
+            yield ok, (n, a.dim), partial(_subspaces, n, a=a)
 
     return [
         _run("meet/join dimensions are modular", modular()),
@@ -210,7 +222,7 @@ def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
     def galois_exhaustive() -> Iterator[Case]:
         for phi in zero_fixing_supports(nest):
             ok = support_of(nest, m_of(nest, phi)) == phi
-            yield ok, (phi.values,), {"phi": list(phi.values)}
+            yield ok, (phi.values,), partial(_replay, "m-of-phi", nest, support_values=phi.values)
 
     def injective_exhaustive() -> Iterator[Case]:
         seen: dict = {}
@@ -219,12 +231,12 @@ def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
             key = space.space
             ok = key not in seen
             seen[key] = phi
-            yield ok, (phi.values,), {"phi": list(phi.values)}
+            yield ok, (phi.values,), partial(_replay, "m-of-phi", nest, support_values=phi.values)
 
     def dim_formula_exhaustive() -> Iterator[Case]:
         for phi in zero_fixing_supports(nest):
             ok = _matches_constraints(nest, phi)
-            yield ok, (phi.values,), {"phi": list(phi.values)}
+            yield ok, (phi.values,), partial(_replay, "m-of-phi", nest, support_values=phi.values)
 
     def galois_random() -> Iterator[Case]:
         rng = _rng(seed, "galois")
@@ -232,9 +244,9 @@ def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
             rnest = sampling.random_nest(rng)
             phi = sampling.random_support(rng, rnest, fix_zero=True)
             ok = support_of(rnest, m_of(rnest, phi)) == phi
-            yield ok, (rnest.ambient_dim, len(rnest)), {
-                "nest": _nest_desc(rnest), "phi": list(phi.values),
-            }
+            yield ok, (rnest.ambient_dim, len(rnest)), partial(
+                _replay, "m-of-phi", rnest, support_values=phi.values
+            )
 
     def dim_formula_random() -> Iterator[Case]:
         rng = _rng(seed, "dimformula")
@@ -242,9 +254,9 @@ def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
             rnest = sampling.random_nest(rng)
             phi = sampling.random_support(rng, rnest)
             ok = _matches_constraints(rnest, phi)
-            yield ok, (rnest.ambient_dim, len(rnest)), {
-                "nest": _nest_desc(rnest), "phi": list(phi.values),
-            }
+            yield ok, (rnest.ambient_dim, len(rnest)), partial(
+                _replay, "m-of-phi", rnest, support_values=phi.values
+            )
 
     return [
         _run("support of m_of(phi) returns phi (exhaustive)", galois_exhaustive()),
@@ -272,27 +284,26 @@ def bimodule_samples(seed: int, cases: int) -> Iterator[tuple]:
 
 
 def suite_closedcar(seed: int, cases: int) -> list[PropertyOutcome]:
-    # each sample carries the closed-form bimodule and the fixed-point closure
+    # each sample carries its generators, closed-form bimodule and fixed-point closure
     samples = [
-        (nest, generate_bimodule(nest, gens), oracles.generate_bimodule(nest, gens))
+        (nest, gens, generate_bimodule(nest, gens), oracles.generate_bimodule(nest, gens))
         for nest, gens in generator_samples(seed, cases)
     ]
 
     def reflexive() -> Iterator[Case]:
-        for nest, j, closure in samples:
+        for nest, gens, j, closure in samples:
             ok = j == closure and oracles.m_of(nest, support_of(nest, j)) == closure
-            yield ok, (nest.ambient_dim, j.dim), {
-                "nest": _nest_desc(nest), "bimodule_dim": j.dim,
-                "basis": [_fmt_matrix(m) for m in j.basis_matrices()],
-            }
+            yield ok, (nest.ambient_dim, j.dim), partial(
+                _replay, "gen-bimodule", nest, operators={"generators": gens}
+            )
 
     def essential_zero() -> Iterator[Case]:
-        for nest, j, closure in samples:
+        for nest, gens, j, closure in samples:
             ess = essential_support_of(nest, closure)
             ok = oracles.is_bimodule(nest, closure) and all(v == 0 for v in ess.values)
-            yield ok, (nest.ambient_dim, j.dim), {
-                "nest": _nest_desc(nest), "essential": list(ess.values),
-            }
+            yield ok, (nest.ambient_dim, j.dim), partial(
+                _replay, "ess-support", nest, operators={"generators": gens}
+            )
 
     return [
         _run("generated bimodules are reflexive", reflexive()),
@@ -321,9 +332,9 @@ def suite_decompose(seed: int, cases: int) -> list[PropertyOutcome]:
                 for i in range(n)
             )
             ok = ok and total == t.entries
-            yield ok, (nest.ambient_dim, rank(t)), {
-                "nest": _nest_desc(nest), "phi": list(phi.values), "t": _fmt_matrix(t),
-            }
+            yield ok, (nest.ambient_dim, rank(t)), partial(
+                _replay, "decompose", nest, support_values=phi.values, operators={"target": [t]}
+            )
 
     return [_run("decomposition is exact, rank-counted, and memberwise", sound())]
 
@@ -349,19 +360,19 @@ def suite_rankone(seed: int, cases: int) -> list[PropertyOutcome]:
                     direct == (witness is not None) == by_successor
                     and rank_one_in_alg(nest, r) == (direct, witness)
                 )
-                yield ok, (f, w), {"functional": list(f), "vector": list(w)}
+                yield ok, (f, w), partial(_replay, "rank-one-check", nest, rank_one=r)
 
     def density() -> Iterator[Case]:
         rng = _rng(seed, "density")
         yield (
             span_of_rank_ones(nest) == oracles.nest_algebra(nest),
             (3,),
-            {"nest": _nest_desc(nest)},
+            partial(_replay, "alg", nest),
         )
         for _ in range(cases):
             rnest = sampling.random_nest(rng)
             ok = span_of_rank_ones(rnest) == oracles.nest_algebra(rnest)
-            yield ok, (rnest.ambient_dim, len(rnest)), {"nest": _nest_desc(rnest)}
+            yield ok, (rnest.ambient_dim, len(rnest)), partial(_replay, "alg", rnest)
 
     def random_m() -> Iterator[Case]:
         rng = _rng(seed, "rankone-m")
@@ -379,10 +390,9 @@ def suite_rankone(seed: int, cases: int) -> list[PropertyOutcome]:
                 direct == (witness is not None)
                 and rank_one_in_m(rnest, phi, r) == (direct, witness)
             )
-            yield ok, (n,), {
-                "nest": _nest_desc(rnest), "phi": list(phi.values),
-                "functional": f, "vector": w,
-            }
+            yield ok, (n,), partial(
+                _replay, "rank-one-check", rnest, support_values=phi.values, rank_one=r
+            )
 
     return [
         _run("rank-one membership criteria agree on the grid", grid()),
@@ -466,19 +476,6 @@ def oracle_greatest_lc_minorant(f: AbstractSupportFn) -> tuple[int, ...]:
     return best
 
 
-def _chain_desc(f: AbstractSupportFn) -> dict:
-    value, left = f.as_tables()
-    return {
-        "labels": list(f.chain.labels()),
-        "below": [
-            None if node.below is None else [node.below, "inf" if node.gap == INFINITE else node.gap, node.cofinality]
-            for node in f.chain.nodes
-        ],
-        "value": value,
-        "left_limit": left,
-    }
-
-
 def suite_chaincalc(seed: int, cases: int) -> list[PropertyOutcome]:
     sweep = [(chain, f) for chain in sweep_chains() for f in sweep_maps(chain)]
     oracle_cache: dict = {}
@@ -497,7 +494,7 @@ def suite_chaincalc(seed: int, cases: int) -> list[PropertyOutcome]:
         for chain, f in sweep:
             reg = lower_regularization(f)
             ok = reg.value == oracle_for(f)
-            yield ok, (len(chain), f.value), _chain_desc(f)
+            yield ok, (len(chain), f.value), partial(_replay, "chain-regularize", abstract_fn=f)
 
     def idempotent_dominated() -> Iterator[Case]:
         for chain, f in sweep:
@@ -507,16 +504,16 @@ def suite_chaincalc(seed: int, cases: int) -> list[PropertyOutcome]:
                 and all(r <= v for r, v in zip(reg.value, f.value))
                 and check_left_continuous(reg)
             )
-            yield ok, (len(chain), f.value), _chain_desc(f)
+            yield ok, (len(chain), f.value), partial(_replay, "chain-regularize", abstract_fn=f)
 
     def fixes_lc() -> Iterator[Case]:
         for chain, f in sweep:
             ok = (lower_regularization(f) == f) == check_left_continuous(f)
-            yield ok, (len(chain), f.value), _chain_desc(f)
+            yield ok, (len(chain), f.value), partial(_replay, "chain-regularize", abstract_fn=f)
 
     def guards() -> Iterator[Case]:
         for ok, name in _guard_cases():
-            yield ok, (name,), {"case": name}
+            yield ok, (name,), partial(dict, case=name)
 
     def predictions_validate() -> Iterator[Case]:
         for chain, f in sweep:
@@ -528,7 +525,7 @@ def suite_chaincalc(seed: int, cases: int) -> list[PropertyOutcome]:
                 and pair.psi == pair.phi
                 and check_pair(pair)
             )
-            yield ok, (len(chain), f.value), _chain_desc(f)
+            yield ok, (len(chain), f.value), partial(_replay, "chain-predict m0", abstract_fn=f)
 
     return [
         _run("regularization equals the enumerated greatest minorant", matches_oracle()),

@@ -34,7 +34,7 @@ from nestlab import (
     predict_me_support,
     validate_chain,
 )
-from nestlab.suites import _chain_desc, sweep_chains, sweep_maps
+from nestlab.suites import _replay, sweep_chains, sweep_maps
 
 
 def dense_chain():
@@ -172,6 +172,14 @@ def test_from_labels_names_the_node_a_value_table_misses():
         AbstractSupportFn.from_labels(dense_chain(), value, {**left, "B": "Z"})
 
 
+def test_from_labels_rejects_a_value_table_key_that_is_no_node():
+    # the document parser rejects the same table as an unknown node
+    with pytest.raises(ChainError, match="^no node labelled 'Q'$"):
+        AbstractSupportFn.from_labels(
+            finite_chain(), {"0": "0", "A": "A", "X": "X", "Q": "X"}
+        )
+
+
 def test_the_label_map_is_not_a_field():
     chain, fresh = dense_chain(), dense_chain()
     assert "label_index" not in {f.name for f in dataclasses.fields(AbstractNest)}
@@ -283,7 +291,7 @@ def test_essential_matches_the_pairwise_definition():
     for chain in sweep_chains(3):
         for f in sweep_maps(chain):
             verdict = check_essential(f)
-            assert verdict == pairwise(f), _chain_desc(f)
+            assert verdict == pairwise(f), _replay("chain-check essential", abstract_fn=f)
             verdicts.append(verdict)
     assert any(verdicts) and not all(verdicts)
 

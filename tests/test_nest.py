@@ -60,6 +60,15 @@ def test_nest_constructor_requires_trivial_endpoints():
         Nest(2, (span([(1, 0)], 2), Subspace.full(2)))
 
 
+def test_nest_constructor_names_an_incomparable_pair():
+    zero, x, y = Subspace.zero(2), span([(1, 0)], 2), span([(0, 1)], 2)
+    with pytest.raises(IncomparableError, match=r"^subspaces are incomparable: "
+                       r"span\[\['1', '0'\]\] and span\[\['0', '1'\]\]$"):
+        Nest(2, (zero, x, y, Subspace.full(2)))
+    with pytest.raises(IncomparableError, match="^nest elements are not strictly increasing$"):
+        Nest(2, (zero, x, x, Subspace.full(2)))
+
+
 def test_nest_constructor_rejects_elements_of_another_ambient():
     # the dimensions alone would pass: 0 at the bottom and 3 at the top
     plane = Subspace(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))

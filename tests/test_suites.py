@@ -1,8 +1,15 @@
-"""The seeded harness itself: every suite runs green at small case counts."""
+"""The seeded harness itself: every suite runs green at small case counts,
+and a failing case is reported as a document that the CLI replays."""
+
+import contextlib
+import io
+import json
+from types import SimpleNamespace
 
 import pytest
 
-from nestlab import RankOne, suites
+from nestlab import RankOne, check_left_continuous, cli, nest_algebra, suites
+from nestlab.documents import parse_document
 from nestlab.suites import SUITES, PropertyOutcome, bimodule_samples, run_suite
 
 
@@ -107,3 +114,122 @@ def test_decompose_property_catches_wrong_factors(monkeypatch, corrupt):
     monkeypatch.setattr(suites, "decompose", lambda nest, phi, t: corrupt(real(nest, phi, t)))
     (outcome,) = run_suite("decompose", 0, 10)
     assert outcome.failures > 0 and outcome.minimal_failure is not None
+
+
+def test_only_the_minimal_failure_is_described():
+    described = []
+
+    def case(ok, complexity):
+        return ok, complexity, lambda: described.append(complexity) or {"at": complexity}
+
+    outcome = suites._run("p", [case(True, (0,)), case(False, (3,)), case(False, (1,)),
+                                case(False, (2,)), case(True, (0,))])
+    assert (outcome.cases, outcome.failures, outcome.minimal_failure) == (5, 3, {"at": (1,)})
+    assert described == [(1,)]
+    assert suites._run("q", [case(True, (0,))]).minimal_failure is None
+    assert described == [(1,)]
+
+
+# Each document suite, with one of its fast functions corrupted, reports
+# minimal failures whose documents the CLI replays and the parser reads back
+# into the failing input.
+
+def replayed(outcomes, tmp_path) -> list:
+    """Every failing outcome's document, run through the CLI and parsed."""
+    docs = []
+    for outcome in outcomes:
+        if outcome.passed:
+            continue
+        failure = outcome.minimal_failure
+        path = tmp_path / f"failure{len(docs)}.json"
+        path.write_text(json.dumps(failure["document"]), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main([*failure["command"].split(), "--doc", str(path)])
+        assert code in (0, 1) and not stderr.getvalue(), (outcome.name, failure)
+        docs.append(parse_document(path.read_text(encoding="utf-8")))
+    assert docs
+    return docs
+
+
+def test_correspondence_failures_replay(monkeypatch, tmp_path):
+    seen = []
+    real_m_of = suites.m_of
+
+    def m_of(nest, phi):
+        seen.append((nest, phi.values))
+        return real_m_of(nest, phi)
+
+    def matches_constraints(nest, phi):
+        seen.append((nest, phi.values))
+        return False
+
+    monkeypatch.setattr(suites, "m_of", m_of)
+    monkeypatch.setattr(suites, "support_of", lambda nest, space: None)
+    monkeypatch.setattr(suites, "_matches_constraints", matches_constraints)
+    outcomes = run_suite("correspondence", 0, 4)
+    assert sum(not o.passed for o in outcomes) == 4
+    for doc in replayed(outcomes, tmp_path):
+        nest = doc.require_nest()
+        assert (nest, doc.require_support(nest).values) in seen
+
+
+def test_closedcar_failures_replay(monkeypatch, tmp_path):
+    samples = list(suites.generator_samples(0, 4))
+    monkeypatch.setattr(suites, "generate_bimodule", lambda nest, gens: nest_algebra(nest))
+    monkeypatch.setattr(suites, "essential_support_of", suites.support_of)
+    outcomes = run_suite("closedcar", 0, 4)
+    for doc in replayed(outcomes, tmp_path):
+        assert (doc.require_nest(), doc.matrices("generators")) in samples
+    assert not any(o.passed for o in outcomes)
+
+
+def test_decompose_failures_replay(monkeypatch, tmp_path):
+    seen = []
+    real = suites.decompose
+
+    def decompose(nest, phi, t):
+        seen.append((nest, phi.values, t))
+        return _drop_last(real(nest, phi, t))
+
+    monkeypatch.setattr(suites, "decompose", decompose)
+    (doc,) = replayed(run_suite("decompose", 0, 4), tmp_path)
+    nest = doc.require_nest()
+    assert (nest, doc.require_support(nest).values, *doc.matrices("target")) in seen
+
+
+def test_rankone_failures_replay(monkeypatch, tmp_path):
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        return None, None
+
+    monkeypatch.setattr(suites, "rank_one_in_alg", record)
+    monkeypatch.setattr(suites, "rank_one_in_m", lambda nest, phi, r: record(nest, phi.values, r))
+    monkeypatch.setattr(suites, "span_of_rank_ones", record)
+    outcomes = run_suite("rankone", 0, 4)
+    grid, density, random_m = replayed(outcomes, tmp_path)
+    assert (grid.require_nest(), grid.rank_one) in seen
+    assert (density.require_nest(),) in seen
+    nest = random_m.require_nest()
+    assert (nest, random_m.require_support(nest).values, random_m.rank_one) in seen
+
+
+def test_chaincalc_failures_replay(monkeypatch, tmp_path):
+    real_sweep = suites.sweep_chains
+    maps = {f for chain in real_sweep(3) for f in suites.sweep_maps(chain)}
+    monkeypatch.setattr(suites, "sweep_chains", lambda: real_sweep(3))
+    monkeypatch.setattr(suites, "lower_regularization", lambda f: f)
+    real_predict = suites.predict_m0
+    # keeps the guards, which the guard cases check, and loses psi
+    monkeypatch.setattr(
+        suites, "predict_m0", lambda f: SimpleNamespace(phi=real_predict(f).phi, psi=None)
+    )
+    outcomes = run_suite("chaincalc", 0, 1)
+    docs = replayed(outcomes, tmp_path)
+    assert len(docs) == 4  # every property but the guards
+    for doc in docs:
+        assert doc.require_abstract_fn() in maps
+    for doc in docs[:3]:  # the three regularization properties
+        assert not check_left_continuous(doc.abstract_fn)
