@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .errors import (
     ChainError,
+    JoinNotRepresentedError,
     LimitGapError,
     MissingEndpointError,
     NonzeroAtZeroError,
@@ -230,19 +231,7 @@ class AbstractSupportFn:
         value: dict[str, str],
         left_limit: dict[str, str] | None = None,
     ) -> "AbstractSupportFn":
-        index = chain.label_index
-        left_limit = left_limit or {}
-        try:
-            vals = tuple([index[value[label]] for label in index])
-            lls: list[int | None] = [None] * len(index)
-            for label, target in left_limit.items():
-                lls[index[label]] = index[target]
-        except (KeyError, TypeError) as exc:
-            raise _unresolved(chain, value, left_limit) or exc from None
-        if len(value) != len(vals):
-            # every node resolved, so some key of the table is no node
-            raise _unresolved(chain, value, left_limit)
-        return cls(chain, vals, tuple(lls))
+        return cls(chain, *_resolve_tables(chain, value, left_limit))
 
     def as_tables(self) -> tuple[dict[str, str], dict[str, str]]:
         labels = self.chain.labels()
@@ -255,25 +244,36 @@ class AbstractSupportFn:
         return value, left
 
 
-def _unresolved(
-    chain: AbstractNest, value: dict[str, str], left_limit: dict[str, str]
-) -> ChainError | None:
-    """The first label that `from_labels` cannot resolve, as a ChainError:
-    a node the value table misses, or a name that is no node label."""
-    labels = chain.labels()
-    for label in labels:
-        if label not in value:
-            return ChainError(f"value table misses node {label!r}")
-        if value[label] not in labels:
-            return ChainError(f"no node labelled {value[label]!r}")
-    for key in value:
-        if key not in labels:
-            return ChainError(f"no node labelled {key!r}")
-    for pair in left_limit.items():
-        for name in pair:
-            if name not in labels:
-                return ChainError(f"no node labelled {name!r}")
-    return None
+def _resolve_tables(
+    chain: AbstractNest, value: dict[str, str], left_limit: dict[str, str] | None
+) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
+    """Index tables for label tables.  A label that is no node, or a node the
+    value table misses, raises ChainError; a left limit naming no node raises
+    JoinNotRepresentedError.  The document parser reports the same messages."""
+    index = chain.label_index
+    values = [0] * len(index)
+    for key, target in value.items():
+        if key not in index:
+            raise ChainError(f"unknown node {key!r} in value table")
+        if not isinstance(target, str) or target not in index:
+            raise ChainError(f"unknown node {target!r} in value table")
+        values[index[key]] = index[target]
+    if len(value) != len(index):
+        # every key is a node, so some node is missing
+        missing = sorted(set(index) - set(value))
+        raise ChainError(f"value table misses nodes {missing}")
+    left: list[int | None] = [None] * len(index)
+    for key, target in (left_limit or {}).items():
+        if key not in index:
+            raise ChainError(f"unknown node {key!r} in left_limit table")
+        if not isinstance(target, str):
+            raise ChainError(f"left limit at {key!r} is {target!r}, not a node label")
+        if target not in index:
+            raise JoinNotRepresentedError(
+                f"left limit at {key!r} names {target!r}, which is not a chain node"
+            )
+        left[index[key]] = index[target]
+    return tuple(values), tuple(left)
 
 
 @dataclass(frozen=True)

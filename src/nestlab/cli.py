@@ -116,35 +116,42 @@ def _operator_space(doc: WorkbenchDoc, nest) -> OperatorSpace:
 # --- concrete commands -------------------------------------------------------
 
 def _cmd_alg(doc: WorkbenchDoc) -> Any:
+    """nest algebra of the document's nest"""
     return _fmt_space(nest_algebra(doc.require_nest()))
 
 
 def _cmd_gen_bimodule(doc: WorkbenchDoc) -> Any:
+    """bimodule generated by the 'generators' operators"""
     nest = doc.require_nest()
     return _fmt_space(generate_bimodule(nest, doc.matrices("generators")))
 
 
 def _cmd_support(doc: WorkbenchDoc) -> Any:
+    """support function of the document's bimodule"""
     nest = doc.require_nest()
     return _support_table(support_of(nest, _operator_space(doc, nest)))
 
 
 def _cmd_ess_support(doc: WorkbenchDoc) -> Any:
+    """essential support of the document's bimodule"""
     nest = doc.require_nest()
     return _support_table(essential_support_of(nest, _operator_space(doc, nest)))
 
 
 def _cmd_m_of_phi(doc: WorkbenchDoc) -> Any:
+    """largest operator space with the given support"""
     nest = doc.require_nest()
     return _fmt_space(m_of(nest, doc.require_support(nest)))
 
 
 def _cmd_check_reflexive(doc: WorkbenchDoc) -> Any:
+    """whether the document's bimodule is reflexive"""
     nest = doc.require_nest()
     return {"reflexive": is_reflexive(nest, _operator_space(doc, nest))}
 
 
 def _cmd_decompose(doc: WorkbenchDoc) -> Any:
+    """rank-one decomposition of the 'target' operator"""
     nest = doc.require_nest()
     phi = doc.require_support(nest)
     targets = doc.matrices("target")
@@ -160,6 +167,7 @@ def _cmd_decompose(doc: WorkbenchDoc) -> Any:
 
 
 def _cmd_rank_one_check(doc: WorkbenchDoc) -> Any:
+    """rank-one membership with witness"""
     nest = doc.require_nest()
     if doc.rank_one is None:
         raise DocumentError("document has no 'rank_one' section", path="rank_one")
@@ -176,6 +184,7 @@ def _cmd_rank_one_check(doc: WorkbenchDoc) -> Any:
 # --- chain commands ----------------------------------------------------------
 
 def _cmd_chain_validate(doc: WorkbenchDoc) -> Any:
+    """validate the document's abstract chain"""
     chain = doc.require_chain()
     return {
         "labels": list(chain.labels()),
@@ -186,45 +195,8 @@ def _cmd_chain_validate(doc: WorkbenchDoc) -> Any:
 
 
 def _cmd_chain_regularize(doc: WorkbenchDoc) -> Any:
+    """lower regularization of the abstract map"""
     return _fmt_abstract_fn(lower_regularization(doc.require_abstract_fn()))
-
-
-CHAIN_CHECKS = ("left-continuous", "essential", "pair", "p", "p-infinity")
-
-
-def _cmd_chain_check(doc: WorkbenchDoc, kind: str) -> Any:
-    if kind == "left-continuous":
-        return {"result": check_left_continuous(doc.require_abstract_fn())}
-    if kind == "essential":
-        return {"result": check_essential(doc.require_abstract_fn())}
-    if kind == "pair":
-        return {"result": check_pair(doc.require_abstract_pair())}
-    if kind == "p":
-        return {"result": check_p_property(doc.require_chain())}
-    if kind == "p-infinity":
-        chain = doc.require_chain()
-        return {
-            "result": check_p_infinity(chain),
-            "finite_stratum_empty": not chain.finite_stratum(),
-        }
-    raise UnknownCommandError(f"unknown chain check {kind!r}")
-
-
-PREDICT_KINDS = ("me", "max-pair", "m0", "m0-pair")
-
-
-def _cmd_chain_predict(doc: WorkbenchDoc, kind: str) -> Any:
-    if kind == "me":
-        return _fmt_abstract_fn(predict_me_support(doc.require_abstract_fn()))
-    if kind == "max-pair":
-        pair = predict_max_pair(doc.require_abstract_pair())
-    elif kind == "m0":
-        pair = predict_m0(doc.require_abstract_fn())
-    elif kind == "m0-pair":
-        pair = predict_m0_pair(doc.require_abstract_pair())
-    else:
-        raise UnknownCommandError(f"unknown prediction {kind!r}")
-    return {"phi": _fmt_abstract_fn(pair.phi), "psi": _fmt_abstract_fn(pair.psi)}
 
 
 COMMANDS = {
@@ -241,12 +213,46 @@ COMMANDS = {
 }
 
 
+def _p_infinity(doc: WorkbenchDoc) -> Any:
+    chain = doc.require_chain()
+    return {"result": check_p_infinity(chain), "finite_stratum_empty": not chain.finite_stratum()}
+
+
+def _fmt_pair(pair) -> dict:
+    return {"phi": _fmt_abstract_fn(pair.phi), "psi": _fmt_abstract_fn(pair.psi)}
+
+
+# The kinds of the two kinded commands.  Each handler names the chaincalc
+# function it calls, so that the function is looked up when the handler runs.
+CHAIN_CHECKS = {
+    "left-continuous": lambda doc: {"result": check_left_continuous(doc.require_abstract_fn())},
+    "essential": lambda doc: {"result": check_essential(doc.require_abstract_fn())},
+    "pair": lambda doc: {"result": check_pair(doc.require_abstract_pair())},
+    "p": lambda doc: {"result": check_p_property(doc.require_chain())},
+    "p-infinity": _p_infinity,
+}
+
+PREDICT_KINDS = {
+    "me": lambda doc: _fmt_abstract_fn(predict_me_support(doc.require_abstract_fn())),
+    "max-pair": lambda doc: _fmt_pair(predict_max_pair(doc.require_abstract_pair())),
+    "m0": lambda doc: _fmt_pair(predict_m0(doc.require_abstract_fn())),
+    "m0-pair": lambda doc: _fmt_pair(predict_m0_pair(doc.require_abstract_pair())),
+}
+
+# command -> (its kinds, what one kind is called, help text)
+KINDED_COMMANDS = {
+    "chain-check": (CHAIN_CHECKS, "chain check", "run one abstract-chain check"),
+    "chain-predict": (PREDICT_KINDS, "prediction", "guarded support prediction"),
+}
+
+
 def run(command: str, doc: WorkbenchDoc, kind: str | None = None) -> Verdict:
     """Dispatch one workbench command against a parsed document."""
-    if command == "chain-check":
-        return Verdict(command, _cmd_chain_check(doc, kind or ""))
-    if command == "chain-predict":
-        return Verdict(command, _cmd_chain_predict(doc, kind or ""))
+    if command in KINDED_COMMANDS:
+        kinds, noun, _ = KINDED_COMMANDS[command]
+        if kind not in kinds:
+            raise UnknownCommandError(f"unknown {noun} {kind or ''!r}")
+        return Verdict(command, kinds[kind](doc))
     if command not in COMMANDS:
         raise UnknownCommandError(f"unknown command {command!r}")
     return Verdict(command, COMMANDS[command](doc))
@@ -296,20 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--doc", required=True, help="path to a workbench document")
         return p
 
-    add_doc_command("alg", "nest algebra of the document's nest")
-    add_doc_command("gen-bimodule", "bimodule generated by the 'generators' operators")
-    add_doc_command("support", "support function of the document's bimodule")
-    add_doc_command("ess-support", "essential support of the document's bimodule")
-    add_doc_command("m-of-phi", "largest operator space with the given support")
-    add_doc_command("check-reflexive", "whether the document's bimodule is reflexive")
-    add_doc_command("decompose", "rank-one decomposition of the 'target' operator")
-    add_doc_command("rank-one-check", "rank-one membership with witness")
-    add_doc_command("chain-validate", "validate the document's abstract chain")
-    add_doc_command("chain-regularize", "lower regularization of the abstract map")
-    p = add_doc_command("chain-check", "run one abstract-chain check")
-    p.add_argument("kind", choices=CHAIN_CHECKS)
-    p = add_doc_command("chain-predict", "guarded support prediction")
-    p.add_argument("kind", choices=PREDICT_KINDS)
+    for name, handler in COMMANDS.items():
+        add_doc_command(name, handler.__doc__)
+    for name, (kinds, _, help_) in KINDED_COMMANDS.items():
+        add_doc_command(name, help_).add_argument("kind", choices=kinds)
 
     p = sub.add_parser("proptest", help="seeded property-test harness")
     p.add_argument("suite", choices=(*SUITES, "all"))

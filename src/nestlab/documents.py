@@ -24,9 +24,10 @@ from .chaincalc import (
     AbstractSupportFn,
     ChainNode,
     SupportPair,
+    _resolve_tables,
     validate_chain,
 )
-from .errors import DocumentError, JoinNotRepresentedError, SupportFunctionError
+from .errors import ChainError, DocumentError, JoinNotRepresentedError, SupportFunctionError
 from .nest import Nest, validate_nest
 from .opspace import RankOne, SupportFn
 from .ratlin import Matrix, Vector, span
@@ -190,34 +191,19 @@ def _fmt_chain(chain: AbstractNest) -> dict:
 def _parse_abstract_fn(raw: Any, chain: AbstractNest, path: str) -> AbstractSupportFn:
     if not isinstance(raw, dict) or "value" not in raw:
         raise DocumentError("an abstract map needs a 'value' table", path=path)
-    index = chain.label_index
     value = raw["value"]
     if not isinstance(value, dict):
         raise DocumentError("'value' must map node labels to node labels", path=path)
-    for key, target in value.items():
-        if key not in index:
-            raise DocumentError(f"unknown node {key!r} in value table", path=path)
-        if not isinstance(target, str) or target not in index:
-            raise DocumentError(f"unknown node {target!r} in value table", path=path)
-    if len(value) != len(index):
-        # every key is a node, so some node is missing
-        missing = sorted(set(index) - set(value))
-        raise DocumentError(f"value table misses nodes {missing}", path=path)
     left = raw.get("left_limit", {})
     if not isinstance(left, dict):
         raise DocumentError("'left_limit' must map node labels to node labels", path=path)
-    for key, target in left.items():
-        if key not in index:
-            raise DocumentError(f"unknown node {key!r} in left_limit table", path=path)
-        if not isinstance(target, str):
-            raise DocumentError(
-                f"left limit at {key!r} is {target!r}, not a node label", path=path
-            )
-        if target not in index:
-            raise JoinNotRepresentedError(
-                f"left limit at {key!r} names {target!r}, which is not a chain node"
-            )
-    return AbstractSupportFn.from_labels(chain, value, left)
+    try:
+        tables = _resolve_tables(chain, value, left)
+    except JoinNotRepresentedError:
+        raise
+    except ChainError as exc:
+        raise DocumentError(str(exc), path=path) from None
+    return AbstractSupportFn(chain, *tables)
 
 
 def _fmt_abstract_fn(f: AbstractSupportFn) -> dict:

@@ -91,17 +91,26 @@ Case = tuple[bool, tuple, Callable[[], dict]]
 
 
 def _run(name: str, cases: Iterable[Case]) -> PropertyOutcome:
+    """Tally a property's cases.  A case that raises is one failure and ends
+    the property: the generator cannot resume.  It is the minimal failure
+    unless a false case came first."""
     total = 0
     failures = 0
     minimal: tuple | None = None
     describe: Callable[[], dict] | None = None
-    for ok, complexity, describer in cases:
+    try:
+        for ok, complexity, describer in cases:
+            total += 1
+            if not ok:
+                failures += 1
+                if minimal is None or complexity < minimal:
+                    minimal = complexity
+                    describe = describer
+    except Exception as exc:
         total += 1
-        if not ok:
-            failures += 1
-            if minimal is None or complexity < minimal:
-                minimal = complexity
-                describe = describer
+        failures += 1
+        if describe is None:
+            describe = partial(dict, error={"type": type(exc).__name__, "message": str(exc)})
     return PropertyOutcome(name, total, failures, describe and describe())
 
 

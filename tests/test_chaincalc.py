@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import pickle
 
 import pytest
@@ -14,6 +15,8 @@ from nestlab import (
     AbstractSupportFn,
     ChainError,
     ChainNode,
+    DocumentError,
+    JoinNotRepresentedError,
     LimitGapError,
     MissingEndpointError,
     NonzeroAtZeroError,
@@ -22,12 +25,15 @@ from nestlab import (
     PInfinityError,
     PPropertyError,
     SupportPair,
+    WorkbenchDoc,
     check_essential,
     check_left_continuous,
     check_p_infinity,
     check_p_property,
     check_pair,
+    document_payload,
     lower_regularization,
+    parse_document,
     predict_m0,
     predict_m0_pair,
     predict_max_pair,
@@ -159,25 +165,59 @@ def test_map_tables_validate():
 
 def test_from_labels_names_the_node_a_value_table_misses():
     chain = finite_chain()
-    with pytest.raises(ChainError, match="^value table misses node 'X'$"):
+    with pytest.raises(ChainError, match=r"^value table misses nodes \['X'\]$"):
         AbstractSupportFn.from_labels(chain, {"0": "0", "A": "A"})
-    with pytest.raises(ChainError, match="^no node labelled 'B'$"):
+    with pytest.raises(ChainError, match="^unknown node 'B' in value table$"):
         AbstractSupportFn.from_labels(chain, {"0": "0", "A": "B", "X": "X"})
-    with pytest.raises(ChainError, match=r"^no node labelled \['A'\]$"):
+    with pytest.raises(ChainError, match=r"^unknown node \['A'\] in value table$"):
         AbstractSupportFn.from_labels(chain, {"0": "0", "A": ["A"], "X": "X"})
     value, left = dense_phi().as_tables()
-    with pytest.raises(ChainError, match="^no node labelled 'Y'$"):
+    with pytest.raises(ChainError, match="^unknown node 'Y' in left_limit table$"):
         AbstractSupportFn.from_labels(dense_chain(), value, {**left, "Y": "B"})
-    with pytest.raises(ChainError, match="^no node labelled 'Z'$"):
+    with pytest.raises(
+        JoinNotRepresentedError, match="^left limit at 'B' names 'Z', which is not a chain node$"
+    ):
         AbstractSupportFn.from_labels(dense_chain(), value, {**left, "B": "Z"})
 
 
 def test_from_labels_rejects_a_value_table_key_that_is_no_node():
-    # the document parser rejects the same table as an unknown node
-    with pytest.raises(ChainError, match="^no node labelled 'Q'$"):
+    with pytest.raises(ChainError, match="^unknown node 'Q' in value table$"):
         AbstractSupportFn.from_labels(
             finite_chain(), {"0": "0", "A": "A", "X": "X", "Q": "X"}
         )
+
+
+@pytest.mark.parametrize("table, key, target", [
+    ("value", "Q", "X"),  # a key that is no node
+    ("value", "A", "Q"),  # a target that is no node
+    ("value", "A", ["A"]),  # a target that is no string
+    ("value", "X", None),  # a node the table misses
+    ("left_limit", "Y", "B"),  # a key that is no node
+    ("left_limit", "B", 1),  # a target that is no string
+    ("left_limit", "B", "Z"),  # a target that is no node: the join is not represented
+])
+def test_from_labels_reports_what_the_parser_reports(table, key, target):
+    payload = document_payload(WorkbenchDoc(chain=dense_chain(), abstract_fn=dense_phi()))
+    tables = payload["abstract_fn"]
+    if target is None:
+        del tables[table][key]
+    else:
+        tables[table][key] = target
+    text = json.dumps(payload)
+    if target == "Z":
+        with pytest.raises(JoinNotRepresentedError) as api:
+            AbstractSupportFn.from_labels(dense_chain(), tables["value"], tables["left_limit"])
+        with pytest.raises(JoinNotRepresentedError) as parsed:
+            parse_document(text)
+        assert str(parsed.value) == str(api.value)
+        return
+    with pytest.raises(ChainError) as api:
+        AbstractSupportFn.from_labels(dense_chain(), tables["value"], tables["left_limit"])
+    assert not isinstance(api.value, JoinNotRepresentedError)
+    with pytest.raises(DocumentError) as parsed:
+        parse_document(text)
+    assert parsed.value.path == "abstract_fn"
+    assert str(parsed.value) == f"abstract_fn: {api.value}"
 
 
 def test_the_label_map_is_not_a_field():
@@ -270,30 +310,60 @@ def test_essential_needs_equal_values_at_finite_distance():
     assert not check_essential(f)
 
 
-def test_essential_matches_the_pairwise_definition():
+def pairwise_essential(f):
     # the definition as stated: values in the finite stratum are fixed from
     # above, and every two nodes a finite dimension apart share their value
-    def pairwise(f):
-        chain = f.chain
-        k = len(chain)
-        fixed = all(
-            chain.upper_limit_fixed(v) for v in f.value if chain.in_finite_stratum(v)
-        )
-        stable = all(
-            f.value[i] == f.value[j]
-            for i in range(k)
-            for j in range(i + 1, k)
-            if chain.quotient_dim(i, j) < INFINITE
-        )
-        return fixed and stable
+    chain = f.chain
+    k = len(chain)
+    fixed = all(
+        chain.upper_limit_fixed(v) for v in f.value if chain.in_finite_stratum(v)
+    )
+    stable = all(
+        f.value[i] == f.value[j]
+        for i in range(k)
+        for j in range(i + 1, k)
+        if chain.quotient_dim(i, j) < INFINITE
+    )
+    return fixed and stable
 
+
+def test_essential_matches_the_pairwise_definition():
     verdicts = []
     for chain in sweep_chains(3):
         for f in sweep_maps(chain):
             verdict = check_essential(f)
-            assert verdict == pairwise(f), _replay("chain-check essential", abstract_fn=f)
+            assert verdict == pairwise_essential(f), _replay("chain-check essential", abstract_fn=f)
             verdicts.append(verdict)
     assert any(verdicts) and not all(verdicts)
+
+
+def sweep_pairs(max_nodes):
+    """Every admissible (phi, psi) on the chains of sweep_chains(max_nodes)."""
+    for chain in sweep_chains(max_nodes):
+        maps = list(sweep_maps(chain))
+        for phi in maps:
+            for psi in maps:
+                try:
+                    yield SupportPair(phi, psi)
+                except PairAdmissibilityError:
+                    pass
+
+
+def test_pair_check_matches_the_definition():
+    # psi essential, and strictly below phi wherever psi lands in the finite stratum
+    def strictly_below(p):
+        chain = p.psi.chain
+        return all(
+            v < u for v, u in zip(p.psi.value, p.phi.value) if chain.in_finite_stratum(v)
+        )
+
+    rejected_as_inessential = 0
+    for p in sweep_pairs(3):
+        essential, strict = pairwise_essential(p.psi), strictly_below(p)
+        replay = _replay("chain-check pair", chain=p.psi.chain, abstract_pair=p)
+        assert check_pair(p) == (essential and strict), replay
+        rejected_as_inessential += strict and not essential
+    assert rejected_as_inessential
 
 
 def test_pair_validation():
@@ -318,6 +388,11 @@ def test_p_property_marks():
         ChainNode("X", below=LIMIT, cofinality=UNCOUNTABLE),
     ))
     assert not check_p_property(uncount)
+    uncountable_above = AbstractNest((
+        ChainNode("0", above=LIMIT, coinitiality=UNCOUNTABLE),
+        ChainNode("X", below=LIMIT, cofinality=COUNTABLE),
+    ))
+    assert not check_p_property(uncountable_above)
     assert check_p_property(finite_chain())
 
 
@@ -349,6 +424,18 @@ def test_predict_max_pair_guards():
     step = dense_step()
     pair = SupportPair(step, step)
     assert predict_max_pair(pair) == pair
+    uncount = AbstractNest((
+        ChainNode("0", above=ATTAINED),
+        ChainNode("X", below=LIMIT, cofinality=UNCOUNTABLE),
+    ))
+    g = AbstractSupportFn.from_labels(uncount, {"0": "0", "X": "X"}, {"X": "X"})
+    # admissible, since the finite stratum is empty, but not countably approached
+    assert check_pair(SupportPair(g, g))
+    with pytest.raises(PPropertyError):
+        predict_max_pair(SupportPair(g, g))
+    flat = AbstractSupportFn.from_labels(finite_chain(), {"0": "0", "A": "X", "X": "X"})
+    with pytest.raises(PairAdmissibilityError):
+        predict_max_pair(SupportPair(flat, flat))
 
 
 def test_predict_m0():
@@ -377,3 +464,14 @@ def test_predict_m0_pair():
     zero = AbstractSupportFn.from_labels(chain, {"0": "0", "A": "0", "X": "X"})
     with pytest.raises(PInfinityError):
         predict_m0_pair(SupportPair(ident, zero))
+
+
+def test_every_pair_on_a_p_infinity_chain_is_admissible():
+    # the finite stratum is empty, so check_pair has nothing to reject: the
+    # admissibility guard of predict_m0_pair never fires after its P-infinity guard
+    pairs = [p for p in sweep_pairs(3) if check_p_infinity(p.phi.chain)]
+    assert pairs
+    for p in pairs:
+        assert check_pair(p)
+        out = predict_m0_pair(p)
+        assert out.phi == p.phi and out.psi == lower_regularization(p.psi)

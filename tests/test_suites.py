@@ -4,11 +4,12 @@ and a failing case is reported as a document that the CLI replays."""
 import contextlib
 import io
 import json
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
-from nestlab import RankOne, check_left_continuous, cli, nest_algebra, suites
+from nestlab import RankOne, chaincalc, check_left_continuous, cli, nest_algebra, suites
 from nestlab.documents import parse_document
 from nestlab.suites import SUITES, PropertyOutcome, bimodule_samples, run_suite
 
@@ -233,3 +234,29 @@ def test_chaincalc_failures_replay(monkeypatch, tmp_path):
         assert doc.require_abstract_fn() in maps
     for doc in docs[:3]:  # the three regularization properties
         assert not check_left_continuous(doc.abstract_fn)
+
+
+def test_a_property_that_raises_fails_alone(monkeypatch):
+    real_sweep = suites.sweep_chains
+    monkeypatch.setattr(suites, "sweep_chains", lambda: real_sweep(3))
+    # predict_m0 then pairs a map that is not left continuous with itself
+    monkeypatch.setattr(chaincalc, "lower_regularization", lambda f: f)
+    outcomes = run_suite("chaincalc", 0, 1)
+    assert len(outcomes) == 5
+    *rest, predictions = outcomes
+    assert all(o.passed for o in rest)
+    assert predictions.failures == 1
+    assert predictions.minimal_failure == {"error": {
+        "type": "PairAdmissibilityError", "message": "phi must be left continuous",
+    }}
+
+
+def test_a_raising_case_keeps_the_smaller_false_case_before_it():
+    def cases():
+        yield True, (0,), dict
+        yield False, (2,), partial(dict, case="false")
+        raise RuntimeError("boom")
+
+    outcome = suites._run("p", cases())
+    assert (outcome.cases, outcome.failures) == (3, 2)
+    assert outcome.minimal_failure == {"case": "false"}
