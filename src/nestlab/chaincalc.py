@@ -413,9 +413,8 @@ def predict_m0(psi: AbstractSupportFn) -> SupportPair:
 def predict_m0_pair(p: SupportPair) -> SupportPair:
     """Support pair of the smallest-type operator space attached to a pair on
     a chain whose attained jumps are all infinite: phi survives and psi drops
-    to its lower regularization."""
+    to its lower regularization.  No admissibility guard: with the finite
+    stratum empty, `check_pair` admits every `SupportPair`."""
     if not check_p_infinity(p.phi.chain):
         raise PInfinityError("the chain has an attained finite jump")
-    if not check_pair(p):
-        raise PairAdmissibilityError("the pair fails the admissibility axioms")
     return SupportPair(p.phi, lower_regularization(p.psi))

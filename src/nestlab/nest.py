@@ -6,13 +6,17 @@ has an immediate predecessor and successor inside the chain (with the usual
 conventions at the endpoints).  A property that passes from each element to
 every larger one, such as containing a vector or meeting a subspace, is
 decided by the first element that has it.
+
+The constructor checks the chain in one echelon pass, which also builds the
+basis adapted to the nest (`Nest.adapted_levels`) that the chain-level walks
+read: the hull, rank-one levels and decompose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .errors import (
     AmbientMismatchError,
@@ -21,9 +25,6 @@ from .errors import (
     ZeroSubspaceError,
 )
 from .ratlin import IntEchelon, Subspace, annihilator, join
-
-if TYPE_CHECKING:
-    from .opspace import OperatorSpace
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,28 @@ class Nest:
             raise IncomparableError("a nest needs at least the two trivial elements")
         if self.elements[0].dim != 0 or self.elements[-1].dim != self.ambient_dim:
             raise IncomparableError("nest must run from the zero subspace to the full space")
+        # One echelon takes the rows of E_1, E_2, ... in turn.  Once E_(j-1)
+        # is in it, it spans E_(j-1) + E_j, which has dimension dim E_j
+        # exactly when E_(j-1) lies in E_j; the rows of E_j it keeps extend a
+        # basis of E_(j-1) to one of E_j.
+        seen = IntEchelon(self.ambient_dim)
+        levels = [()]
         for a, b in zip(self.elements, self.elements[1:]):
             if a.dim > b.dim or a == b:
                 raise IncomparableError("nest elements are not strictly increasing")
-            if not b.contains(a):
+            levels.append(tuple(r for r in b.rows if seen.insert(r) is not None))
+            if seen.dim != b.dim:
                 raise IncomparableError(
                     "subspaces are incomparable: "
                     f"span{[list(map(str, r)) for r in a.basis.entries]} and "
                     f"span{[list(map(str, r)) for r in b.basis.entries]}"
                 )
+        # Not fields, so ==, hash and repr ignore them: the integer vectors
+        # grouped by level (level j holds gap_j vectors, level 0 none), and
+        # m_of of each support function asked for so far, keyed by its
+        # values, which `opspace.m_of` fills and owns.
+        object.__setattr__(self, "adapted_levels", tuple(levels))
+        object.__setattr__(self, "operator_spaces", {})
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -87,33 +101,13 @@ class Nest:
             return 0
         return self.elements[i].dim - self.elements[i - 1].dim
 
-    # The three caches below are not fields, so ==, hash and repr ignore them.
-    # They are computed once per nest, when first read: the adapted levels
-    # serve the chain-level walks (hull, rank-one levels, decompose), the
-    # annihilators the closed form of m_of, and `opspace.m_of` fills the
-    # operator spaces, one per support function it is asked for.
-
-    @cached_property
-    def adapted_levels(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Integer vectors grouped by nest level: level j holds gap_j vectors
-        that extend a basis of E_(j-1) to one of E_j (level 0 is empty)."""
-        seen = IntEchelon(self.ambient_dim)
-        return tuple(
-            tuple(r for r in e.rows if seen.insert(r) is not None)
-            for e in self.elements
-        )
-
     @cached_property
     def annihilators(self) -> tuple[Subspace, ...]:
         """annihilator(E_j) for each element, in chain order: the functionals
-        killing E_j, as primitive integer echelon rows."""
+        killing E_j, as primitive integer echelon rows.  Computed when first
+        read: only the closed form of m_of needs them, and a nest that is
+        only factored through never does."""
         return tuple(annihilator(e) for e in self.elements)
-
-    @cached_property
-    def operator_spaces(self) -> dict[tuple[int, ...], OperatorSpace]:
-        """m_of of each support function asked for so far, keyed by its
-        values; filled by `opspace.m_of`, which owns the entries."""
-        return {}
 
 
 def validate_nest(subspaces: Iterable[Subspace], n: int) -> Nest:

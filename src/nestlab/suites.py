@@ -545,15 +545,16 @@ def suite_chaincalc(seed: int, cases: int) -> list[PropertyOutcome]:
     ]
 
 
-def _guard_fixtures():
-    """Hand-built chains and maps that each violate exactly one hypothesis."""
+def _guard_cases() -> list[tuple[bool, str]]:
+    """Each guarded prediction on hand-built inputs, as (ok, name): a case
+    naming an error passes when the prediction raises exactly that, one
+    naming None when it returns.  Each rejected input violates exactly one
+    hypothesis."""
     uncountable = validate_chain([
         ChainNode("0", above=ATTAINED),
         ChainNode("M", below=LIMIT, cofinality=UNCOUNTABLE, above=ATTAINED),
         ChainNode("X", below=ATTAINED, gap=INFINITE),
     ])
-    psi_unc = AbstractSupportFn(uncountable, (0, 1, 2), (None, 1, None))
-
     finite_gap = validate_chain([
         ChainNode("0", above=ATTAINED),
         ChainNode("A", below=ATTAINED, gap=1, above=LIMIT, coinitiality=COUNTABLE),
@@ -561,88 +562,54 @@ def _guard_fixtures():
     ])
     # constant at X: essential, left continuous
     psi_fin = AbstractSupportFn(finite_gap, (2, 2, 2), (None, None, 2))
-
     pcal = validate_chain([
         ChainNode("0", above=LIMIT, coinitiality=COUNTABLE),
         ChainNode("M", below=LIMIT, cofinality=COUNTABLE, above=ATTAINED),
         ChainNode("A", below=ATTAINED, gap=1, above=LIMIT, coinitiality=COUNTABLE),
         ChainNode("X", below=LIMIT, cofinality=COUNTABLE),
     ])
-    # both send everything at or above M to A; A sits in the finite stratum
+    # psi_flat sends everything at or above M to A, which sits in the finite
+    # stratum; as its own phi the pair is not strict there
     psi_flat = AbstractSupportFn(pcal, (0, 2, 2, 2), (None, 2, None, 2))
-    phi_flat = AbstractSupportFn(pcal, (0, 2, 2, 2), (None, 2, None, 2))
-    phi_top = AbstractSupportFn(pcal, (0, 3, 3, 3), (None, 3, None, 3))
-
+    good_pair = SupportPair(AbstractSupportFn(pcal, (0, 3, 3, 3), (None, 3, None, 3)), psi_flat)
     pinf = validate_chain([
         ChainNode("0", above=ATTAINED),
         ChainNode("M", below=ATTAINED, gap=INFINITE, above=ATTAINED),
         ChainNode("X", below=ATTAINED, gap=INFINITE),
     ])
-    psi_off_zero = AbstractSupportFn(pinf, (1, 1, 2), (None, None, None))
-    return {
-        "uncountable": (uncountable, psi_unc),
-        "finite_gap": (finite_gap, psi_fin),
-        "flat_pair": SupportPair(phi_flat, psi_flat),
-        "good_pair": SupportPair(phi_top, psi_flat),
-        "pinf_offzero": (pinf, psi_off_zero),
-    }
 
+    def on_pinf(*values: int) -> AbstractSupportFn:
+        return AbstractSupportFn(pinf, values, (None, None, None))
 
-def _guard_cases() -> list[tuple[bool, str]]:
-    fx = _guard_fixtures()
+    cases = [
+        ("me rejects uncountable marks", PPropertyError, predict_me_support,
+         AbstractSupportFn(uncountable, (0, 1, 2), (None, 1, None))),
+        ("me rejects non-essential maps", NotEssentialError, predict_me_support,
+         AbstractSupportFn(finite_gap, (0, 1, 1), (None, None, 1))),
+        ("me accepts an essential map on a countable chain", None, predict_me_support,
+         psi_fin),
+        ("max-pair rejects non-strict pairs", PairAdmissibilityError, predict_max_pair,
+         SupportPair(psi_flat, psi_flat)),
+        ("max-pair accepts an admissible pair", None, predict_max_pair, good_pair),
+        ("m0 rejects attained finite jumps", PInfinityError, predict_m0, psi_fin),
+        ("m0 rejects maps that move node 0", NonzeroAtZeroError, predict_m0,
+         on_pinf(1, 1, 2)),
+        ("m0 accepts a zero-fixing map on an all-infinite chain", None, predict_m0,
+         on_pinf(0, 1, 2)),
+        ("m0-pair rejects attained finite jumps", PInfinityError, predict_m0_pair,
+         good_pair),
+        ("m0-pair accepts a pair on an all-infinite chain", None, predict_m0_pair,
+         SupportPair(on_pinf(0, 2, 2), on_pinf(0, 1, 1))),
+    ]
     out: list[tuple[bool, str]] = []
-
-    def expect(name: str, exc, thunk: Callable) -> None:
+    for name, error, predict, arg in cases:
         try:
-            thunk()
-        except exc:
-            out.append((True, name))
-        except Exception:
-            out.append((False, name))
+            predict(arg)
+        except Exception as exc:
+            ok = error is not None and isinstance(exc, error)
         else:
-            out.append((False, name))
-
-    def expect_ok(name: str, thunk: Callable) -> None:
-        try:
-            thunk()
-        except Exception:
-            out.append((False, name))
-        else:
-            out.append((True, name))
-
-    _, psi_unc = fx["uncountable"]
-    expect("me rejects uncountable marks", PPropertyError,
-           lambda: predict_me_support(psi_unc))
-
-    chain_fin, psi_fin = fx["finite_gap"]
-    nonessential = AbstractSupportFn(chain_fin, (0, 1, 1), (None, None, 1))
-    expect("me rejects non-essential maps", NotEssentialError,
-           lambda: predict_me_support(nonessential))
-    expect_ok("me accepts an essential map on a countable chain",
-              lambda: predict_me_support(psi_fin))
-
-    expect("max-pair rejects non-strict pairs", PairAdmissibilityError,
-           lambda: predict_max_pair(fx["flat_pair"]))
-    expect_ok("max-pair accepts an admissible pair",
-              lambda: predict_max_pair(fx["good_pair"]))
-
-    expect("m0 rejects attained finite jumps", PInfinityError,
-           lambda: predict_m0(psi_fin))
-    chain_pinf, psi_off_zero = fx["pinf_offzero"]
-    expect("m0 rejects maps that move node 0", NonzeroAtZeroError,
-           lambda: predict_m0(psi_off_zero))
-    good = AbstractSupportFn(chain_pinf, (0, 1, 2), (None, None, None))
-    expect_ok("m0 accepts a zero-fixing map on an all-infinite chain",
-              lambda: predict_m0(good))
-
-    expect("m0-pair rejects attained finite jumps", PInfinityError,
-           lambda: predict_m0_pair(fx["good_pair"]))
-    pinf_pair = SupportPair(
-        AbstractSupportFn(chain_pinf, (0, 2, 2), (None, None, None)),
-        AbstractSupportFn(chain_pinf, (0, 1, 1), (None, None, None)),
-    )
-    expect_ok("m0-pair accepts a pair on an all-infinite chain",
-              lambda: predict_m0_pair(pinf_pair))
+            ok = error is None
+        out.append((ok, name))
     return out
 
 

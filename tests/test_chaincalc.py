@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import re
 
 import pytest
 
@@ -106,12 +107,40 @@ def test_annotations_are_mandatory():
         ])
 
 
+ZERO = ChainNode("0", above=ATTAINED)
+TOP = ChainNode("X", below=ATTAINED, gap=1)
+
+
+@pytest.mark.parametrize("nodes, error, message", [
+    ([ZERO, ChainNode("Y", below=ATTAINED, gap=1)],
+     MissingEndpointError, 'the chain must end at a node labelled "X"'),
+    ([ChainNode("0", below=ATTAINED, gap=1, above=ATTAINED), TOP],
+     ChainError, 'node "0" takes no below annotation'),
+    ([ZERO, ChainNode("A", below=ATTAINED, gap=1, cofinality=COUNTABLE, above=ATTAINED), TOP],
+     ChainError, "attained node 'A' takes no cofinality mark"),
+    ([ZERO, ChainNode("A", below=LIMIT, above=ATTAINED), TOP],
+     ChainError, "node 'A' needs a cofinality mark"),
+    ([ZERO, ChainNode("X", below=ATTAINED, gap=1, above=ATTAINED)],
+     ChainError, 'node "X" takes no above annotation'),
+    ([ZERO, ChainNode("A", below=ATTAINED, gap=1, above=ATTAINED, coinitiality=COUNTABLE),
+      TOP],
+     ChainError, "attained node 'A' takes no coinitiality mark"),
+    ([ZERO, ChainNode("A", below=ATTAINED, gap=1, above=LIMIT), TOP],
+     ChainError, "node 'A' needs a coinitiality mark"),
+])
+def test_chain_validation_names_the_fault(nodes, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        validate_chain(nodes)
+
+
 def test_quotient_dim_sums_jumps():
     chain = finite_chain()
     assert chain.quotient_dim(0, 2) == 2
     assert chain.quotient_dim(1, 1) == 0
     assert infinite_chain().quotient_dim(0, 1) == INFINITE
     assert dense_chain().quotient_dim(0, 4) == INFINITE
+    with pytest.raises(ChainError, match="^quotient runs from the smaller node to the larger$"):
+        chain.quotient_dim(2, 1)
 
 
 def test_finite_stratum():
@@ -128,6 +157,20 @@ def dense_phi():
         {"0": "0", "A": "A", "B": "X", "C": "X", "X": "X"},
         {"A": "A", "B": "B", "C": "X", "X": "X"},
     )
+
+
+@pytest.mark.parametrize("chain, value, left_limit, message", [
+    (dense_chain, (0, 1, 2, 3), (None, 1, 2, 3), "map tables must cover every node exactly once"),
+    (dense_chain, (0, 1, 2, 3, 4), (None, 1, 2, 3),
+     "map tables must cover every node exactly once"),
+    (dense_chain, (0, 1, 2, 3, 5), (None, 1, 2, 3, 4), "value index 5 is out of range"),
+    (dense_chain, (0, 1, 2, 3, 4), (None, 1, 7, 3, 4), "left limit index 7 is out of range"),
+    (finite_chain, (0, 1, 2), (None, 1, None),
+     "node 'A' is attained from below and takes no left limit"),
+])
+def test_map_tables_name_the_fault(chain, value, left_limit, message):
+    with pytest.raises(ChainError, match=f"^{re.escape(message)}$"):
+        AbstractSupportFn(chain(), value, left_limit)
 
 
 def dense_step():
@@ -379,6 +422,10 @@ def test_pair_validation():
     )
     with pytest.raises(PairAdmissibilityError):
         SupportPair(step, ident)  # psi exceeds phi
+    on_finite = AbstractSupportFn(finite_chain(), (0, 1, 2), (None, None, None))
+    with pytest.raises(PairAdmissibilityError,
+                       match="^pair components live on different chains$"):
+        SupportPair(on_finite, AbstractSupportFn(infinite_chain(), (0, 1, 2), (None,) * 3))
 
 
 def test_p_property_marks():
@@ -467,8 +514,8 @@ def test_predict_m0_pair():
 
 
 def test_every_pair_on_a_p_infinity_chain_is_admissible():
-    # the finite stratum is empty, so check_pair has nothing to reject: the
-    # admissibility guard of predict_m0_pair never fires after its P-infinity guard
+    # the finite stratum is empty, so check_pair has nothing to reject:
+    # predict_m0_pair needs no admissibility guard after its P-infinity guard
     pairs = [p for p in sweep_pairs(3) if check_p_infinity(p.phi.chain)]
     assert pairs
     for p in pairs:

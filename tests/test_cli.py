@@ -221,6 +221,8 @@ def test_run_rejects_unknown_command():
     doc = parse_document((FIXTURES / "triangular.json").read_text())
     with pytest.raises(UnknownCommandError):
         run("frobnicate", doc)
+    with pytest.raises(UnknownCommandError, match="^unknown chain check 'nope'$"):
+        run("chain-check", doc, "nope")
 
 
 def test_run_suite_rejects_unknown_suite():
@@ -232,3 +234,54 @@ def test_proptest_reports_each_property():
     verdict = proptest("lattice", 1, 20)
     names = [p["name"] for p in verdict.result["properties"]]
     assert len(names) == len(set(names)) and len(names) >= 3
+
+
+def _unit(i, j):
+    return [["1" if (r, c) == (i, j) else "0" for c in range(3)] for r in range(3)]
+
+
+def with_operators(tmp_path, name, **operators):
+    """A fixture's nest and support with the given operator roles."""
+    raw = json.loads((FIXTURES / f"{name}.json").read_text())
+    raw.pop("rank_one", None)
+    raw["operators"] = operators
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_a_basis_role_spans_the_space(tmp_path, capsys):
+    # the matrix unit at the top right spans a bimodule of the triangular nest
+    doc = with_operators(tmp_path, "triangular", basis=[_unit(0, 2)])
+    code, out, err = invoke(capsys, "support", "--doc", doc)
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["values"] == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("command, message", [
+    ("support", "operator space is not a bimodule over the nest algebra"),
+    ("ess-support", "essential support is defined for bimodules only"),
+    ("check-reflexive", "reflexivity is defined for bimodules only"),
+])
+def test_a_basis_that_is_no_bimodule_exits_one(tmp_path, capsys, command, message):
+    doc = with_operators(tmp_path, "triangular", basis=[_unit(2, 0)])
+    code, out, err = invoke(capsys, command, "--doc", doc)
+    assert code == 1 and err == ""
+    assert json.loads(out)["result"] == {
+        "error": {"type": "NotABimoduleError", "message": message},
+    }
+
+
+def test_decompose_takes_one_target(tmp_path, capsys):
+    doc = with_operators(tmp_path, "decompose", target=[_unit(0, 2), _unit(0, 1)])
+    code, out, err = invoke(capsys, "decompose", "--doc", doc)
+    assert code == 2 and out == ""
+    assert err == "parse error: operators.target: 'target' must hold exactly one matrix\n"
+
+
+def test_table_format_names_seed_and_cases(capsys):
+    code, out, _ = invoke(
+        capsys, "--format", "table", "proptest", "lattice", "--seed", "3", "--cases", "2"
+    )
+    assert code == 0
+    assert out.splitlines()[:3] == ["command: proptest", "seed: 3", "cases: 2"]

@@ -105,6 +105,9 @@ def test_missing_sections_are_reported():
         doc.require_chain()
     with pytest.raises(DocumentError, match="target"):
         doc.matrices("target")
+    no_nest = parse_document(json.dumps({"version": "nestlab/1", "ambient_dim": 2}))
+    with pytest.raises(DocumentError, match="^nest: document has no 'nest' section$"):
+        no_nest.require_nest()
 
 
 def test_operator_roles_parse_as_matrices():
@@ -328,3 +331,45 @@ def test_malformed_documents_exit_two_with_a_path(tmp_path, capsys, text, path):
     assert main(["chain-validate", "--doc", str(doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"parse error: {path}: ") and "Traceback" not in err
+
+
+def _doc(**fields):
+    return json.dumps({"version": "nestlab/1", **fields})
+
+
+def _without(name, section, key):
+    raw = json.loads(fixture_text(name))
+    del raw[section][key]
+    return json.dumps(raw)
+
+
+ONE_NODE_CHAIN = {"nodes": [{"label": "0", "above": {"kind": "attained"}},
+                            {"label": "X", "below": {"kind": "attained", "gap": 1}}]}
+
+
+@pytest.mark.parametrize("text, path, message", [
+    pytest.param(_one_rational("1eX"), "nest[0][0][0]",
+                 "bad rational '1eX': Invalid literal for Fraction: '1eX'", id="bad-exponent"),
+    pytest.param(_doc(ambient_dim=2, operators={"generators": [[]]}), "operators.generators[0]",
+                 "expected a non-empty array of rows", id="empty-matrix"),
+    pytest.param(_doc(chain={}), "chain", "a chain needs a 'nodes' array", id="chain-no-nodes"),
+    pytest.param(_doc(chain=ONE_NODE_CHAIN, abstract_fn={"left_limit": {}}), "abstract_fn",
+                 "an abstract map needs a 'value' table", id="map-no-value"),
+    pytest.param("[]", None, "a document is a JSON object", id="not-an-object"),
+    pytest.param(_doc(nest=[]), "nest", "a nest needs 'ambient_dim'", id="nest-no-ambient-dim"),
+    pytest.param(_doc(ambient_dim=2, nest={}), "nest", "'nest' must be an array of bases",
+                 id="nest-not-a-list"),
+    pytest.param(_doc(ambient_dim=2, operators=[]), "operators",
+                 "'operators' must map role names to matrix lists", id="operators-not-an-object"),
+    pytest.param(_doc(ambient_dim=2, operators={"generators": {}}), "operators.generators",
+                 "each operator role holds an array of matrices", id="role-not-a-list"),
+    pytest.param(_without("decompose", "rank_one", "vector"), "rank_one",
+                 "'rank_one' needs 'functional' and 'vector'", id="rank-one-no-vector"),
+    pytest.param(_without("chain-step", "abstract_pair", "psi"), "abstract_pair",
+                 "'abstract_pair' needs 'phi' and 'psi'", id="abstract-pair-no-psi"),
+])
+def test_malformed_sections_name_their_field(text, path, message):
+    with pytest.raises(DocumentError) as info:
+        parse_document(text)
+    assert info.value.path == path
+    assert str(info.value) == (f"{path}: {message}" if path else message)

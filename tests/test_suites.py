@@ -260,3 +260,62 @@ def test_a_raising_case_keeps_the_smaller_false_case_before_it():
     outcome = suites._run("p", cases())
     assert (outcome.cases, outcome.failures) == (3, 2)
     assert outcome.minimal_failure == {"case": "false"}
+
+
+GUARDED = {
+    "predict_me_support": (
+        ["me rejects uncountable marks", "me rejects non-essential maps"],
+        ["me accepts an essential map on a countable chain"],
+    ),
+    "predict_max_pair": (
+        ["max-pair rejects non-strict pairs"],
+        ["max-pair accepts an admissible pair"],
+    ),
+    "predict_m0": (
+        ["m0 rejects attained finite jumps", "m0 rejects maps that move node 0"],
+        ["m0 accepts a zero-fixing map on an all-infinite chain"],
+    ),
+    "predict_m0_pair": (
+        ["m0-pair rejects attained finite jumps"],
+        ["m0-pair accepts a pair on an all-infinite chain"],
+    ),
+}
+
+
+def _stops_raising(real):
+    def fake(x):
+        try:
+            return real(x)
+        except chaincalc.ChainError:
+            return x
+    return fake
+
+
+def _raises_the_base_error(real):
+    def fake(x):
+        try:
+            return real(x)
+        except chaincalc.ChainError as exc:
+            raise chaincalc.ChainError(str(exc)) from None
+    return fake
+
+
+def _raises_on_acceptance(real):
+    def fake(x):
+        real(x)
+        raise chaincalc.PairAdmissibilityError("refused")
+    return fake
+
+
+@pytest.mark.parametrize("prediction", sorted(GUARDED))
+@pytest.mark.parametrize("fault, broken", [
+    (_stops_raising, 0), (_raises_the_base_error, 0), (_raises_on_acceptance, 1),
+])
+def test_guard_cases_report_a_faulty_prediction(monkeypatch, prediction, fault, broken):
+    assert all(ok for ok, _ in suites._guard_cases())
+    monkeypatch.setattr(suites, prediction, fault(getattr(suites, prediction)))
+    cases = suites._guard_cases()
+    assert [name for _, name in cases] == [
+        name for rejects, accepts in GUARDED.values() for name in (*rejects, *accepts)
+    ]
+    assert {name for ok, name in cases if not ok} == set(GUARDED[prediction][broken])
