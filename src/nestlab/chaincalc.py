@@ -97,7 +97,7 @@ class AbstractNest:
             if node.cofinality is not None:
                 raise ChainError(f"attained node {node.label!r} takes no cofinality mark")
             gap = node.gap
-            ok = gap == INFINITE or (isinstance(gap, int) and gap >= 1)
+            ok = gap == INFINITE or (type(gap) is int and gap >= 1)
             if not ok:
                 raise ChainError(
                     f"node {node.label!r} needs a positive or infinite jump dimension"
@@ -202,6 +202,8 @@ class AbstractSupportFn:
         if len(value) != k or len(left_limit) != k:
             raise ChainError("map tables must cover every node exactly once")
         for v in value:
+            if type(v) is not int:
+                raise ChainError(f"value index {v!r} is not an integer")
             if not 0 <= v < k:
                 raise ChainError(f"value index {v} is out of range")
         for a, b in zip(value, value[1:]):
@@ -211,6 +213,8 @@ class AbstractSupportFn:
             if node.below == LIMIT:
                 if ll is None:
                     raise ChainError(f"limit node {node.label!r} needs a left limit")
+                if type(ll) is not int:
+                    raise ChainError(f"left limit index {ll!r} is not an integer")
                 if not 0 <= ll < k:
                     raise ChainError(f"left limit index {ll} is out of range")
                 if not (value[i - 1] <= ll <= value[i]):

@@ -29,7 +29,14 @@ from .chaincalc import (
     predict_max_pair,
     predict_me_support,
 )
-from .documents import WorkbenchDoc, _fmt_abstract_fn, _fmt_matrix, _fmt_vector, parse_document
+from .documents import (
+    WorkbenchDoc,
+    _fmt_abstract_fn,
+    _fmt_matrix,
+    _fmt_pair,
+    _fmt_rank_one,
+    parse_document,
+)
 from .errors import DocumentError, NestlabError, UnknownCommandError
 from .opspace import (
     decompose,
@@ -157,13 +164,7 @@ def _cmd_decompose(doc: WorkbenchDoc) -> Any:
     targets = doc.matrices("target")
     if len(targets) != 1:
         raise DocumentError("'target' must hold exactly one matrix", path="operators.target")
-    factors = decompose(nest, phi, targets[0])
-    return {
-        "factors": [
-            {"functional": _fmt_vector(f.functional), "vector": _fmt_vector(f.vector)}
-            for f in factors
-        ]
-    }
+    return {"factors": [_fmt_rank_one(f) for f in decompose(nest, phi, targets[0])]}
 
 
 def _cmd_rank_one_check(doc: WorkbenchDoc) -> Any:
@@ -216,10 +217,6 @@ COMMANDS = {
 def _p_infinity(doc: WorkbenchDoc) -> Any:
     chain = doc.require_chain()
     return {"result": check_p_infinity(chain), "finite_stratum_empty": not chain.finite_stratum()}
-
-
-def _fmt_pair(pair) -> dict:
-    return {"phi": _fmt_abstract_fn(pair.phi), "psi": _fmt_abstract_fn(pair.psi)}
 
 
 # The kinds of the two kinded commands.  Each handler names the chaincalc

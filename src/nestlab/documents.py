@@ -44,11 +44,6 @@ MAX_RATIONAL_EXPONENT = 256
 MAX_AMBIENT_DIM = 16
 
 
-def _is_int(raw: Any) -> bool:
-    # JSON true and false load as bool, which is an int subclass
-    return isinstance(raw, int) and not isinstance(raw, bool)
-
-
 def _rational(raw: Any, path: str) -> Fraction:
     if not isinstance(raw, str):
         raise DocumentError(
@@ -144,7 +139,7 @@ def _parse_chain(raw: Any, path: str) -> AbstractNest:
                 gap = below["gap"]
                 if gap == "inf":
                     gap = math.inf
-                elif not _is_int(gap):
+                elif type(gap) is not int:
                     raise DocumentError(
                         "'gap' is a positive integer or \"inf\"",
                         path=f"{path}.nodes[{i}].below.gap",
@@ -209,6 +204,14 @@ def _parse_abstract_fn(raw: Any, chain: AbstractNest, path: str) -> AbstractSupp
 def _fmt_abstract_fn(f: AbstractSupportFn) -> dict:
     value, left = f.as_tables()
     return {"value": value, "left_limit": left}
+
+
+def _fmt_pair(pair: SupportPair) -> dict:
+    return {"phi": _fmt_abstract_fn(pair.phi), "psi": _fmt_abstract_fn(pair.psi)}
+
+
+def _fmt_rank_one(r: RankOne) -> dict:
+    return {"functional": _fmt_vector(r.functional), "vector": _fmt_vector(r.vector)}
 
 
 @dataclass
@@ -311,7 +314,7 @@ def parse_document(text: str) -> WorkbenchDoc:
     doc = WorkbenchDoc()
     if "ambient_dim" in raw:
         dim = raw["ambient_dim"]
-        if not _is_int(dim) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise DocumentError("'ambient_dim' must be a positive integer", path="ambient_dim")
         if dim > MAX_AMBIENT_DIM:
             raise DocumentError(f"'ambient_dim' is at most {MAX_AMBIENT_DIM}", path="ambient_dim")
@@ -343,7 +346,7 @@ def parse_document(text: str) -> WorkbenchDoc:
             ]
     if "support_fn" in raw:
         sv = raw["support_fn"]
-        if not isinstance(sv, list) or not all(_is_int(x) for x in sv):
+        if not isinstance(sv, list) or not all(type(x) is int for x in sv):
             raise DocumentError("'support_fn' is an array of element indices", path="support_fn")
         doc.support_values = list(sv)
         if doc.nest_bases is not None:
@@ -391,19 +394,13 @@ def document_payload(doc: WorkbenchDoc) -> dict:
     if doc.support_values is not None:
         out["support_fn"] = list(doc.support_values)
     if doc.rank_one is not None:
-        out["rank_one"] = {
-            "functional": _fmt_vector(doc.rank_one.functional),
-            "vector": _fmt_vector(doc.rank_one.vector),
-        }
+        out["rank_one"] = _fmt_rank_one(doc.rank_one)
     if doc.chain is not None:
         out["chain"] = _fmt_chain(doc.chain)
     if doc.abstract_fn is not None:
         out["abstract_fn"] = _fmt_abstract_fn(doc.abstract_fn)
     if doc.abstract_pair is not None:
-        out["abstract_pair"] = {
-            "phi": _fmt_abstract_fn(doc.abstract_pair.phi),
-            "psi": _fmt_abstract_fn(doc.abstract_pair.psi),
-        }
+        out["abstract_pair"] = _fmt_pair(doc.abstract_pair)
     return out
 
 

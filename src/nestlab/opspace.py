@@ -42,7 +42,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     AmbientMismatchError,
-    InvariantError,
     NotABimoduleError,
     NotAMemberError,
     SupportFunctionError,
@@ -112,6 +111,10 @@ class SupportFn:
         if len(self.values) != k:
             raise SupportFunctionError("support table length does not match the nest")
         for v in self.values:
+            # exactly int: a bool or a float passes the range check below, but
+            # a bool serializes as true, and a float cannot index a table
+            if type(v) is not int:
+                raise SupportFunctionError(f"support value {v!r} is not an integer")
             if not 0 <= v < k:
                 raise SupportFunctionError(f"support value {v} is out of range")
         for a, b in zip(self.values, self.values[1:]):
@@ -437,10 +440,10 @@ def rank_one_in_m(nest: Nest, phi: SupportFn, r: RankOne) -> tuple[bool, Subspac
 # finite-rank decomposition
 # ---------------------------------------------------------------------------
 
-def _first_meet_vector(nest: Nest, r: Sequence[Sequence[int]]) -> list[int] | None:
+def _first_meet_vector(nest: Nest, r: Sequence[Sequence[int]]) -> list[int]:
     """The first row of the primitive integer RREF of L meet W, where W is the
-    column space of the integer matrix r and L the smallest nest element
-    meeting W; None when that meet is zero.
+    nonzero column space of the integer matrix r and L the smallest nest
+    element meeting W (the top element meets it, so L exists).
 
     One Zassenhaus echelon answers both questions.  It holds [w | 0] for the
     columns w of r, then [u | u] for the adapted basis vectors u, level by
@@ -459,8 +462,6 @@ def _first_meet_vector(nest: Nest, r: Sequence[Sequence[int]]) -> list[int] | No
         if z.pivots and z.pivots[-1] >= n:
             break
     cap = [(row[n:], p - n) for row, p in zip(z.rows, z.pivots) if p >= n]
-    if not cap:
-        return None
     rows, pivots = zip(*cap)
     return IntEchelon(n, rows, pivots).reduced().rows[0]
 
@@ -476,10 +477,12 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
     row of the remainder at the pivot position p of x.  With c = x_p, a step
     sets r to c r - x (x) r_p and d to c d, then divides both by their gcd.
     Since x lies in the range, each step is a Wedderburn rank-one reduction
-    and lowers the rank by exactly one, so rank(t) steps leave the zero
-    operator.  A `Fraction` is made only in the returned factors, r_p / d and
-    x / c.  `oracles.decompose` is the same reduction over Fraction, through
-    `span`, `smallest_intersecting` and `meet`.
+    and lowers the rank by exactly one.  The loop runs until the remainder is
+    zero, at most n times since rank(t) <= n, and so takes rank(t) steps; a
+    faulty step would give a wrong sum, which the independent gates catch,
+    not a hang.  A `Fraction` is made only in the returned factors, r_p / d
+    and x / c.  `oracles.decompose` is the same reduction over Fraction,
+    through `span`, `smallest_intersecting` and `meet`.
     """
     n = nest.ambient_dim
     if phi.nest != nest:
@@ -489,20 +492,17 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
     d = lcm(*(x.denominator for row in t.entries for x in row))
     r = [[x.numerator * (d // x.denominator) for x in row] for row in t.entries]
     flat = [x for row in r for x in row]
-    hull = _hull_values(nest, [flat] if any(flat) else [])
+    hull = _hull_values(nest, [flat])
     if any(h > v for h, v in zip(hull, phi.values)):
         raise NotAMemberError(
             "operator does not map every nest element into its support value"
         )
 
-    steps = IntEchelon(n)
-    for row in r:
-        steps.insert(row)
     factors: list[RankOne] = []
-    for _ in range(steps.dim):
+    for _ in range(n):
+        if not any(map(any, r)):
+            break
         x = _first_meet_vector(nest, r)
-        if x is None:
-            raise InvariantError("the smallest element meeting the range misses it")
         p = _pivot(x)
         c = x[p]
         rp = r[p]
@@ -516,6 +516,4 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
         if g > 1:
             r = [[a // g for a in row] for row in r]
             d //= g
-    if any(map(any, r)):
-        raise InvariantError("a rank-one factor did not lower the rank by one")
     return factors

@@ -78,12 +78,16 @@ def random_member(rng: random.Random, space: OperatorSpace) -> Matrix:
     return Matrix.from_flat(flat, n, n)
 
 
-def random_support_with_space(rng: random.Random, max_tries: int = 20):
-    """(nest, phi, M(phi)) with a nonzero operator space, for decomposition."""
-    for _ in range(max_tries):
+def random_support_with_space(rng: random.Random):
+    """(nest, phi, M(phi)) with a nonzero operator space, for decomposition.
+
+    M(phi) is zero only when phi is zero at every element, which a uniform
+    monotone table on k >= 2 elements is with probability (1/k)^k <= 1/4,
+    so the draws repeat until the space is nonzero.
+    """
+    while True:
         nest = random_nest(rng)
         phi = random_support(rng, nest)
         space = m_of(nest, phi)
         if space.dim > 0:
             return nest, phi, space
-    raise AssertionError("sampling failed to produce a nonzero operator space")

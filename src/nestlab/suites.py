@@ -1,11 +1,13 @@
 """Property suites behind the proptest harness.
 
 Each suite turns a family of algebraic laws into executable checks over
-seeded random samples (see sampling) or exhaustive enumerations.  A suite
-reports one outcome per property with the number of cases run and, on
-failure, the smallest failing input encountered, described only once, after
-the run: as the nestlab/1 document and CLI command that replay it, or as a
-plain dict for subspace pairs and guard cases, which no command takes.
+seeded random samples (see sampling) or exhaustive enumerations.  Where
+several laws are checked on the same inputs, each property is a predicate
+over one shared sample stream, which it draws afresh.  A suite reports one
+outcome per property with the number of cases run and, on failure, the
+smallest failing input encountered, described only once, after the run: as
+the nestlab/1 document and CLI command that replay it, or as a plain dict
+for subspace pairs and guard cases, which no command takes.
 
 The chain sweep is exhaustive over a pinned annotation alphabet: jumps are
 drawn from {1, inf} and limits on either side carry either cardinality mark.
@@ -88,6 +90,13 @@ class PropertyOutcome:
 # (passed, complexity, describer): only the minimal failure's describer is
 # called, so its arguments are bound with partial, never read from loop variables
 Case = tuple[bool, tuple, Callable[[], dict]]
+
+
+def _holds(predicate: Callable[..., bool], samples: Iterable[tuple]) -> Iterator[Case]:
+    """The cases of a predicate over a sample stream, whose draws are
+    (predicate arguments, complexity, describer)."""
+    for args, complexity, describer in samples:
+        yield predicate(*args), complexity, describer
 
 
 def _run(name: str, cases: Iterable[Case]) -> PropertyOutcome:
@@ -228,51 +237,41 @@ def _matches_constraints(nest, phi: SupportFn) -> bool:
 def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
     nest = canonical_triangular_nest()
 
-    def galois_exhaustive() -> Iterator[Case]:
+    def exhaustive() -> Iterator[tuple]:
         for phi in zero_fixing_supports(nest):
-            ok = support_of(nest, m_of(nest, phi)) == phi
-            yield ok, (phi.values,), partial(_replay, "m-of-phi", nest, support_values=phi.values)
+            yield (nest, phi), (phi.values,), partial(
+                _replay, "m-of-phi", nest, support_values=phi.values
+            )
 
-    def injective_exhaustive() -> Iterator[Case]:
-        seen: dict = {}
-        for phi in zero_fixing_supports(nest):
-            space = m_of(nest, phi)
-            key = space.space
-            ok = key not in seen
-            seen[key] = phi
-            yield ok, (phi.values,), partial(_replay, "m-of-phi", nest, support_values=phi.values)
-
-    def dim_formula_exhaustive() -> Iterator[Case]:
-        for phi in zero_fixing_supports(nest):
-            ok = _matches_constraints(nest, phi)
-            yield ok, (phi.values,), partial(_replay, "m-of-phi", nest, support_values=phi.values)
-
-    def galois_random() -> Iterator[Case]:
-        rng = _rng(seed, "galois")
+    def random_supports(tag: str, fix_zero: bool = False) -> Iterator[tuple]:
+        rng = _rng(seed, tag)
         for _ in range(cases):
             rnest = sampling.random_nest(rng)
-            phi = sampling.random_support(rng, rnest, fix_zero=True)
-            ok = support_of(rnest, m_of(rnest, phi)) == phi
-            yield ok, (rnest.ambient_dim, len(rnest)), partial(
+            phi = sampling.random_support(rng, rnest, fix_zero=fix_zero)
+            yield (rnest, phi), (rnest.ambient_dim, len(rnest)), partial(
                 _replay, "m-of-phi", rnest, support_values=phi.values
             )
 
-    def dim_formula_random() -> Iterator[Case]:
-        rng = _rng(seed, "dimformula")
-        for _ in range(cases):
-            rnest = sampling.random_nest(rng)
-            phi = sampling.random_support(rng, rnest)
-            ok = _matches_constraints(rnest, phi)
-            yield ok, (rnest.ambient_dim, len(rnest)), partial(
-                _replay, "m-of-phi", rnest, support_values=phi.values
-            )
+    def galois(nest, phi: SupportFn) -> bool:
+        return support_of(nest, m_of(nest, phi)) == phi
+
+    seen: set = set()
+
+    def injective(nest, phi: SupportFn) -> bool:
+        key = m_of(nest, phi).space
+        ok = key not in seen
+        seen.add(key)
+        return ok
 
     return [
-        _run("support of m_of(phi) returns phi (exhaustive)", galois_exhaustive()),
-        _run("m_of is injective on zero-fixing supports (exhaustive)", injective_exhaustive()),
-        _run("dimension formula (exhaustive)", dim_formula_exhaustive()),
-        _run("support of m_of(phi) returns phi (random)", galois_random()),
-        _run("dimension formula (random)", dim_formula_random()),
+        _run("support of m_of(phi) returns phi (exhaustive)", _holds(galois, exhaustive())),
+        _run("m_of is injective on zero-fixing supports (exhaustive)",
+             _holds(injective, exhaustive())),
+        _run("dimension formula (exhaustive)", _holds(_matches_constraints, exhaustive())),
+        _run("support of m_of(phi) returns phi (random)",
+             _holds(galois, random_supports("galois", fix_zero=True))),
+        _run("dimension formula (random)",
+             _holds(_matches_constraints, random_supports("dimformula"))),
     ]
 
 
@@ -499,26 +498,23 @@ def suite_chaincalc(seed: int, cases: int) -> list[PropertyOutcome]:
             oracle_cache[key] = oracle_greatest_lc_minorant(f)
         return oracle_cache[key]
 
-    def matches_oracle() -> Iterator[Case]:
+    def maps() -> Iterator[tuple]:
         for chain, f in sweep:
-            reg = lower_regularization(f)
-            ok = reg.value == oracle_for(f)
-            yield ok, (len(chain), f.value), partial(_replay, "chain-regularize", abstract_fn=f)
+            yield (f,), (len(chain), f.value), partial(_replay, "chain-regularize", abstract_fn=f)
 
-    def idempotent_dominated() -> Iterator[Case]:
-        for chain, f in sweep:
-            reg = lower_regularization(f)
-            ok = (
-                lower_regularization(reg) == reg
-                and all(r <= v for r, v in zip(reg.value, f.value))
-                and check_left_continuous(reg)
-            )
-            yield ok, (len(chain), f.value), partial(_replay, "chain-regularize", abstract_fn=f)
+    def matches_oracle(f: AbstractSupportFn) -> bool:
+        return lower_regularization(f).value == oracle_for(f)
 
-    def fixes_lc() -> Iterator[Case]:
-        for chain, f in sweep:
-            ok = (lower_regularization(f) == f) == check_left_continuous(f)
-            yield ok, (len(chain), f.value), partial(_replay, "chain-regularize", abstract_fn=f)
+    def idempotent_dominated(f: AbstractSupportFn) -> bool:
+        reg = lower_regularization(f)
+        return (
+            lower_regularization(reg) == reg
+            and all(r <= v for r, v in zip(reg.value, f.value))
+            and check_left_continuous(reg)
+        )
+
+    def fixes_lc(f: AbstractSupportFn) -> bool:
+        return (lower_regularization(f) == f) == check_left_continuous(f)
 
     def guards() -> Iterator[Case]:
         for ok, name in _guard_cases():
@@ -537,9 +533,11 @@ def suite_chaincalc(seed: int, cases: int) -> list[PropertyOutcome]:
             yield ok, (len(chain), f.value), partial(_replay, "chain-predict m0", abstract_fn=f)
 
     return [
-        _run("regularization equals the enumerated greatest minorant", matches_oracle()),
-        _run("regularization is idempotent, dominated, left continuous", idempotent_dominated()),
-        _run("regularization fixes exactly the left-continuous maps", fixes_lc()),
+        _run("regularization equals the enumerated greatest minorant",
+             _holds(matches_oracle, maps())),
+        _run("regularization is idempotent, dominated, left continuous",
+             _holds(idempotent_dominated, maps())),
+        _run("regularization fixes exactly the left-continuous maps", _holds(fixes_lc, maps())),
         _run("prediction guards reject violated hypotheses", guards()),
         _run("predicted pairs pass their own validators", predictions_validate()),
     ]

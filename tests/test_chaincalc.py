@@ -127,6 +127,11 @@ TOP = ChainNode("X", below=ATTAINED, gap=1)
      ChainError, "attained node 'A' takes no coinitiality mark"),
     ([ZERO, ChainNode("A", below=ATTAINED, gap=1, above=LIMIT), TOP],
      ChainError, "node 'A' needs a coinitiality mark"),
+    # a bool gap would serialize as "gap": true, which the parser rejects
+    ([ZERO, ChainNode("A", below=ATTAINED, gap=True, above=ATTAINED), TOP],
+     ChainError, "node 'A' needs a positive or infinite jump dimension"),
+    ([ZERO, ChainNode("A", below=ATTAINED, gap=1.0, above=ATTAINED), TOP],
+     ChainError, "node 'A' needs a positive or infinite jump dimension"),
 ])
 def test_chain_validation_names_the_fault(nodes, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -167,6 +172,13 @@ def dense_phi():
     (dense_chain, (0, 1, 2, 3, 4), (None, 1, 7, 3, 4), "left limit index 7 is out of range"),
     (finite_chain, (0, 1, 2), (None, 1, None),
      "node 'A' is attained from below and takes no left limit"),
+    # a float index would fail in as_tables, and a bool would not serialize
+    (dense_chain, (0, True, 2, 3, 4), (None, 1, 2, 3, 4), "value index True is not an integer"),
+    (dense_chain, (0, 1.0, 2, 3, 4), (None, 1, 2, 3, 4), "value index 1.0 is not an integer"),
+    (dense_chain, (0, 1, 2, 3, 4), (None, True, 2, 3, 4),
+     "left limit index True is not an integer"),
+    (dense_chain, (0, 1, 2, 3, 4), (None, 1.0, 2, 3, 4),
+     "left limit index 1.0 is not an integer"),
 ])
 def test_map_tables_name_the_fault(chain, value, left_limit, message):
     with pytest.raises(ChainError, match=f"^{re.escape(message)}$"):

@@ -89,6 +89,10 @@ def test_support_fn_rejects_bad_tables():
         SupportFn(nest, (0, 1, 2))
     with pytest.raises(SupportFunctionError):
         SupportFn(nest, (0, 1, 2, 9))
+    # a float value would fail in m_of, and a bool would not serialize
+    for value in (True, 1.0):
+        with pytest.raises(SupportFunctionError, match=f"^support value {value!r} is not"):
+            SupportFn(nest, (0, value, 2, 3))
 
 
 def test_m_of_dimension_formula():
@@ -495,6 +499,17 @@ def test_decompose_factor_count_is_rank():
     for f in factors:
         member, _ = oracles.rank_one_in_m(nest, phi, f)
         assert member
+
+
+def test_a_faulty_step_ends_the_decomposition_after_n_steps(monkeypatch):
+    # the vector e2 lies outside the range of T = e11 and T's row 2 is zero,
+    # so every step leaves the remainder as it was
+    nest = triangular()
+    monkeypatch.setattr(opspace, "_first_meet_vector", lambda nest, r: [0, 1, 0])
+    t = unit(3, 0, 0)
+    factors = decompose(nest, SupportFn.identity(nest), t)
+    assert len(factors) == 3
+    assert sum_of(factors, 3) != t
 
 
 def _combination(rng, rows):

@@ -9,7 +9,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from nestlab import RankOne, chaincalc, check_left_continuous, cli, nest_algebra, suites
+from nestlab import (
+    RankOne,
+    chaincalc,
+    check_left_continuous,
+    cli,
+    nest_algebra,
+    opspace,
+    span,
+    suites,
+)
 from nestlab.documents import parse_document
 from nestlab.suites import SUITES, PropertyOutcome, bimodule_samples, run_suite
 
@@ -115,6 +124,26 @@ def test_decompose_property_catches_wrong_factors(monkeypatch, corrupt):
     monkeypatch.setattr(suites, "decompose", lambda nest, phi, t: corrupt(real(nest, phi, t)))
     (outcome,) = run_suite("decompose", 0, 10)
     assert outcome.failures > 0 and outcome.minimal_failure is not None
+
+
+def test_decompose_property_reports_a_faulty_step_as_a_false_case(monkeypatch):
+    real = opspace._first_meet_vector
+
+    def outside_the_range(nest, r):
+        # a unit vector e_j outside the range of r whose row r_j is nonzero,
+        # so that each factor stays nonzero; the true vector when none is
+        n = nest.ambient_dim
+        w = span([list(column) for column in zip(*r)], n)
+        for j in range(n):
+            e = [int(i == j) for i in range(n)]
+            if any(r[j]) and not w.contains_row(e):
+                return e
+        return real(nest, r)
+
+    monkeypatch.setattr(opspace, "_first_meet_vector", outside_the_range)
+    (outcome,) = run_suite("decompose", 0, 10)
+    assert outcome.failures > 0
+    assert outcome.minimal_failure["command"] == "decompose"
 
 
 def test_only_the_minimal_failure_is_described():
@@ -249,6 +278,25 @@ def test_a_property_that_raises_fails_alone(monkeypatch):
     assert predictions.minimal_failure == {"error": {
         "type": "PairAdmissibilityError", "message": "phi must be left continuous",
     }}
+
+
+def test_each_regularization_property_draws_its_own_stream(monkeypatch):
+    real_sweep = suites.sweep_chains
+    monkeypatch.setattr(suites, "sweep_chains", lambda: real_sweep(3))
+    calls = []
+
+    def broken(f):
+        calls.append(f)
+        raise RuntimeError(f"call {len(calls)}")
+
+    monkeypatch.setattr(suites, "lower_regularization", broken)
+    *regularization, guards, predictions = run_suite("chaincalc", 0, 1)
+    assert [(o.cases, o.failures, o.minimal_failure) for o in regularization] == [
+        (1, 1, {"error": {"type": "RuntimeError", "message": f"call {k}"}}) for k in (1, 2, 3)
+    ]
+    first = next(suites.sweep_maps(next(real_sweep(2))))
+    assert calls == [first] * 3
+    assert guards.passed and predictions.passed
 
 
 def test_a_raising_case_keeps_the_smaller_false_case_before_it():
