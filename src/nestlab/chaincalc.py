@@ -71,6 +71,9 @@ class AbstractNest:
         object.__setattr__(self, "nodes", nodes)
         if len(nodes) < 2:
             raise MissingEndpointError("a chain needs at least the nodes 0 and X")
+        for i, node in enumerate(nodes):
+            if not isinstance(node.label, str):
+                raise ChainError(f"node at index {i} needs a string label, not {node.label!r}")
         if nodes[0].label != "0":
             raise MissingEndpointError('the chain must start at a node labelled "0"')
         if nodes[-1].label != "X":
@@ -154,22 +157,6 @@ class AbstractNest:
         must be marked as a limit from above.
         """
         return i == len(self.nodes) - 1 or self.limit_above(i)
-
-    def quotient_dim(self, i: int, j: int) -> int | float:
-        """Dimension of node j over node i, summed along the presentation.
-
-        Any limit node or infinite jump strictly inside the segment forces the
-        answer to be infinite.
-        """
-        if i > j:
-            raise ChainError("quotient runs from the smaller node to the larger")
-        total: int | float = 0
-        for k in range(i + 1, j + 1):
-            node = self.nodes[k]
-            if node.below == LIMIT or node.gap == INFINITE:
-                return INFINITE
-            total += node.gap
-        return total
 
 
 def validate_chain(nodes: Sequence[ChainNode]) -> AbstractNest:

@@ -21,10 +21,6 @@ class AmbientMismatchError(NestlabError):
     """Two objects live in different ambient dimensions."""
 
 
-class ContainmentError(NestlabError):
-    """A required subspace containment does not hold."""
-
-
 # --- nests -----------------------------------------------------------------
 
 class IncomparableError(NestlabError):
@@ -33,10 +29,6 @@ class IncomparableError(NestlabError):
 
 class NotAnElementError(NestlabError):
     """The given subspace (or index) is not a member of the nest."""
-
-
-class ZeroSubspaceError(NestlabError):
-    """The zero subspace was passed where a nonzero one is required."""
 
 
 # --- operator spaces ---------------------------------------------------------
@@ -55,10 +47,6 @@ class NotAMemberError(NestlabError):
 
 class SupportFunctionError(NestlabError):
     """A support function table is malformed (non-monotone or out of range)."""
-
-
-class InvariantError(NestlabError):
-    """An internal invariant of a computation failed; this is a bug, not bad input."""
 
 
 # --- abstract chains ---------------------------------------------------------

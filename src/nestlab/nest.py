@@ -1,11 +1,7 @@
 """Finite nests: totally ordered chains of subspaces of Q^n.
 
 A nest always contains the zero subspace and the full space; in between the
-elements are strictly increasing.  Because the chain is finite, every element
-has an immediate predecessor and successor inside the chain (with the usual
-conventions at the endpoints).  A property that passes from each element to
-every larger one, such as containing a vector or meeting a subspace, is
-decided by the first element that has it.
+elements are strictly increasing.
 
 The constructor checks the chain in one echelon pass, which also builds the
 basis adapted to the nest (`Nest.adapted_levels`) that the chain-level walks
@@ -18,13 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import (
-    AmbientMismatchError,
-    IncomparableError,
-    NotAnElementError,
-    ZeroSubspaceError,
-)
-from .ratlin import IntEchelon, Subspace, annihilator, join
+from .errors import AmbientMismatchError, IncomparableError, NotAnElementError
+from .ratlin import IntEchelon, Subspace, annihilator
 
 
 @dataclass(frozen=True)
@@ -87,20 +78,6 @@ class Nest:
                 return i
         raise NotAnElementError("subspace is not a member of the nest")
 
-    @property
-    def bottom(self) -> Subspace:
-        return self.elements[0]
-
-    @property
-    def top(self) -> Subspace:
-        return self.elements[-1]
-
-    def gap(self, i: int) -> int:
-        """dim(E_i / E_{i-1}); zero for the bottom element."""
-        if i == 0:
-            return 0
-        return self.elements[i].dim - self.elements[i - 1].dim
-
     @cached_property
     def annihilators(self) -> tuple[Subspace, ...]:
         """annihilator(E_j) for each element, in chain order: the functionals
@@ -127,27 +104,3 @@ def validate_nest(subspaces: Iterable[Subspace], n: int) -> Nest:
     if chain[-1].dim != n:
         chain.append(Subspace.full(n))
     return Nest(n, tuple(chain))
-
-
-def adjacent(nest: Nest, e: Subspace) -> tuple[Subspace, Subspace]:
-    """Immediate predecessor and successor of e inside the nest.
-
-    The bottom is its own predecessor and the top its own successor.
-    """
-    i = nest.index_of(e)
-    below = nest.elements[i - 1] if i > 0 else nest.elements[0]
-    above = nest.elements[i + 1] if i + 1 < len(nest.elements) else nest.elements[-1]
-    return below, above
-
-
-def smallest_intersecting(nest: Nest, w: Subspace) -> Subspace:
-    """The meet of all nest elements that meet w nontrivially.
-
-    On a chain the elements meeting w form an upper segment, so their meet is
-    the first of them: the first E with dim(E join w) < dim E + dim w.
-    """
-    if w.ambient_dim != nest.ambient_dim:
-        raise AmbientMismatchError("subspace lives in a different ambient than the nest")
-    if w.is_zero():
-        raise ZeroSubspaceError("the zero subspace meets no nest element nontrivially")
-    return next(e for e in nest.elements if join(e, w).dim < e.dim + w.dim)

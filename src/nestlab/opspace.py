@@ -482,7 +482,8 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
     faulty step would give a wrong sum, which the independent gates catch,
     not a hang.  A `Fraction` is made only in the returned factors, r_p / d
     and x / c.  `oracles.decompose` is the same reduction over Fraction,
-    through `span`, `smallest_intersecting` and `meet`.
+    which finds W, L and L meet W with the lattice operations `span`, `join`
+    and `meet`.
     """
     n = nest.ambient_dim
     if phi.nest != nest:

@@ -1,36 +1,43 @@
-"""Literal constructions of the operator-space objects, kept as test oracles.
+"""Literal constructions, kept as test oracles.
 
 `opspace` computes the nest algebra, m_of, generated bimodules and the
 bimodule test from support functions, and rank-one membership from the chain
-levels of the vector and the functional.  The functions here evaluate the
-definitions instead: m_of as the nullspace of the constraints f(T b) = 0, the
-generated bimodule as a fixed-point closure under the algebra, the bimodule
-test by multiplying against the algebra basis, the support of an operator
-space by applying its basis to each element's basis, rank-one membership by
-direct invariance and by the chain-witness criteria, and the rank-one
-decomposition by Wedderburn steps over Fraction that rebuild the range and
-its meet with the nest through the lattice operations.  Two identities that
-hold for every bimodule and every nest element at finite dimension, rank-one
-absorption and the annihilator identity along the chain, are evaluated here
-literally as well, and so is the reduced echelon form, by back-substitution
-over Fraction.  The functions are much slower and share no logic with
-`opspace` beyond the linear-algebra kernel, so the property suites compare
-the two.  Only `suites` and the tests import this module.
+levels of the vector and the functional; `chaincalc` computes the lower
+regularization of a chain map by a closed form.  The functions here evaluate
+the definitions instead: m_of as the nullspace of the constraints
+f(T b) = 0, and its dimension by the formula sum_i dim(E_i / E_(i-1)) *
+dim phi(E_i); the generated bimodule as a fixed-point closure under the
+algebra; the bimodule test by multiplying against the algebra basis; the
+support of an operator space by applying its basis to each element's basis;
+rank-one membership by direct invariance and by the chain-witness criteria,
+which read each element's predecessor and successor (`_adjacent`); the
+rank-one decomposition by Wedderburn steps over Fraction that rebuild the
+range, the smallest nest element meeting it (`_smallest_intersecting`) and
+their meet through the lattice operations; and the greatest left-continuous
+minorant of a chain map by enumerating every monotone table.  Two identities
+that hold for every bimodule and every nest element at finite dimension,
+rank-one absorption and the annihilator identity along the chain, are
+evaluated here literally as well, and so is the reduced echelon form, by
+back-substitution over Fraction.  The functions are much slower and share no
+logic with `opspace` or `chaincalc` beyond the linear-algebra kernel, so the
+property suites compare the two.  Only `suites` and the tests import this
+module.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .chaincalc import AbstractSupportFn
 from .errors import (
     AmbientMismatchError,
-    InvariantError,
     NotABimoduleError,
     NotAMemberError,
     ZeroVectorError,
 )
-from .nest import Nest, adjacent, smallest_intersecting
+from .nest import Nest
 from .opspace import OperatorSpace, RankOne, SupportFn
 from .ratlin import (
     IntEchelon,
@@ -86,6 +93,13 @@ def m_of(nest: Nest, phi: SupportFn) -> OperatorSpace:
             for b in e.basis.entries:
                 constraints.append(tuple(fi * bj for fi in f for bj in b))
     return OperatorSpace(n, annihilator(span(constraints, n * n)))
+
+
+def dim_formula(nest: Nest, phi: SupportFn) -> int:
+    """dim m_of(phi) by the formula: the sum over the elements E_i of
+    dim(E_i / E_(i-1)) * dim phi(E_i)."""
+    els = nest.elements
+    return sum((els[i].dim - els[i - 1].dim) * phi(i).dim for i in range(1, len(els)))
 
 
 def nest_algebra(nest: Nest) -> OperatorSpace:
@@ -175,6 +189,30 @@ def is_bimodule(nest: Nest, s: OperatorSpace) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# walks along the chain
+# ---------------------------------------------------------------------------
+
+def _adjacent(nest: Nest, i: int) -> tuple[Subspace, Subspace]:
+    """The immediate predecessor and successor of the i-th element.
+
+    The bottom is its own predecessor and the top its own successor.
+    """
+    els = nest.elements
+    return els[max(i - 1, 0)], els[min(i + 1, len(els) - 1)]
+
+
+def _smallest_intersecting(nest: Nest, w: Subspace) -> Subspace:
+    """The meet of all nest elements that meet w nontrivially.
+
+    On a chain the elements meeting w form an upper segment, so their meet is
+    the first of them: the first E with dim(E join w) < dim E + dim w.
+    """
+    if w.is_zero():
+        raise ValueError("the zero subspace meets no nest element nontrivially")
+    return next(e for e in nest.elements if join(e, w).dim < e.dim + w.dim)
+
+
+# ---------------------------------------------------------------------------
 # rank-one membership
 # ---------------------------------------------------------------------------
 
@@ -199,14 +237,14 @@ def rank_one_in_alg(nest: Nest, r: RankOne) -> tuple[bool, Subspace | None, bool
         e.contains_vector(t.apply(b)) for e in nest.elements for b in e.basis.entries
     )
     witness = None
-    for e in nest.elements:
-        below, _ = adjacent(nest, e)
+    for i, e in enumerate(nest.elements):
+        below, _ = _adjacent(nest, i)
         if e.contains_vector(r.vector) and annihilator(below).contains_vector(r.functional):
             witness = e
             break
     by_successor = False
-    for e in nest.elements:
-        _, above = adjacent(nest, e)
+    for i, e in enumerate(nest.elements):
+        _, above = _adjacent(nest, i)
         if above.contains_vector(r.vector) and annihilator(e).contains_vector(r.functional):
             by_successor = True
             break
@@ -254,7 +292,7 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
 
     Membership is checked directly, T E inside phi(E) for every basis vector
     of every element.  Each step rebuilds the range W of the remainder with
-    `span`, takes L = `smallest_intersecting(nest, W)`, the first basis vector
+    `span`, takes L = `_smallest_intersecting(nest, W)`, the first basis vector
     x of `meet(L, W)` and the remainder's row at the pivot of x, and
     subtracts their outer product.
     """
@@ -276,16 +314,16 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
     current = t.entries
     for _ in range(rank(t)):
         w = span(zip(*current), n)
-        pick = meet(smallest_intersecting(nest, w), w)
+        pick = meet(_smallest_intersecting(nest, w), w)
         if pick.dim == 0:
-            raise InvariantError("the smallest element meeting the range misses it")
+            raise AssertionError("the smallest element meeting the range misses it")
         x = pick.basis.entries[0]
         pivot = next(j for j, c in enumerate(x) if c)
         row = current[pivot]
         factors.append(RankOne(row, x))
         current = [tuple(a - xi * b for a, b in zip(r, row)) for r, xi in zip(current, x)]
     if any(map(any, current)):
-        raise InvariantError("a rank-one factor did not lower the rank by one")
+        raise AssertionError("a rank-one factor did not lower the rank by one")
     return factors
 
 
@@ -304,8 +342,8 @@ def absorption_check(nest: Nest, j: OperatorSpace, n_idx: int, l_idx: int) -> bo
         raise NotABimoduleError("absorption is defined for bimodules only")
     big_n = nest.element(n_idx)
     big_l = nest.element(l_idx)
-    n_below, _ = adjacent(nest, big_n)
-    l_below, _ = adjacent(nest, big_l)
+    n_below, _ = _adjacent(nest, n_idx)
+    l_below, _ = _adjacent(nest, l_idx)
 
     mats = j.basis_matrices()
     escapes = any(
@@ -331,8 +369,36 @@ def perp_span_check(nest: Nest, e: Subspace) -> bool:
     i = nest.index_of(e)
     n = nest.ambient_dim
     lhs = Subspace.zero(n)
-    for nel in nest.elements:
-        _, above = adjacent(nest, nel)
+    for k, nel in enumerate(nest.elements):
+        _, above = _adjacent(nest, k)
         if above.contains(e) and above.dim > e.dim:
             lhs = join(lhs, annihilator(nel))
     return lhs == annihilator(nest.elements[i])
+
+
+# ---------------------------------------------------------------------------
+# abstract chains
+# ---------------------------------------------------------------------------
+
+def greatest_lc_minorant(f: AbstractSupportFn) -> tuple[int, ...]:
+    """Brute force over every monotone table: the pointwise maximum of all
+    left-continuous tables dominated by f.
+
+    A left-continuous candidate has its value at a limit node equal to its
+    declared join there, and domination compares declared joins as well, so a
+    candidate is admissible iff its values stay below f's values everywhere
+    and below f's declared left limit at limit nodes.
+    """
+    chain = f.chain
+    k = len(chain)
+    # the constant-zero table always qualifies, and values are never negative
+    best = (0,) * k
+    for values in itertools.combinations_with_replacement(range(k), k):
+        if any(values[i] > f.value[i] for i in range(k)):
+            continue
+        if any(
+            chain.limit_below(i) and values[i] > f.left_limit[i] for i in range(k)
+        ):
+            continue
+        best = tuple(map(max, best, values))
+    return best

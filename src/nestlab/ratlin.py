@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import AmbientMismatchError, ContainmentError, DimensionMismatchError
+from .errors import AmbientMismatchError, DimensionMismatchError
 
 Vector = tuple[Fraction, ...]
 
@@ -372,10 +372,3 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatchError("meet of subspaces in different ambients")
     return annihilator(join(annihilator(a), annihilator(b)))
-
-
-def quotient_dim(a: Subspace, b: Subspace) -> int:
-    """dim(b / a) for a contained in b."""
-    if not b.contains(a):
-        raise ContainmentError("quotient requires the first subspace inside the second")
-    return b.dim - a.dim

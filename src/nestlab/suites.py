@@ -9,6 +9,11 @@ smallest failing input encountered, described only once, after the run: as
 the nestlab/1 document and CLI command that replay it, or as a plain dict
 for subspace pairs and guard cases, which no command takes.
 
+A property compares two independent computations: the closed forms of
+`opspace` and `chaincalc` against each other, against an identity, or against
+a literal construction.  Every literal construction lives in `oracles`; this
+module builds only samples and properties.
+
 The chain sweep is exhaustive over a pinned annotation alphabet: jumps are
 drawn from {1, inf} and limits on either side carry either cardinality mark.
 The full space of chains is infinite, so the alphabet is the smallest one
@@ -66,6 +71,8 @@ from .opspace import (
     span_of_rank_ones,
     support_of,
 )
+# the benchmark's cli workload reads the minorant oracle under this name
+from .oracles import greatest_lc_minorant as oracle_greatest_lc_minorant
 from .ratlin import (
     annihilator,
     join,
@@ -221,17 +228,11 @@ def zero_fixing_supports(nest) -> Iterator[SupportFn]:
         yield SupportFn(nest, (0,) + tail)
 
 
-def _dim_formula(nest, phi: SupportFn) -> int:
-    return sum(
-        nest.gap(i) * phi(i).dim for i in range(1, len(nest.elements))
-    )
-
-
 def _matches_constraints(nest, phi: SupportFn) -> bool:
     """m_of(phi) equals the constraint-system oracle, whose dimension is the
     formula's."""
     literal = oracles.m_of(nest, phi)
-    return m_of(nest, phi) == literal and literal.dim == _dim_formula(nest, phi)
+    return m_of(nest, phi) == literal and literal.dim == oracles.dim_formula(nest, phi)
 
 
 def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
@@ -458,30 +459,6 @@ def sweep_maps(chain: AbstractNest) -> Iterator[AbstractSupportFn]:
     for values in monotone_tables(len(chain)):
         for lls in left_limit_tables(chain, values):
             yield AbstractSupportFn(chain, values, lls)
-
-
-def oracle_greatest_lc_minorant(f: AbstractSupportFn) -> tuple[int, ...]:
-    """Brute force over every monotone table: the pointwise maximum of all
-    left-continuous tables dominated by f.
-
-    A left-continuous candidate has its value at a limit node equal to its
-    declared join there, and domination compares declared joins as well, so a
-    candidate is admissible iff its values stay below f's values everywhere
-    and below f's declared left limit at limit nodes.
-    """
-    chain = f.chain
-    k = len(chain)
-    # the constant-zero table always qualifies, and values are never negative
-    best = (0,) * k
-    for values in monotone_tables(k):
-        if any(values[i] > f.value[i] for i in range(k)):
-            continue
-        if any(
-            chain.limit_below(i) and values[i] > f.left_limit[i] for i in range(k)
-        ):
-            continue
-        best = tuple(map(max, best, values))
-    return best
 
 
 def suite_chaincalc(seed: int, cases: int) -> list[PropertyOutcome]:

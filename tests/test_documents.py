@@ -7,11 +7,13 @@ import pytest
 from nestlab import (
     DocumentError,
     JoinNotRepresentedError,
+    WorkbenchDoc,
     parse_document,
     serialize_document,
 )
 from nestlab.cli import main
 from nestlab.documents import MAX_AMBIENT_DIM, MAX_RATIONAL_CHARS, MAX_RATIONAL_EXPONENT
+from nestlab.suites import sweep_chains, sweep_maps
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -32,6 +34,21 @@ def fixture_text(name):
 def test_round_trip_is_identity(name):
     text = fixture_text(name)
     assert serialize_document(parse_document(text)) == text
+
+
+def test_swept_chains_and_maps_round_trip():
+    # what the Python API builds, the serializer writes and the parser reads
+    # back: every chain of up to three nodes over the sweep alphabet, alone
+    # and with each of its maps
+    docs = 0
+    for chain in sweep_chains(3):
+        for doc in [WorkbenchDoc(chain=chain)] + [
+            WorkbenchDoc(chain=chain, abstract_fn=f) for f in sweep_maps(chain)
+        ]:
+            text = serialize_document(doc)
+            assert parse_document(text) == doc, text
+            docs += 1
+    assert docs == 156 + 2238
 
 
 def test_parse_rejects_bad_json():

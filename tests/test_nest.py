@@ -12,17 +12,14 @@ from nestlab import (
     NotAnElementError,
     Subspace,
     SupportFn,
-    ZeroSubspaceError,
-    adjacent,
     m_of,
     meet,
     nest_algebra,
-    smallest_intersecting,
     span,
     span_of_rank_ones,
     validate_nest,
 )
-from nestlab.oracles import perp_span_check
+from nestlab.oracles import _adjacent, _smallest_intersecting, perp_span_check
 
 
 def triangular():
@@ -35,8 +32,8 @@ def triangular():
 def test_validate_inserts_endpoints():
     nest = triangular()
     assert len(nest) == 4
-    assert nest.bottom == Subspace.zero(3)
-    assert nest.top == Subspace.full(3)
+    assert nest.elements[0] == Subspace.zero(3)
+    assert nest.elements[-1] == Subspace.full(3)
     assert [e.dim for e in nest] == [0, 1, 2, 3]
 
 
@@ -89,26 +86,21 @@ def test_element_lookup():
         nest.index_of(span([(0, 1, 0)], 3))
 
 
-def test_gaps():
-    nest = triangular()
-    assert [nest.gap(i) for i in range(4)] == [0, 1, 1, 1]
-
-
 def test_adjacent_conventions():
     nest = triangular()
-    below, above = adjacent(nest, nest.bottom)
-    assert below == nest.bottom and above == nest.element(1)
-    below, above = adjacent(nest, nest.top)
-    assert below == nest.element(2) and above == nest.top
+    bottom, e1, e2, top = nest.elements
+    assert _adjacent(nest, 0) == (bottom, e1)
+    assert _adjacent(nest, 2) == (e1, top)
+    assert _adjacent(nest, 3) == (e2, top)
 
 
 def test_smallest_intersecting_example():
     nest = triangular()
     w = span([(0, 1, 1)], 3)
-    assert smallest_intersecting(nest, w) == nest.top
-    assert smallest_intersecting(nest, span([(1, 0, 0)], 3)) == nest.element(1)
-    with pytest.raises(ZeroSubspaceError):
-        smallest_intersecting(nest, Subspace.zero(3))
+    assert _smallest_intersecting(nest, w) == nest.elements[-1]
+    assert _smallest_intersecting(nest, span([(1, 0, 0)], 3)) == nest.element(1)
+    with pytest.raises(ValueError, match="^the zero subspace meets no nest element"):
+        _smallest_intersecting(nest, Subspace.zero(3))
 
 
 def test_perp_span_check_on_triangular():
@@ -141,7 +133,7 @@ def test_smallest_intersecting_is_minimal(case):
     w = span([v], nest.ambient_dim)
     if w.is_zero():
         return
-    hit = smallest_intersecting(nest, w)
+    hit = _smallest_intersecting(nest, w)
     assert not meet(hit, w).is_zero()
     for e in nest:
         if e.dim < hit.dim:
@@ -173,7 +165,8 @@ def test_adapted_basis_is_cached_and_invisible():
 
     # level j extends a basis of E_(j-1) to one of E_j, and the j-th
     # annihilator is the largest space of functionals killing E_j
-    assert [len(level) for level in levels] == [nest.gap(j) for j in range(len(nest))]
+    dims = [e.dim for e in nest.elements]
+    assert [len(level) for level in levels] == [0] + [b - a for a, b in zip(dims, dims[1:])]
     vectors = []
     for e, level, perp in zip(nest.elements, levels, perps):
         vectors.extend(level)

@@ -5,15 +5,41 @@ Production code does not cross-check itself with `assert` or `raise
 AssertionError`: under `python -O` the first would vanish, and either turns
 an impossible state into a crash instead of a result the independent gates
 judge.  Only oracles.py, which the tests alone use, may do so.  The package
-is stdlib-only, and only the property suites import the oracles."""
+is stdlib-only, and only the property suites import the oracles; importing
+the package loads neither them nor their sampler.
+
+The public surface is what production code uses: every name in
+`nestlab.__all__` is read by a package module other than the oracles, the
+suites and `__init__`, or is listed with its reason in
+`PUBLIC_ENTRY_POINTS`."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import nestlab
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nestlab"
+
+# names in __all__ that no production module reads, each with the reason it
+# stays public
+PUBLIC_ENTRY_POINTS = {
+    "UnknownSuiteError": "raised by suites.run_suite, which the CLI calls",
+    "is_bimodule": "a public predicate on operator spaces",
+    "meet": "an L1 lattice operation, the dual of join",
+    "rank": "called by the benchmark's factor workload",
+    "span_of_rank_ones": "called by the benchmark's bimodule workload",
+    "serialize_document": "writes the documents parse_document reads",
+}
+
+# modules whose reads do not make a name production code: the oracles and
+# suites serve the tests, and __init__ only re-exports
+NOT_PRODUCTION = {"oracles.py", "suites.py", "__init__.py"}
 
 
 def _nodes():
@@ -81,3 +107,55 @@ def test_only_the_suites_import_the_oracles():
         if "oracles" in imported and path.name != "suites.py":
             found.append(_at(path, node))
     _fail_at("import of oracles", found)
+
+
+def _production_reads() -> set[str]:
+    """Every bare name a production module reads.  Attributes do not count:
+    `"".join` is not a read of `ratlin.join`, and the modules import what
+    they use by name."""
+    return {
+        node.id for path, node in _nodes()
+        if path.name not in NOT_PRODUCTION and isinstance(node, ast.Name)
+    }
+
+
+def test_every_public_name_is_used_in_production_or_listed():
+    reads = _production_reads()
+    unused = sorted(set(nestlab.__all__) - reads - set(PUBLIC_ENTRY_POINTS))
+    _fail_at("public name without a production reader or a listed reason",
+             [f"nestlab.__all__ ({name})" for name in unused])
+
+
+def test_public_entry_points_are_not_stale():
+    reads = _production_reads()
+    assert sorted(n for n in PUBLIC_ENTRY_POINTS if n in reads) == [], \
+        "now read by production code; drop it from PUBLIC_ENTRY_POINTS"
+    assert sorted(set(PUBLIC_ENTRY_POINTS) - set(nestlab.__all__)) == [], \
+        "no longer in nestlab.__all__; drop it from PUBLIC_ENTRY_POINTS"
+    assert all(PUBLIC_ENTRY_POINTS.values())
+
+
+def test_all_is_what_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(nestlab.__all__) == len(set(nestlab.__all__))
+    assert set(nestlab.__all__) == imported
+
+
+def test_importing_the_package_loads_no_test_module():
+    probe = (
+        "import json, sys; import nestlab; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('nestlab'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "nestlab" in loaded
+    assert loaded.isdisjoint({"nestlab.oracles", "nestlab.suites", "nestlab.sampling"})

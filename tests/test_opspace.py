@@ -100,8 +100,9 @@ def test_m_of_dimension_formula():
     phi = SupportFn(nest, (0, 2, 2, 3))
     space = m_of(nest, phi)
     assert space.dim == 7
+    els = nest.elements
     assert space.dim == sum(
-        nest.gap(i) * phi(i).dim for i in range(len(nest.elements))
+        (els[i].dim - els[i - 1].dim) * phi(i).dim for i in range(1, len(els))
     )
 
 

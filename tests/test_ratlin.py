@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from nestlab import (
     AmbientMismatchError,
-    ContainmentError,
     DimensionMismatchError,
     Matrix,
     Nest,
@@ -23,7 +22,6 @@ from nestlab import (
     meet,
     nest_algebra,
     outer,
-    quotient_dim,
     rank,
     span,
     validate_nest,
@@ -90,13 +88,6 @@ def test_annihilator_of_plane():
     assert annihilator(plane) == span([(0, 0, 1)], 3)
     assert annihilator(Subspace.zero(3)) == Subspace.full(3)
     assert annihilator(Subspace.full(3)) == Subspace.zero(3)
-
-
-def test_quotient_dim_requires_containment():
-    a = span([(1, 0)], 2)
-    assert quotient_dim(a, Subspace.full(2)) == 1
-    with pytest.raises(ContainmentError):
-        quotient_dim(Subspace.full(2), a)
 
 
 def test_contains_vector_handles_fractions():
