@@ -22,7 +22,6 @@ from typing import Sequence
 
 from .errors import (
     ChainError,
-    JoinNotRepresentedError,
     LimitGapError,
     MissingEndpointError,
     NonzeroAtZeroError,
@@ -215,15 +214,6 @@ class AbstractSupportFn:
                     "and takes no left limit"
                 )
 
-    @classmethod
-    def from_labels(
-        cls,
-        chain: AbstractNest,
-        value: dict[str, str],
-        left_limit: dict[str, str] | None = None,
-    ) -> "AbstractSupportFn":
-        return cls(chain, *_resolve_tables(chain, value, left_limit))
-
     def as_tables(self) -> tuple[dict[str, str], dict[str, str]]:
         labels = self.chain.labels()
         value = {labels[i]: labels[v] for i, v in enumerate(self.value)}
@@ -233,38 +223,6 @@ class AbstractSupportFn:
             if ll is not None
         }
         return value, left
-
-
-def _resolve_tables(
-    chain: AbstractNest, value: dict[str, str], left_limit: dict[str, str] | None
-) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
-    """Index tables for label tables.  A label that is no node, or a node the
-    value table misses, raises ChainError; a left limit naming no node raises
-    JoinNotRepresentedError.  The document parser reports the same messages."""
-    index = chain.label_index
-    values = [0] * len(index)
-    for key, target in value.items():
-        if key not in index:
-            raise ChainError(f"unknown node {key!r} in value table")
-        if not isinstance(target, str) or target not in index:
-            raise ChainError(f"unknown node {target!r} in value table")
-        values[index[key]] = index[target]
-    if len(value) != len(index):
-        # every key is a node, so some node is missing
-        missing = sorted(set(index) - set(value))
-        raise ChainError(f"value table misses nodes {missing}")
-    left: list[int | None] = [None] * len(index)
-    for key, target in (left_limit or {}).items():
-        if key not in index:
-            raise ChainError(f"unknown node {key!r} in left_limit table")
-        if not isinstance(target, str):
-            raise ChainError(f"left limit at {key!r} is {target!r}, not a node label")
-        if target not in index:
-            raise JoinNotRepresentedError(
-                f"left limit at {key!r} names {target!r}, which is not a chain node"
-            )
-        left[index[key]] = index[target]
-    return tuple(values), tuple(left)
 
 
 @dataclass(frozen=True)

@@ -215,8 +215,9 @@ COMMANDS = {
 
 
 def _p_infinity(doc: WorkbenchDoc) -> Any:
-    chain = doc.require_chain()
-    return {"result": check_p_infinity(chain), "finite_stratum_empty": not chain.finite_stratum()}
+    # check_p_infinity is the emptiness of the finite stratum
+    empty = check_p_infinity(doc.require_chain())
+    return {"result": empty, "finite_stratum_empty": empty}
 
 
 # The kinds of the two kinded commands.  Each handler names the chaincalc

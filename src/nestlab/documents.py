@@ -24,10 +24,9 @@ from .chaincalc import (
     AbstractSupportFn,
     ChainNode,
     SupportPair,
-    _resolve_tables,
     validate_chain,
 )
-from .errors import ChainError, DocumentError, JoinNotRepresentedError, SupportFunctionError
+from .errors import DocumentError, JoinNotRepresentedError, SupportFunctionError
 from .nest import Nest, validate_nest
 from .opspace import RankOne, SupportFn
 from .ratlin import Matrix, Vector, span
@@ -183,6 +182,40 @@ def _fmt_chain(chain: AbstractNest) -> dict:
     return {"nodes": nodes}
 
 
+def _resolve_tables(
+    chain: AbstractNest, value: dict, left_limit: dict, path: str
+) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
+    """Index tables for a map's label tables.  A label that is no node, or a
+    node the value table misses, is a DocumentError at the map's path; a left
+    limit naming no node raises JoinNotRepresentedError."""
+    index = chain.label_index
+    values = [0] * len(index)
+    for key, target in value.items():
+        if key not in index:
+            raise DocumentError(f"unknown node {key!r} in value table", path=path)
+        if not isinstance(target, str) or target not in index:
+            raise DocumentError(f"unknown node {target!r} in value table", path=path)
+        values[index[key]] = index[target]
+    if len(value) != len(index):
+        # every key is a node, so some node is missing
+        missing = sorted(set(index) - set(value))
+        raise DocumentError(f"value table misses nodes {missing}", path=path)
+    left: list[int | None] = [None] * len(index)
+    for key, target in left_limit.items():
+        if key not in index:
+            raise DocumentError(f"unknown node {key!r} in left_limit table", path=path)
+        if not isinstance(target, str):
+            raise DocumentError(
+                f"left limit at {key!r} is {target!r}, not a node label", path=path
+            )
+        if target not in index:
+            raise JoinNotRepresentedError(
+                f"left limit at {key!r} names {target!r}, which is not a chain node"
+            )
+        left[index[key]] = index[target]
+    return tuple(values), tuple(left)
+
+
 def _parse_abstract_fn(raw: Any, chain: AbstractNest, path: str) -> AbstractSupportFn:
     if not isinstance(raw, dict) or "value" not in raw:
         raise DocumentError("an abstract map needs a 'value' table", path=path)
@@ -192,13 +225,7 @@ def _parse_abstract_fn(raw: Any, chain: AbstractNest, path: str) -> AbstractSupp
     left = raw.get("left_limit", {})
     if not isinstance(left, dict):
         raise DocumentError("'left_limit' must map node labels to node labels", path=path)
-    try:
-        tables = _resolve_tables(chain, value, left)
-    except JoinNotRepresentedError:
-        raise
-    except ChainError as exc:
-        raise DocumentError(str(exc), path=path) from None
-    return AbstractSupportFn(chain, *tables)
+    return AbstractSupportFn(chain, *_resolve_tables(chain, value, left, path))
 
 
 def _fmt_abstract_fn(f: AbstractSupportFn) -> dict:

@@ -67,11 +67,6 @@ class Nest:
     def __iter__(self):
         return iter(self.elements)
 
-    def element(self, i: int) -> Subspace:
-        if not 0 <= i < len(self.elements):
-            raise NotAnElementError(f"nest has no element with index {i}")
-        return self.elements[i]
-
     def index_of(self, e: Subspace) -> int:
         for i, n in enumerate(self.elements):
             if n == e:

@@ -58,7 +58,6 @@ from .ratlin import (
     _primitive,
     as_vector,
     int_row,
-    outer,
     span,
 )
 
@@ -91,11 +90,6 @@ class OperatorSpace:
         n = self.ambient_dim
         return tuple(Matrix.from_flat(r, n, n) for r in self.space.basis.entries)
 
-    def contains(self, m: Matrix) -> bool:
-        if (m.rows, m.cols) != (self.ambient_dim, self.ambient_dim):
-            raise AmbientMismatchError("operator has the wrong shape for this space")
-        return self.space.contains_vector(m.flatten())
-
 
 @dataclass(frozen=True)
 class SupportFn:
@@ -126,7 +120,8 @@ class SupportFn:
         return cls(nest, tuple(range(len(nest.elements))))
 
     def __call__(self, i: int) -> Subspace:
-        return self.nest.element(self.values[i])
+        # every value is an element index: the constructor checked them
+        return self.nest.elements[self.values[i]]
 
 
 @dataclass(frozen=True)
@@ -143,9 +138,6 @@ class RankOne:
     @classmethod
     def of(cls, functional: Sequence, vector: Sequence) -> "RankOne":
         return cls(as_vector(functional), as_vector(vector))
-
-    def matrix(self) -> Matrix:
-        return outer(self.vector, self.functional)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.functional) or all(x == 0 for x in self.vector)

@@ -50,10 +50,21 @@ from .ratlin import (
     int_row,
     join,
     meet,
-    outer,
     rank,
     span,
 )
+
+
+def _apply(m: Matrix, v: Vector) -> Vector:
+    """The matrix times a column vector, over Fraction."""
+    return tuple(sum(a * b for a, b in zip(r, v)) for r in m.entries)
+
+
+def _outer(vector: Vector, functional: Vector) -> Matrix:
+    """The rank-one matrix of x -> functional(x) * vector."""
+    return Matrix(len(vector), len(functional), tuple(
+        tuple(wi * fj for fj in functional) for wi in vector
+    ))
 
 
 def fraction_rref(rows: Iterable[Sequence], ncols: int) -> tuple[Vector, ...]:
@@ -118,7 +129,7 @@ def support_of(nest: Nest, j: OperatorSpace) -> SupportFn:
     mats = j.basis_matrices()
     values = []
     for e in nest.elements:
-        image = span([t.apply(b) for t in mats for b in e.basis.entries], n)
+        image = span([_apply(t, b) for t in mats for b in e.basis.entries], n)
         values.append(next(i for i, f in enumerate(nest.elements) if f.contains(image)))
     return SupportFn(nest, tuple(values))
 
@@ -207,7 +218,7 @@ def _smallest_intersecting(nest: Nest, w: Subspace) -> Subspace:
     On a chain the elements meeting w form an upper segment, so their meet is
     the first of them: the first E with dim(E join w) < dim E + dim w.
     """
-    if w.is_zero():
+    if w.dim == 0:
         raise ValueError("the zero subspace meets no nest element nontrivially")
     return next(e for e in nest.elements if join(e, w).dim < e.dim + w.dim)
 
@@ -232,9 +243,9 @@ def rank_one_in_alg(nest: Nest, r: RankOne) -> tuple[bool, Subspace | None, bool
     the vector while the functional kills E.
     """
     _check_rank_one(nest, r)
-    t = r.matrix()
+    t = _outer(r.vector, r.functional)
     direct = all(
-        e.contains_vector(t.apply(b)) for e in nest.elements for b in e.basis.entries
+        e.contains_vector(_apply(t, b)) for e in nest.elements for b in e.basis.entries
     )
     witness = None
     for i, e in enumerate(nest.elements):
@@ -263,9 +274,9 @@ def rank_one_in_m(nest: Nest, phi: SupportFn, r: RankOne) -> tuple[bool, Subspac
         raise AmbientMismatchError("support function belongs to a different nest")
     _check_rank_one(nest, r)
     n = nest.ambient_dim
-    t = r.matrix()
+    t = _outer(r.vector, r.functional)
     direct = all(
-        phi(i).contains_vector(t.apply(b))
+        phi(i).contains_vector(_apply(t, b))
         for i, e in enumerate(nest.elements)
         for b in e.basis.entries
     )
@@ -302,7 +313,7 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
     if (t.rows, t.cols) != (n, n):
         raise AmbientMismatchError(f"operator is not a {n}x{n} matrix")
     if not all(
-        phi(i).contains_vector(t.apply(b))
+        phi(i).contains_vector(_apply(t, b))
         for i, e in enumerate(nest.elements)
         for b in e.basis.entries
     ):
@@ -340,14 +351,14 @@ def absorption_check(nest: Nest, j: OperatorSpace, n_idx: int, l_idx: int) -> bo
     """
     if not is_bimodule(nest, j):
         raise NotABimoduleError("absorption is defined for bimodules only")
-    big_n = nest.element(n_idx)
-    big_l = nest.element(l_idx)
+    big_n = nest.elements[n_idx]
+    big_l = nest.elements[l_idx]
     n_below, _ = _adjacent(nest, n_idx)
     l_below, _ = _adjacent(nest, l_idx)
 
     mats = j.basis_matrices()
     escapes = any(
-        not l_below.contains_vector(t.apply(b))
+        not l_below.contains_vector(_apply(t, b))
         for t in mats
         for b in big_n.basis.entries
     )
@@ -355,7 +366,7 @@ def absorption_check(nest: Nest, j: OperatorSpace, n_idx: int, l_idx: int) -> bo
         return True
     for f in annihilator(n_below).basis.entries:
         for x in big_l.basis.entries:
-            if not j.contains(outer(x, f)):
+            if not j.space.contains_vector(_outer(x, f).flatten()):
                 return False
     return True
 

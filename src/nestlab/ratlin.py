@@ -32,7 +32,6 @@ from .errors import AmbientMismatchError, DimensionMismatchError
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_fraction(value: int | str | Fraction) -> Fraction:
@@ -197,16 +196,6 @@ class Matrix:
         return cls(len(entries), ncols, entries)
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(
-            tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-        ))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
-
-    @classmethod
     def from_flat(cls, flat: Sequence, rows: int, cols: int) -> "Matrix":
         if len(flat) != rows * cols:
             raise DimensionMismatchError("flat entry count does not match shape")
@@ -219,20 +208,9 @@ class Matrix:
         """Row-major flattening, the layout used for operator spaces."""
         return tuple(x for r in self.entries for x in r)
 
-    def apply(self, v: Sequence) -> Vector:
-        vec = as_vector(v, self.cols)
-        return tuple(sum(a * b for a, b in zip(r, vec)) for r in self.entries)
-
 
 def rank(m: Matrix) -> int:
     return _echelon_from_rows(m.entries, m.cols).dim
-
-
-def outer(vector: Sequence, functional: Sequence) -> Matrix:
-    """The rank-one matrix of x -> functional(x) * vector."""
-    w = tuple(as_fraction(x) for x in vector)
-    f = tuple(as_fraction(x) for x in functional)
-    return Matrix(len(w), len(f), tuple(tuple(wi * fj for fj in f) for wi in w))
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +265,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     @cached_property
     def basis(self) -> Matrix:

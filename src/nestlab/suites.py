@@ -287,11 +287,6 @@ def generator_samples(seed: int, cases: int) -> Iterator[tuple]:
         yield nest, sampling.random_generators(rng, nest.ambient_dim)
 
 
-def bimodule_samples(seed: int, cases: int) -> Iterator[tuple]:
-    for nest, gens in generator_samples(seed, cases):
-        yield nest, generate_bimodule(nest, gens)
-
-
 def suite_closedcar(seed: int, cases: int) -> list[PropertyOutcome]:
     # each sample carries its generators, closed-form bimodule and fixed-point closure
     samples = [

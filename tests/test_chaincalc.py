@@ -75,6 +75,11 @@ def infinite_chain():
     ))
 
 
+def on_attained(chain, *value):
+    # a map on a chain without limits from below, which takes no left limits
+    return AbstractSupportFn(chain, value, (None,) * len(value))
+
+
 # --- chain validation ----------------------------------------------------------
 
 def test_chain_needs_endpoints():
@@ -172,11 +177,8 @@ def test_finite_stratum():
 # --- maps and regularization -----------------------------------------------------
 
 def dense_phi():
-    return AbstractSupportFn.from_labels(
-        dense_chain(),
-        {"0": "0", "A": "A", "B": "X", "C": "X", "X": "X"},
-        {"A": "A", "B": "B", "C": "X", "X": "X"},
-    )
+    # 0 A B C X  ->  0 A X X X, with left limits A B X X at A B C X
+    return AbstractSupportFn(dense_chain(), (0, 1, 4, 4, 4), (None, 1, 2, 4, 4))
 
 
 @pytest.mark.parametrize("chain, value, left_limit, message", [
@@ -201,60 +203,32 @@ def test_map_tables_name_the_fault(chain, value, left_limit, message):
 
 
 def dense_step():
-    return AbstractSupportFn.from_labels(
-        dense_chain(),
-        {"0": "0", "A": "0", "B": "0", "C": "X", "X": "X"},
-        {"A": "0", "B": "0", "C": "X", "X": "X"},
-    )
+    # 0 A B C X  ->  0 0 0 X X, with left limits 0 0 X X at A B C X
+    return AbstractSupportFn(dense_chain(), (0, 0, 0, 4, 4), (None, 0, 0, 4, 4))
 
 
 def test_map_tables_validate():
     chain = dense_chain()
-    with pytest.raises(ChainError):
-        # not monotone
-        AbstractSupportFn.from_labels(
-            chain,
-            {"0": "A", "A": "0", "B": "B", "C": "X", "X": "X"},
-            {"A": "0", "B": "B", "C": "X", "X": "X"},
-        )
-    with pytest.raises(ChainError):
-        # left limit escapes the allowed bracket
-        AbstractSupportFn.from_labels(
-            chain,
-            {"0": "0", "A": "A", "B": "A", "C": "X", "X": "X"},
-            {"A": "A", "B": "X", "C": "X", "X": "X"},
-        )
-    with pytest.raises(ChainError):
-        # limit node misses its left limit entry
-        AbstractSupportFn.from_labels(
-            chain,
-            {"0": "0", "A": "A", "B": "B", "C": "X", "X": "X"},
-            {"A": "A", "B": "B", "C": "X"},
-        )
+    with pytest.raises(ChainError, match="^value table is not monotone$"):
+        AbstractSupportFn(chain, (1, 0, 2, 4, 4), (None, 0, 2, 4, 4))
+    with pytest.raises(ChainError, match="^left limit at 'B' must sit between"):
+        # B's left limit is X, above the value A at B
+        AbstractSupportFn(chain, (0, 1, 1, 4, 4), (None, 1, 4, 4, 4))
+    with pytest.raises(ChainError, match="^limit node 'X' needs a left limit$"):
+        AbstractSupportFn(chain, (0, 1, 2, 4, 4), (None, 1, 2, 4, None))
 
 
-def test_from_labels_names_the_node_a_value_table_misses():
-    chain = finite_chain()
-    with pytest.raises(ChainError, match=r"^value table misses nodes \['X'\]$"):
-        AbstractSupportFn.from_labels(chain, {"0": "0", "A": "A"})
-    with pytest.raises(ChainError, match="^unknown node 'B' in value table$"):
-        AbstractSupportFn.from_labels(chain, {"0": "0", "A": "B", "X": "X"})
-    with pytest.raises(ChainError, match=r"^unknown node \['A'\] in value table$"):
-        AbstractSupportFn.from_labels(chain, {"0": "0", "A": ["A"], "X": "X"})
-    value, left = dense_phi().as_tables()
-    with pytest.raises(ChainError, match="^unknown node 'Y' in left_limit table$"):
-        AbstractSupportFn.from_labels(dense_chain(), value, {**left, "Y": "B"})
-    with pytest.raises(
-        JoinNotRepresentedError, match="^left limit at 'B' names 'Z', which is not a chain node$"
-    ):
-        AbstractSupportFn.from_labels(dense_chain(), value, {**left, "B": "Z"})
-
-
-def test_from_labels_rejects_a_value_table_key_that_is_no_node():
-    with pytest.raises(ChainError, match="^unknown node 'Q' in value table$"):
-        AbstractSupportFn.from_labels(
-            finite_chain(), {"0": "0", "A": "A", "X": "X", "Q": "X"}
-        )
+# what the parser reports for each fault of a map's label tables, keyed by the
+# table, the key and the repr of the target it is given (None deletes the key)
+PARSER_MESSAGES = {
+    ("value", "Q", "'X'"): "unknown node 'Q' in value table",
+    ("value", "A", "'Q'"): "unknown node 'Q' in value table",
+    ("value", "A", "['A']"): "unknown node ['A'] in value table",
+    ("value", "X", "None"): "value table misses nodes ['X']",
+    ("left_limit", "Y", "'B'"): "unknown node 'Y' in left_limit table",
+    ("left_limit", "B", "1"): "left limit at 'B' is 1, not a node label",
+    ("left_limit", "B", "'Z'"): "left limit at 'B' names 'Z', which is not a chain node",
+}
 
 
 @pytest.mark.parametrize("table, key, target", [
@@ -267,35 +241,37 @@ def test_from_labels_rejects_a_value_table_key_that_is_no_node():
     ("left_limit", "B", "Z"),  # a target that is no node: the join is not represented
 ])
 def test_from_labels_reports_what_the_parser_reports(table, key, target):
-    payload = document_payload(WorkbenchDoc(chain=dense_chain(), abstract_fn=dense_phi()))
-    tables = payload["abstract_fn"]
-    if target is None:
-        del tables[table][key]
-    else:
-        tables[table][key] = target
-    text = json.dumps(payload)
-    if target == "Z":
-        with pytest.raises(JoinNotRepresentedError) as api:
-            AbstractSupportFn.from_labels(dense_chain(), tables["value"], tables["left_limit"])
-        with pytest.raises(JoinNotRepresentedError) as parsed:
-            parse_document(text)
-        assert str(parsed.value) == str(api.value)
-        return
-    with pytest.raises(ChainError) as api:
-        AbstractSupportFn.from_labels(dense_chain(), tables["value"], tables["left_limit"])
-    assert not isinstance(api.value, JoinNotRepresentedError)
-    with pytest.raises(DocumentError) as parsed:
-        parse_document(text)
-    assert parsed.value.path == "abstract_fn"
-    assert str(parsed.value) == f"abstract_fn: {api.value}"
+    """Label tables resolve to index tables only in the parser.  A fault is a
+    DocumentError with its message at the path of the map it sits in, except
+    a left limit naming no node, which is a JoinNotRepresentedError."""
+    message = PARSER_MESSAGES[table, key, repr(target)]
+    step = dense_step()
+    for path in ("abstract_fn", "abstract_pair.psi"):
+        payload = document_payload(WorkbenchDoc(
+            chain=dense_chain(), abstract_fn=dense_phi(), abstract_pair=SupportPair(step, step)
+        ))
+        tables = payload
+        for field in path.split("."):
+            tables = tables[field]
+        if target is None:
+            del tables[table][key]
+        else:
+            tables[table][key] = target
+        with pytest.raises((DocumentError, JoinNotRepresentedError)) as parsed:
+            parse_document(json.dumps(payload))
+        if target == "Z":
+            assert type(parsed.value) is JoinNotRepresentedError
+            assert str(parsed.value) == message
+        else:
+            assert type(parsed.value) is DocumentError and parsed.value.path == path
+            assert str(parsed.value) == f"{path}: {message}"
 
 
 def test_the_label_map_is_not_a_field():
     chain, fresh = dense_chain(), dense_chain()
     assert "label_index" not in {f.name for f in dataclasses.fields(AbstractNest)}
     before = (repr(chain), hash(chain))
-    tables = dense_phi().as_tables()
-    f = AbstractSupportFn.from_labels(chain, *tables)
+    f = AbstractSupportFn(chain, (0, 1, 4, 4, 4), (None, 1, 2, 4, 4))
     assert (repr(chain), hash(chain)) == before and "label_index" not in repr(chain)
     assert chain.label_index == {"0": 0, "A": 1, "B": 2, "C": 3, "X": 4}
     assert chain == fresh and hash(chain) == hash(fresh) and repr(chain) == repr(fresh)
@@ -303,7 +279,7 @@ def test_the_label_map_is_not_a_field():
     for back in (pickle.loads(pickle.dumps(chain)), copy.deepcopy(chain)):
         assert back == chain == fresh and hash(back) == hash(fresh) and repr(back) == repr(chain)
         assert back.labels() == chain.labels() and back.label_index == chain.label_index
-        assert AbstractSupportFn.from_labels(back, *tables) == f
+        assert AbstractSupportFn(back, f.value, f.left_limit) == f
 
 
 def test_a_chain_built_from_a_list_equals_the_tuple_built_one():
@@ -312,7 +288,7 @@ def test_a_chain_built_from_a_list_equals_the_tuple_built_one():
     assert listed == chain and hash(listed) == hash(chain)
     assert listed.nodes == chain.nodes and isinstance(listed.nodes, tuple)
     phi = dense_step()
-    psi = AbstractSupportFn.from_labels(listed, *phi.as_tables())
+    psi = AbstractSupportFn(listed, phi.value, phi.left_limit)
     assert psi == phi and hash(psi) == hash(phi)
     assert SupportPair(phi, psi) == SupportPair(phi, phi)
 
@@ -353,7 +329,7 @@ def test_regularization_fixes_left_continuous_maps():
 
 def test_regularization_is_identity_on_attained_chains():
     chain = finite_chain()
-    f = AbstractSupportFn.from_labels(chain, {"0": "0", "A": "X", "X": "X"})
+    f = on_attained(chain, 0, 2, 2)
     assert lower_regularization(f) == f
 
 
@@ -366,16 +342,16 @@ def test_essential_on_dense_chain():
 
 def test_essential_fails_in_finite_stratum():
     chain = finite_chain()
-    ident = AbstractSupportFn.from_labels(chain, {"0": "0", "A": "A", "X": "X"})
+    ident = on_attained(chain, 0, 1, 2)
     # value A sits in the finite stratum but is not fixed from above
     assert not check_essential(ident)
-    const = AbstractSupportFn.from_labels(chain, {"0": "X", "A": "X", "X": "X"})
+    const = on_attained(chain, 2, 2, 2)
     assert check_essential(const)
 
 
 def test_essential_needs_equal_values_at_finite_distance():
     chain = finite_chain()
-    f = AbstractSupportFn.from_labels(chain, {"0": "0", "A": "X", "X": "X"})
+    f = on_attained(chain, 0, 2, 2)
     # 0 and A are one dimension apart yet map to different nodes
     assert not check_essential(f)
 
@@ -442,11 +418,7 @@ def test_pair_validation():
     assert check_pair(pair)
     with pytest.raises(PairAdmissibilityError):
         SupportPair(dense_phi(), step)  # phi not left continuous
-    ident = AbstractSupportFn.from_labels(
-        dense_chain(),
-        {"0": "0", "A": "A", "B": "B", "C": "C", "X": "X"},
-        {"A": "A", "B": "B", "C": "C", "X": "X"},
-    )
+    ident = AbstractSupportFn(dense_chain(), (0, 1, 2, 3, 4), (None, 1, 2, 3, 4))
     with pytest.raises(PairAdmissibilityError):
         SupportPair(step, ident)  # psi exceeds phi
     on_finite = AbstractSupportFn(finite_chain(), (0, 1, 2), (None, None, None))
@@ -485,11 +457,11 @@ def test_predict_me_support_guards():
         ChainNode("0", above=ATTAINED),
         ChainNode("X", below=LIMIT, cofinality=UNCOUNTABLE),
     ))
-    g = AbstractSupportFn.from_labels(uncount, {"0": "0", "X": "X"}, {"X": "X"})
+    g = AbstractSupportFn(uncount, (0, 1), (None, 1))
     with pytest.raises(PPropertyError):
         predict_me_support(g)
     chain = finite_chain()
-    ident = AbstractSupportFn.from_labels(chain, {"0": "0", "A": "A", "X": "X"})
+    ident = on_attained(chain, 0, 1, 2)
     with pytest.raises(NotEssentialError):
         predict_me_support(ident)
 
@@ -502,12 +474,12 @@ def test_predict_max_pair_guards():
         ChainNode("0", above=ATTAINED),
         ChainNode("X", below=LIMIT, cofinality=UNCOUNTABLE),
     ))
-    g = AbstractSupportFn.from_labels(uncount, {"0": "0", "X": "X"}, {"X": "X"})
+    g = AbstractSupportFn(uncount, (0, 1), (None, 1))
     # admissible, since the finite stratum is empty, but not countably approached
     assert check_pair(SupportPair(g, g))
     with pytest.raises(PPropertyError):
         predict_max_pair(SupportPair(g, g))
-    flat = AbstractSupportFn.from_labels(finite_chain(), {"0": "0", "A": "X", "X": "X"})
+    flat = on_attained(finite_chain(), 0, 2, 2)
     with pytest.raises(PairAdmissibilityError):
         predict_max_pair(SupportPair(flat, flat))
 
@@ -517,12 +489,10 @@ def test_predict_m0():
     assert out.phi == out.psi == lower_regularization(dense_phi())
     assert check_pair(out)
     chain = finite_chain()
-    f = AbstractSupportFn.from_labels(chain, {"0": "0", "A": "A", "X": "X"})
+    f = on_attained(chain, 0, 1, 2)
     with pytest.raises(PInfinityError):
         predict_m0(f)
-    g = AbstractSupportFn.from_labels(
-        infinite_chain(), {"0": "A", "A": "A", "X": "X"}
-    )
+    g = on_attained(infinite_chain(), 1, 1, 2)
     with pytest.raises(NonzeroAtZeroError):
         predict_m0(g)
 
@@ -534,8 +504,8 @@ def test_predict_m0_pair():
     assert out.phi == step
     assert out.psi == lower_regularization(step)
     chain = finite_chain()
-    ident = AbstractSupportFn.from_labels(chain, {"0": "0", "A": "A", "X": "X"})
-    zero = AbstractSupportFn.from_labels(chain, {"0": "0", "A": "0", "X": "X"})
+    ident = on_attained(chain, 0, 1, 2)
+    zero = on_attained(chain, 0, 0, 2)
     with pytest.raises(PInfinityError):
         predict_m0_pair(SupportPair(ident, zero))
 

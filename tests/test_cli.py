@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +13,8 @@ from nestlab.errors import UnknownCommandError, UnknownSuiteError
 from nestlab.suites import run_suite
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def doc_path(name):
@@ -196,6 +200,38 @@ def test_non_utf8_document_exits_two(tmp_path, capsys):
     code, out, err = invoke(capsys, "alg", "--doc", str(bad))
     assert code == 2 and out == ""
     assert err.startswith("parse error: $: ") and "Traceback" not in err
+
+
+def run_in_a_process(*argv):
+    """`python -m nestlab.cli` in a fresh interpreter, which runs
+    `sys.exit(main())` and flushes stdout at exit."""
+    return subprocess.run(
+        [sys.executable, "-m", "nestlab.cli", *argv], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_a_process_prints_the_golden_transcript(fmt):
+    proc = run_in_a_process(
+        "--format", fmt, "chain-check", "--doc", doc_path("chain-step"), "p-infinity"
+    )
+    golden = json.loads((GOLDEN / f"chain-step.{fmt}.json").read_text(encoding="utf-8"))
+    expected = golden[f"nestlab --format {fmt} chain-check p-infinity"]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        expected["exit"], expected["stdout"], expected["stderr"]
+    )
+
+
+def test_a_process_given_a_malformed_document_exits_two(tmp_path):
+    raw = json.loads(Path(doc_path("chain-step")).read_text(encoding="utf-8"))
+    raw["abstract_fn"]["value"]["Q"] = "X"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    proc = run_in_a_process("chain-regularize", "--doc", str(bad))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "parse error: abstract_fn: unknown node 'Q' in value table\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_unexpected_exception_exits_three_without_traceback(monkeypatch, capsys):

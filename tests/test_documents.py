@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,10 +8,12 @@ import pytest
 from nestlab import (
     DocumentError,
     JoinNotRepresentedError,
+    RankOne,
     WorkbenchDoc,
     parse_document,
     serialize_document,
 )
+from nestlab import sampling
 from nestlab.cli import main
 from nestlab.documents import MAX_AMBIENT_DIM, MAX_RATIONAL_CHARS, MAX_RATIONAL_EXPONENT
 from nestlab.suites import sweep_chains, sweep_maps
@@ -51,6 +54,29 @@ def test_swept_chains_and_maps_round_trip():
     assert docs == 156 + 2238
 
 
+def test_sampled_concrete_documents_round_trip():
+    # a seeded nest, support table, generators and rank-one, as the property
+    # suites draw them, written by the serializer and read back by the parser
+    rng = random.Random("documents:round-trip")
+    for _ in range(40):
+        nest = sampling.random_nest(rng)
+        n = nest.ambient_dim
+        gens = sampling.random_generators(rng, n)
+        phi = sampling.random_support(rng, nest)
+        functional, vector = ([sampling.random_entry(rng) for _ in range(n)] for _ in range(2))
+        doc = WorkbenchDoc(
+            ambient_dim=n,
+            nest_bases=[list(e.basis.entries) for e in nest.elements[1:-1]],
+            operators={"generators": gens},
+            support_values=list(phi.values),
+            rank_one=RankOne.of(functional, vector),
+        )
+        text = serialize_document(doc)
+        back = parse_document(text)
+        assert back == doc and back.require_nest() == nest, text
+        assert serialize_document(back) == text
+
+
 def test_parse_rejects_bad_json():
     with pytest.raises(DocumentError, match="line"):
         parse_document("{not json")
@@ -86,7 +112,7 @@ def test_rational_strings_parse_exactly():
     }
     parsed = parse_document(json.dumps(doc))
     nest = parsed.require_nest()
-    assert nest.element(1).contains_vector((1, -6))
+    assert nest.elements[1].contains_vector((1, -6))
 
 
 def test_nest_and_chain_are_exclusive():
@@ -105,6 +131,14 @@ def test_left_limit_must_name_a_node():
     raw["abstract_fn"]["left_limit"]["A"] = "nowhere"
     with pytest.raises(JoinNotRepresentedError):
         parse_document(json.dumps(raw))
+
+
+def test_a_map_may_leave_out_an_empty_left_limit_table():
+    # on a chain with no limit from below the table is empty, and the
+    # canonical form writes it back
+    raw = json.loads(fixture_text("chain-pinf"))
+    del raw["abstract_fn"]["left_limit"]
+    assert serialize_document(parse_document(json.dumps(raw))) == fixture_text("chain-pinf")
 
 
 def test_value_table_must_cover_all_nodes():

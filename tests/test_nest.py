@@ -78,10 +78,9 @@ def test_nest_constructor_rejects_elements_of_another_ambient():
 
 def test_element_lookup():
     nest = triangular()
-    assert nest.element(1) == span([(1, 0, 0)], 3)
+    assert nest.elements[1] == span([(1, 0, 0)], 3)
     assert nest.index_of(span([(1, 0, 0), (0, 1, 0)], 3)) == 2
-    with pytest.raises(NotAnElementError):
-        nest.element(7)
+    assert [nest.index_of(e) for e in nest] == list(range(len(nest)))
     with pytest.raises(NotAnElementError):
         nest.index_of(span([(0, 1, 0)], 3))
 
@@ -98,7 +97,7 @@ def test_smallest_intersecting_example():
     nest = triangular()
     w = span([(0, 1, 1)], 3)
     assert _smallest_intersecting(nest, w) == nest.elements[-1]
-    assert _smallest_intersecting(nest, span([(1, 0, 0)], 3)) == nest.element(1)
+    assert _smallest_intersecting(nest, span([(1, 0, 0)], 3)) == nest.elements[1]
     with pytest.raises(ValueError, match="^the zero subspace meets no nest element"):
         _smallest_intersecting(nest, Subspace.zero(3))
 
@@ -131,13 +130,13 @@ def nest_and_vector(draw):
 def test_smallest_intersecting_is_minimal(case):
     nest, v = case
     w = span([v], nest.ambient_dim)
-    if w.is_zero():
+    if w.dim == 0:
         return
     hit = _smallest_intersecting(nest, w)
-    assert not meet(hit, w).is_zero()
+    assert meet(hit, w).dim > 0
     for e in nest:
         if e.dim < hit.dim:
-            assert meet(e, w).is_zero()
+            assert meet(e, w).dim == 0
 
 
 @given(nest_and_vector())

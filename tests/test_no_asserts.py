@@ -10,8 +10,10 @@ the package loads neither them nor their sampler.
 
 The public surface is what production code uses: every name in
 `nestlab.__all__` is read by a package module other than the oracles, the
-suites and `__init__`, or is listed with its reason in
-`PUBLIC_ENTRY_POINTS`."""
+suites, their sampler and `__init__`, or is listed with its reason in
+`PUBLIC_ENTRY_POINTS`.  The same holds for every public method, classmethod
+and property of a class those modules define, with `PUBLIC_MEMBERS` for the
+listed ones."""
 
 import ast
 import json
@@ -37,9 +39,18 @@ PUBLIC_ENTRY_POINTS = {
     "serialize_document": "writes the documents parse_document reads",
 }
 
-# modules whose reads do not make a name production code: the oracles and
-# suites serve the tests, and __init__ only re-exports
-NOT_PRODUCTION = {"oracles.py", "suites.py", "__init__.py"}
+# public members of production classes that no production module reads,
+# each with the reason it stays public
+PUBLIC_MEMBERS = {
+    "Subspace.contains": "the L1 order, which the lattice suite checks",
+    "Subspace.contains_vector": "called by the benchmark's factor workload",
+    "Matrix.from_rows": "called by the benchmark's bimodule and factor workloads",
+    "RankOne.of": "called by the benchmark's factor workload",
+}
+
+# modules whose reads do not make a name production code: the oracles,
+# suites and their sampler serve the tests, and __init__ only re-exports
+NOT_PRODUCTION = {"oracles.py", "suites.py", "sampling.py", "__init__.py"}
 
 
 def _nodes():
@@ -133,6 +144,58 @@ def test_public_entry_points_are_not_stale():
     assert sorted(set(PUBLIC_ENTRY_POINTS) - set(nestlab.__all__)) == [], \
         "no longer in nestlab.__all__; drop it from PUBLIC_ENTRY_POINTS"
     assert all(PUBLIC_ENTRY_POINTS.values())
+
+
+def _public_members() -> dict[str, bool]:
+    """"Class.member" -> whether it is a classmethod, for every public method,
+    classmethod or property of a class in a production module."""
+    members = {}
+    for path, node in _nodes():
+        if path.name in NOT_PRODUCTION or not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                members[f"{node.name}.{item.name}"] = any(
+                    isinstance(d, ast.Name) and d.id == "classmethod"
+                    for d in item.decorator_list
+                )
+    return members
+
+
+def _production_member_reads() -> set[str]:
+    """Every attribute a production module reads, as "attr", and as
+    "Name.attr" when it is read on a bare name.  A classmethod is read only
+    through its own class (`SupportFn.identity` is no read of
+    `Matrix.identity`); any other member is read by its name on any object,
+    since the receiver's class is not known from the syntax tree."""
+    reads = set()
+    for path, node in _nodes():
+        if path.name not in NOT_PRODUCTION and isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                reads.add(f"{node.value.id}.{node.attr}")
+    return reads
+
+
+def _is_read(member: str, classmethod_: bool, reads: set[str]) -> bool:
+    return (member if classmethod_ else member.partition(".")[2]) in reads
+
+
+def test_every_public_member_is_used_in_production_or_listed():
+    reads = _production_member_reads()
+    _fail_at("public member without a production reader or a listed reason", [
+        member for member, classmethod_ in sorted(_public_members().items())
+        if member not in PUBLIC_MEMBERS and not _is_read(member, classmethod_, reads)
+    ])
+
+
+def test_public_members_are_not_stale():
+    reads, members = _production_member_reads(), _public_members()
+    assert sorted(m for m in PUBLIC_MEMBERS if m not in members) == [], \
+        "no longer a public member; drop it from PUBLIC_MEMBERS"
+    assert sorted(m for m in PUBLIC_MEMBERS if _is_read(m, members[m], reads)) == [], \
+        "now read by production code; drop it from PUBLIC_MEMBERS"
+    assert all(PUBLIC_MEMBERS.values())
 
 
 def test_all_is_what_init_imports():

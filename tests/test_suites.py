@@ -14,13 +14,14 @@ from nestlab import (
     chaincalc,
     check_left_continuous,
     cli,
+    generate_bimodule,
     nest_algebra,
     opspace,
     span,
     suites,
 )
 from nestlab.documents import parse_document
-from nestlab.suites import SUITES, PropertyOutcome, bimodule_samples, run_suite
+from nestlab.suites import SUITES, PropertyOutcome, generator_samples, run_suite
 
 
 def test_every_suite_passes_at_small_scale(chaincalc_outcomes):
@@ -52,20 +53,20 @@ def test_all_concatenates_every_suite(monkeypatch):
     ]
 
 
+def bimodule_samples(seed, cases):
+    """(nest elements, bimodule) for the generator samples of a seed."""
+    return [
+        (nest.elements, generate_bimodule(nest, gens).space)
+        for nest, gens in generator_samples(seed, cases)
+    ]
+
+
 def test_samples_are_reproducible():
-    first = [
-        (nest.elements, j.space) for nest, j in bimodule_samples(11, 8)
-    ]
-    second = [
-        (nest.elements, j.space) for nest, j in bimodule_samples(11, 8)
-    ]
-    assert first == second
+    assert bimodule_samples(11, 8) == bimodule_samples(11, 8)
 
 
 def test_different_seeds_differ():
-    a = [(nest.elements, j.space) for nest, j in bimodule_samples(1, 8)]
-    b = [(nest.elements, j.space) for nest, j in bimodule_samples(2, 8)]
-    assert a != b
+    assert bimodule_samples(1, 8) != bimodule_samples(2, 8)
 
 
 # Ways to corrupt a decomposition.  The last three each leave two of the
