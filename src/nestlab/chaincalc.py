@@ -55,7 +55,7 @@ class AbstractNest:
     """A finite presentation of a chain, validated on construction.
 
     The constructor keeps the label -> index map it builds as `label_index`,
-    which resolves every label read against the chain (map tables, `labels`).
+    in chain order: `documents` resolves and writes every label through it.
     It is set with `object.__setattr__` rather than cached on first read: a
     `cached_property` write materializes the instance `__dict__`, and every
     later attribute read on the chain gets slower.
@@ -131,9 +131,6 @@ class AbstractNest:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.label_index)
 
     def limit_below(self, i: int) -> bool:
         return self.nodes[i].below == LIMIT
@@ -213,16 +210,6 @@ class AbstractSupportFn:
                     f"node {node.label!r} is attained from below "
                     "and takes no left limit"
                 )
-
-    def as_tables(self) -> tuple[dict[str, str], dict[str, str]]:
-        labels = self.chain.labels()
-        value = {labels[i]: labels[v] for i, v in enumerate(self.value)}
-        left = {
-            labels[i]: labels[ll]
-            for i, ll in enumerate(self.left_limit)
-            if ll is not None
-        }
-        return value, left
 
 
 @dataclass(frozen=True)

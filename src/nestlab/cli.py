@@ -32,9 +32,10 @@ from .chaincalc import (
 from .documents import (
     WorkbenchDoc,
     _fmt_abstract_fn,
-    _fmt_matrix,
     _fmt_pair,
     _fmt_rank_one,
+    _fmt_space,
+    _support_table,
     parse_document,
 )
 from .errors import DocumentError, NestlabError, UnknownCommandError
@@ -97,20 +98,6 @@ def _table_lines(key: str, value: Any, indent: str) -> list[str]:
             lines.extend(_table_lines(f"[{i}]", item, indent + TABLE_INDENT))
         return lines
     return [f"{indent}{key}: {json.dumps(value)}"]
-
-
-def _fmt_space(space: OperatorSpace) -> dict:
-    return {
-        "dimension": space.dim,
-        "basis": [_fmt_matrix(m) for m in space.basis_matrices()],
-    }
-
-
-def _support_table(phi) -> dict:
-    return {
-        "values": list(phi.values),
-        "element_dims": [e.dim for e in phi.nest.elements],
-    }
 
 
 def _operator_space(doc: WorkbenchDoc, nest) -> OperatorSpace:
@@ -178,7 +165,7 @@ def _cmd_rank_one_check(doc: WorkbenchDoc) -> Any:
         member, witness = rank_one_in_alg(nest, doc.rank_one)
     return {
         "member": member,
-        "witness": None if witness is None else nest.index_of(witness),
+        "witness": None if witness is None else nest.elements.index(witness),
     }
 
 
@@ -187,11 +174,13 @@ def _cmd_rank_one_check(doc: WorkbenchDoc) -> Any:
 def _cmd_chain_validate(doc: WorkbenchDoc) -> Any:
     """validate the document's abstract chain"""
     chain = doc.require_chain()
+    finite = chain.finite_stratum()
     return {
-        "labels": list(chain.labels()),
-        "finite_stratum": [chain.nodes[i].label for i in chain.finite_stratum()],
+        "labels": list(chain.label_index),
+        "finite_stratum": [chain.nodes[i].label for i in finite],
         "p_property": check_p_property(chain),
-        "p_infinity": check_p_infinity(chain),
+        # p-infinity is the emptiness of the finite stratum
+        "p_infinity": not finite,
     }
 
 

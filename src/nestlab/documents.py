@@ -5,6 +5,7 @@ Rationals are strings ("p/q" or "p"), matrices are row-major nested arrays,
 and a document carries either a concrete nest or an abstract chain, never
 both.  Serialization is canonical (sorted keys, canonical rational strings),
 so parsing followed by serialization is the identity on canonical documents.
+The `_fmt_*` writers here also produce every value the CLI prints.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .chaincalc import (
     SupportPair,
     validate_chain,
 )
-from .errors import DocumentError, JoinNotRepresentedError, SupportFunctionError
+from .errors import ChainError, DocumentError, JoinNotRepresentedError, SupportFunctionError
 from .nest import Nest, validate_nest
-from .opspace import RankOne, SupportFn
+from .opspace import OperatorSpace, RankOne, SupportFn
 from .ratlin import Matrix, Vector, span
 
 VERSION = "nestlab/1"
@@ -225,12 +226,19 @@ def _parse_abstract_fn(raw: Any, chain: AbstractNest, path: str) -> AbstractSupp
     left = raw.get("left_limit", {})
     if not isinstance(left, dict):
         raise DocumentError("'left_limit' must map node labels to node labels", path=path)
-    return AbstractSupportFn(chain, *_resolve_tables(chain, value, left, path))
+    tables = _resolve_tables(chain, value, left, path)
+    try:
+        return AbstractSupportFn(chain, *tables)
+    except ChainError as exc:
+        raise DocumentError(str(exc), path=path) from None
 
 
 def _fmt_abstract_fn(f: AbstractSupportFn) -> dict:
-    value, left = f.as_tables()
-    return {"value": value, "left_limit": left}
+    labels = list(f.chain.label_index)
+    return {
+        "value": {a: labels[v] for a, v in zip(labels, f.value)},
+        "left_limit": {a: labels[ll] for a, ll in zip(labels, f.left_limit) if ll is not None},
+    }
 
 
 def _fmt_pair(pair: SupportPair) -> dict:
@@ -239,6 +247,25 @@ def _fmt_pair(pair: SupportPair) -> dict:
 
 def _fmt_rank_one(r: RankOne) -> dict:
     return {"functional": _fmt_vector(r.functional), "vector": _fmt_vector(r.vector)}
+
+
+def _fmt_space(space: OperatorSpace) -> dict:
+    # each canonical basis row is a row-major n x n matrix
+    n = space.ambient_dim
+    return {
+        "dimension": space.dim,
+        "basis": [
+            [_fmt_vector(r[i * n:(i + 1) * n]) for i in range(n)]
+            for r in space.space.basis.entries
+        ],
+    }
+
+
+def _support_table(phi: SupportFn) -> dict:
+    return {
+        "values": list(phi.values),
+        "element_dims": [e.dim for e in phi.nest.elements],
+    }
 
 
 @dataclass

@@ -27,10 +27,6 @@ class IncomparableError(NestlabError):
     """Two candidate chain members are not nested either way."""
 
 
-class NotAnElementError(NestlabError):
-    """The given subspace (or index) is not a member of the nest."""
-
-
 # --- operator spaces ---------------------------------------------------------
 
 class ZeroVectorError(NestlabError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import AmbientMismatchError, IncomparableError, NotAnElementError
+from .errors import AmbientMismatchError, IncomparableError
 from .ratlin import IntEchelon, Subspace, annihilator
 
 
@@ -66,12 +66,6 @@ class Nest:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def index_of(self, e: Subspace) -> int:
-        for i, n in enumerate(self.elements):
-            if n == e:
-                return i
-        raise NotAnElementError("subspace is not a member of the nest")
 
     @cached_property
     def annihilators(self) -> tuple[Subspace, ...]:

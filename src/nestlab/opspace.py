@@ -86,10 +86,6 @@ class OperatorSpace:
     def dim(self) -> int:
         return self.space.dim
 
-    def basis_matrices(self) -> tuple[Matrix, ...]:
-        n = self.ambient_dim
-        return tuple(Matrix.from_flat(r, n, n) for r in self.space.basis.entries)
-
 
 @dataclass(frozen=True)
 class SupportFn:

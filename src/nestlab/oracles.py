@@ -67,6 +67,15 @@ def _outer(vector: Vector, functional: Vector) -> Matrix:
     ))
 
 
+def _basis_matrices(j: OperatorSpace) -> list[Matrix]:
+    """The canonical basis of j, each row cut into an n x n matrix."""
+    n = j.ambient_dim
+    return [
+        Matrix(n, n, tuple(r[i * n:(i + 1) * n] for i in range(n)))
+        for r in j.space.basis.entries
+    ]
+
+
 def fraction_rref(rows: Iterable[Sequence], ncols: int) -> tuple[Vector, ...]:
     """The reduced row-echelon basis of the span of rows: the integer echelon
     with each row divided by its pivot, then back-substitution over Fraction."""
@@ -126,7 +135,7 @@ def support_of(nest: Nest, j: OperatorSpace) -> SupportFn:
     if j.ambient_dim != nest.ambient_dim:
         raise AmbientMismatchError("operator space and nest ambient dimensions differ")
     n = nest.ambient_dim
-    mats = j.basis_matrices()
+    mats = _basis_matrices(j)
     values = []
     for e in nest.elements:
         image = span([_apply(t, b) for t in mats for b in e.basis.entries], n)
@@ -356,7 +365,7 @@ def absorption_check(nest: Nest, j: OperatorSpace, n_idx: int, l_idx: int) -> bo
     n_below, _ = _adjacent(nest, n_idx)
     l_below, _ = _adjacent(nest, l_idx)
 
-    mats = j.basis_matrices()
+    mats = _basis_matrices(j)
     escapes = any(
         not l_below.contains_vector(_apply(t, b))
         for t in mats
@@ -377,14 +386,13 @@ def perp_span_check(nest: Nest, e: Subspace) -> bool:
     Compares the join of annihilator(N) over all N whose successor strictly
     contains e against annihilator(e).
     """
-    i = nest.index_of(e)
     n = nest.ambient_dim
     lhs = Subspace.zero(n)
     for k, nel in enumerate(nest.elements):
         _, above = _adjacent(nest, k)
         if above.contains(e) and above.dim > e.dim:
             lhs = join(lhs, annihilator(nel))
-    return lhs == annihilator(nest.elements[i])
+    return lhs == annihilator(e)
 
 
 # ---------------------------------------------------------------------------

@@ -195,15 +195,6 @@ class Matrix:
         ncols = len(entries[0]) if entries else 0
         return cls(len(entries), ncols, entries)
 
-    @classmethod
-    def from_flat(cls, flat: Sequence, rows: int, cols: int) -> "Matrix":
-        if len(flat) != rows * cols:
-            raise DimensionMismatchError("flat entry count does not match shape")
-        it = [as_fraction(x) for x in flat]
-        return cls(rows, cols, tuple(
-            tuple(it[i * cols + j] for j in range(cols)) for i in range(rows)
-        ))
-
     def flatten(self) -> Vector:
         """Row-major flattening, the layout used for operator spaces."""
         return tuple(x for r in self.entries for x in r)

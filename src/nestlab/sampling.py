@@ -75,7 +75,7 @@ def random_member(rng: random.Random, space: OperatorSpace) -> Matrix:
         c = random_entry(rng)
         if c:
             flat = [a + c * x for a, x in zip(flat, b)]
-    return Matrix.from_flat(flat, n, n)
+    return Matrix(n, n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
 
 
 def random_support_with_space(rng: random.Random):

@@ -16,6 +16,7 @@ from nestlab import (
     parse_document,
     predict_m0,
 )
+from nestlab.documents import _fmt_abstract_fn
 from nestlab.suites import run_suite
 
 SEED = 7
@@ -99,10 +100,11 @@ def test_c7_dense_chain_fixture_tables(fixture_dir):
     step = step_doc.require_abstract_fn()
 
     reg = lower_regularization(f)
-    value, left = reg.as_tables()
     ok = (
-        value == {"0": "0", "A": "A", "B": "B", "C": "X", "X": "X"}
-        and left == {"A": "A", "B": "B", "C": "X", "X": "X"}
+        _fmt_abstract_fn(reg) == {
+            "value": {"0": "0", "A": "A", "B": "B", "C": "X", "X": "X"},
+            "left_limit": {"A": "A", "B": "B", "C": "X", "X": "X"},
+        }
         and not check_left_continuous(f)
         and check_left_continuous(reg)
         and check_essential(step)

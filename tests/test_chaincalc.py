@@ -189,7 +189,7 @@ def dense_phi():
     (dense_chain, (0, 1, 2, 3, 4), (None, 1, 7, 3, 4), "left limit index 7 is out of range"),
     (finite_chain, (0, 1, 2), (None, 1, None),
      "node 'A' is attained from below and takes no left limit"),
-    # a float index would fail in as_tables, and a bool would not serialize
+    # a float index could not label a node, and a bool would not serialize
     (dense_chain, (0, True, 2, 3, 4), (None, 1, 2, 3, 4), "value index True is not an integer"),
     (dense_chain, (0, 1.0, 2, 3, 4), (None, 1, 2, 3, 4), "value index 1.0 is not an integer"),
     (dense_chain, (0, 1, 2, 3, 4), (None, True, 2, 3, 4),
@@ -275,10 +275,10 @@ def test_the_label_map_is_not_a_field():
     assert (repr(chain), hash(chain)) == before and "label_index" not in repr(chain)
     assert chain.label_index == {"0": 0, "A": 1, "B": 2, "C": 3, "X": 4}
     assert chain == fresh and hash(chain) == hash(fresh) and repr(chain) == repr(fresh)
-    assert chain.labels() == tuple(node.label for node in chain.nodes) == ("0", "A", "B", "C", "X")
+    assert list(chain.label_index) == [node.label for node in chain.nodes]
     for back in (pickle.loads(pickle.dumps(chain)), copy.deepcopy(chain)):
         assert back == chain == fresh and hash(back) == hash(fresh) and repr(back) == repr(chain)
-        assert back.labels() == chain.labels() and back.label_index == chain.label_index
+        assert list(back.label_index.items()) == list(chain.label_index.items())
         assert AbstractSupportFn(back, f.value, f.left_limit) == f
 
 
@@ -315,9 +315,9 @@ def test_left_continuity_reads_the_declared_table():
 
 def test_regularization_drops_to_left_limits():
     reg = lower_regularization(dense_phi())
-    value, left = reg.as_tables()
-    assert value == {"0": "0", "A": "A", "B": "B", "C": "X", "X": "X"}
-    assert left == {"A": "A", "B": "B", "C": "X", "X": "X"}
+    # nodes 0, A, B, C, X: C now goes to X, as its left limit does
+    assert reg.value == (0, 1, 2, 4, 4)
+    assert reg.left_limit == (None, 1, 2, 4, 4)
     assert check_left_continuous(reg)
     assert lower_regularization(reg) == reg
 

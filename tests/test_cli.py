@@ -234,6 +234,34 @@ def test_a_process_given_a_malformed_document_exits_two(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+BRACKET = "must sit between the value at the predecessor and the value at the node"
+
+
+@pytest.mark.parametrize("where", ["abstract_fn", "abstract_pair.psi"])
+@pytest.mark.parametrize("edit, message", [
+    (("value", "A", "X"), "value table is not monotone"),
+    (("left_limit", "A", "X"), f"left limit at 'A' {BRACKET}"),
+    (("left_limit", "A", None), "limit node 'A' needs a left limit"),
+], ids=["not-monotone", "left-limit-outside-bracket", "left-limit-missing"])
+def test_a_map_breaking_its_constructor_rules_exits_two_at_its_path(
+    where, edit, message, tmp_path, capsys
+):
+    # chain-regularize reads only abstract_fn, yet the whole document parses
+    raw = json.loads(Path(doc_path("chain-step")).read_text(encoding="utf-8"))
+    table_map = raw
+    for key in where.split("."):
+        table_map = table_map[key]
+    table, node, target = edit
+    if target is None:
+        del table_map[table][node]
+    else:
+        table_map[table][node] = target
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = invoke(capsys, "chain-regularize", "--doc", str(bad))
+    assert (code, out, err) == (2, "", f"parse error: {where}: {message}\n")
+
+
 def test_unexpected_exception_exits_three_without_traceback(monkeypatch, capsys):
     def broken(doc):
         raise RuntimeError("boom")

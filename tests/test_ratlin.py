@@ -54,7 +54,9 @@ def test_matrix_apply():
 
 def test_matrix_flatten_round_trip():
     a = mat([[1, 2, 3], [4, 5, 6]])
-    assert Matrix.from_flat(a.flatten(), 2, 3) == a
+    flat = a.flatten()
+    assert flat == tuple(F(x) for x in range(1, 7))
+    assert Matrix(2, 3, (flat[:3], flat[3:])) == a
 
 
 def test_outer_entries():
@@ -217,12 +219,12 @@ def test_subspace_and_nest_from_lists_equal_the_tuple_built_values():
     listed = Subspace(3, [[1, 0, 0]])
     assert listed == line and hash(listed) == hash(line)
     assert listed.rows == ((1, 0, 0),) and listed.pivots == (0,)
-    assert validate_nest([listed], 3).index_of(line) == 1
-    assert validate_nest([line], 3).index_of(listed) == 1
+    assert validate_nest([listed], 3).elements.index(line) == 1
+    assert validate_nest([line], 3).elements.index(listed) == 1
     nest = validate_nest([line, span([(1, 0, 0), (0, 1, 1)], 3)], 3)
     rebuilt = Nest(3, list(nest.elements))
     assert rebuilt == nest and hash(rebuilt) == hash(nest)
-    assert rebuilt.index_of(listed) == 1
+    assert rebuilt.elements.index(listed) == 1
     assert m_of(nest, SupportFn.identity(rebuilt)) == nest_algebra(nest)
 
 
