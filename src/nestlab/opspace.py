@@ -433,17 +433,20 @@ def _first_meet_vector(nest: Nest, r: Sequence[Sequence[int]]) -> list[int]:
     nonzero column space of the integer matrix r and L the smallest nest
     element meeting W (the top element meets it, so L exists).
 
-    One Zassenhaus echelon answers both questions.  It holds [w | 0] for the
-    columns w of r, then [u | u] for the adapted basis vectors u, level by
-    level.  Once the vectors up to level j are in, its rows with a zero left
-    half hold E_j meet W in their right halves, so the first level that
-    leaves such a row is L.
+    One Zassenhaus echelon answers both questions.  It holds [w | 0] for an
+    echelon basis w of W, then [u | u] for the adapted basis vectors u, level
+    by level.  Once the vectors up to level j are in, its rows with a zero
+    left half hold E_j meet W in their right halves, so the first level that
+    leaves such a row is L.  The basis of W is found at width n: the right
+    half of [w | 0] stays zero under elimination, so those rows are the
+    n-wide echelon rows of the columns of r, padded with zeros.
     """
     n = nest.ambient_dim
     zeros = [0] * n
-    z = IntEchelon(2 * n)
+    w = IntEchelon(n)
     for column in zip(*r):
-        z.insert([*column, *zeros])
+        w.insert(column)
+    z = IntEchelon(2 * n, [[*row, *zeros] for row in w.rows], w.pivots)
     for level in nest.adapted_levels:
         for u in level:
             z.insert([*u, *u])

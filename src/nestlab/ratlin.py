@@ -6,16 +6,19 @@ form of its span with each row scaled to a primitive integer vector with a
 positive pivot.  That form is unique, so two subspaces are equal exactly when
 their integer rows are equal.
 
-The kernel is integer from input to output.  A rational row is scaled to a
-primitive integer vector (same span) and eliminated by cross-multiplication
-(`IntEchelon.insert`).  `IntEchelon.reduced` clears the entries above every
-pivot fraction-free, row_j = (b/g) row_j - (a/g) row_i with g = gcd(a, b),
-which gives the stored form directly.  A `Subspace` keeps the pivot columns
-its constructor finds while checking that form, and answers membership
-(`Subspace.contains_row`) by the same reduction, `_residue`, that an
-`IntEchelon` runs; a join seeds its echelon with the rows and pivots of one
-side.  A `Fraction` is made only when `Subspace.basis` is read: each stored
-row divided by its pivot, one `Fraction` per nonzero entry.
+The kernel is integer from input to output.  Every row enters it through
+`int_row`, which scales it to a primitive integer vector (same span) with
+one `gcd` call (`_primitive`).  A row of ints or of Fractions enters without
+a `Fraction` being made; only other entries (decimal strings, bools, mixed
+rows) are read by `as_vector` first.  Rows are eliminated by
+cross-multiplication (`IntEchelon.insert`).  `IntEchelon.reduced` clears the
+entries above every pivot fraction-free, row_j = (b/g) row_j - (a/g) row_i
+with g = gcd(a, b), which gives the stored form directly.  A `Subspace` keeps
+the pivot columns its constructor finds while checking that form, and
+answers membership (`Subspace.contains_row`) by the same reduction,
+`_residue`, that an `IntEchelon` runs; a join seeds its echelon with the rows
+and pivots of one side.  A `Fraction` is made only when `Subspace.basis` is
+read: each stored row divided by its pivot, one `Fraction` per nonzero entry.
 """
 
 from __future__ import annotations
@@ -33,18 +36,25 @@ Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 
+# the entry types of a row that `int_row` reads without `as_vector`
+_INT = {int}
+_FRACTION = {Fraction}
+
 
 def as_fraction(value: int | str | Fraction) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def as_vector(entries: Sequence, n: int | None = None) -> Vector:
-    vec = tuple(as_fraction(x) for x in entries)
-    if n is not None and len(vec) != n:
+    return _check_length(tuple(as_fraction(x) for x in entries), n)
+
+
+def _check_length(entries: Sequence, n: int | None) -> Sequence:
+    if n is not None and len(entries) != n:
         raise DimensionMismatchError(
-            f"vector has {len(vec)} entries, expected {n}"
+            f"vector has {len(entries)} entries, expected {n}"
         )
-    return vec
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -52,18 +62,17 @@ def as_vector(entries: Sequence, n: int | None = None) -> Vector:
 # ---------------------------------------------------------------------------
 
 def _primitive(row: Sequence[int]) -> list[int] | None:
-    """Scale an integer row to gcd 1 with positive leading entry.
+    """Scale an integer row to gcd 1 with positive leading entry, as a new
+    list (an `IntEchelon` keeps the rows it is given).
 
     Returns None for the zero row.
     """
-    g = 0
-    lead = 0
-    for x in row:
-        if x and not lead:
-            lead = x
-        g = gcd(g, x)
-    if g == 0:
+    lead = next(filter(None, row), 0)
+    if not lead:
         return None
+    g = gcd(*row)
+    if g == 1 and lead > 0:
+        return list(row)
     if lead < 0:
         g = -g
     return [x // g for x in row]
@@ -76,10 +85,28 @@ def _pivot(row: Sequence[int]) -> int | None:
     return None if lead is None else row.index(lead)
 
 
-def int_row(entries: Sequence[Fraction]) -> list[int] | None:
-    """Primitive integer row with the same span as a rational row."""
-    scale = lcm(*(x.denominator for x in entries)) if entries else 1
-    return _primitive([x.numerator * (scale // x.denominator) for x in entries])
+def int_row(entries: Sequence, n: int | None = None) -> list[int] | None:
+    """Primitive integer row with the same span as a rational row, checked to
+    have n entries when n is given; None for the zero row.
+
+    A tuple or list of exact ints goes straight to `_primitive`, and one of
+    Fractions is scaled by the lcm of its denominators: neither makes a
+    Fraction.  Any other row (decimal strings, bools, mixed entries) is read
+    by `as_vector` first.
+    """
+    kinds = set(map(type, entries)) if type(entries) in (tuple, list) else None
+    if kinds == _INT:
+        return _primitive(_check_length(entries, n))
+    if kinds == _FRACTION:
+        _check_length(entries, n)
+    else:
+        entries = as_vector(entries, n)
+    nums = [x.numerator for x in entries]
+    dens = [x.denominator for x in entries]
+    scale = lcm(*dens)
+    if scale != 1:
+        nums = [a * (scale // d) for a, d in zip(nums, dens)]
+    return _primitive(nums)
 
 
 def _residue(rows: Sequence[Sequence[int]], pivots: Sequence[int],
@@ -159,10 +186,10 @@ class IntEchelon:
         return out
 
 
-def _echelon_from_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> IntEchelon:
+def _echelon_from_rows(rows: Iterable[Sequence], ncols: int) -> IntEchelon:
     ech = IntEchelon(ncols)
     for r in rows:
-        w = int_row(as_vector(r, ncols))
+        w = int_row(r, ncols)
         if w is not None:
             ech.insert(w)
     return ech
@@ -272,8 +299,7 @@ class Subspace:
         return not any(_residue(self.rows, self.pivots, v))
 
     def contains_vector(self, v: Sequence) -> bool:
-        vec = as_vector(v, self.ambient_dim)
-        w = int_row(vec)
+        w = int_row(v, self.ambient_dim)
         return w is None or self.contains_row(w)
 
     def contains(self, other: "Subspace") -> bool:

@@ -83,6 +83,16 @@ GUARDS = {
     "nest without elements": (
         lambda: Nest(3, ()),
         IncomparableError, "a nest needs at least the two trivial elements"),
+    **{
+        f"{kind} row of the wrong length into {into}": (
+            lambda call=call, row=row: call(row),
+            DimensionMismatchError, "vector has 2 entries, expected 3")
+        for into, call in (
+            ("span", lambda row: span([row], 3)),
+            ("Subspace.contains_vector", Subspace.full(3).contains_vector),
+        )
+        for kind, row in (("int", (1, 2)), ("Fraction", (ONE, ONE / 2)), ("str", ("1", "2.5")))
+    },
     "case count that is no integer": (
         lambda: _case_count("x"),
         argparse.ArgumentTypeError, "invalid int value: 'x'"),

@@ -14,7 +14,8 @@ suites, their sampler and `__init__`, or is listed with its reason in
 `PUBLIC_ENTRY_POINTS`.  The same holds for every public method, classmethod
 and property of a class those modules define, with `PUBLIC_MEMBERS` for the
 listed ones.  A member whose name another class also defines is read only
-when `SHARED_NAME_READERS` names its reader."""
+through the production functions `SHARED_NAME_READERS` names, each of which
+must read it on an object of the member's class."""
 
 import ast
 import json
@@ -51,13 +52,17 @@ PUBLIC_MEMBERS = {
 
 # public members whose name another production class, or a builtin type
 # (`list.insert`), also defines: a read of the name does not tell whose member
-# it reads, so each counts as read only when it is listed here, with its
-# production reader
+# it reads, so each counts as read only through the production functions
+# listed here, and each of them must read it on an object that its syntax
+# tree shows to be of the member's class (see `_typed_reads`)
 SHARED_NAME_READERS = {
-    "IntEchelon.dim": "nest.Nest checks each level's rank; ratlin.rank",
-    "IntEchelon.insert": "nest.Nest, ratlin._echelon_from_rows and opspace's echelons",
-    "Subspace.dim": "nest.validate_nest sorts by it; documents._support_table",
-    "OperatorSpace.dim": "documents._fmt_space writes it as 'dimension'",
+    "IntEchelon.dim": ("nest.Nest.__post_init__", "ratlin.rank"),
+    "IntEchelon.insert": (
+        "nest.Nest.__post_init__", "ratlin._echelon_from_rows", "ratlin.join",
+        "ratlin.annihilator", "opspace._first_meet_vector",
+    ),
+    "Subspace.dim": ("ratlin.Subspace.contains", "ratlin.join"),
+    "OperatorSpace.dim": ("documents._fmt_space",),
 }
 BUILTIN_TYPES = (list, tuple, dict, set, str, int)
 
@@ -235,16 +240,102 @@ def test_public_members_are_not_stale():
 
 
 def test_shared_name_readers_are_not_stale():
-    reads, members = _production_member_reads(), _public_members()
+    members = _public_members()
     shared = _shared_names(members)
     assert sorted(
         m for m in SHARED_NAME_READERS
         if m not in members or m.partition(".")[2] not in shared
     ) == [], "no public member of a shared name; drop it from SHARED_NAME_READERS"
-    assert sorted(
-        m for m in SHARED_NAME_READERS if m.partition(".")[2] not in reads
-    ) == [], "no production module reads the name; drop it from SHARED_NAME_READERS"
     assert all(SHARED_NAME_READERS.values())
+
+
+def _class_name(annotation: ast.AST | None) -> str | None:
+    """The class an annotation names: `Subspace` or `"Subspace"`."""
+    if isinstance(annotation, ast.Name):
+        return annotation.id
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value
+    return None
+
+
+def _production_types() -> tuple[set[str], dict[str, str]]:
+    """The classes of the production modules, and the class each of their
+    module-level functions is annotated to return."""
+    classes, returns = set(), {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in NOT_PRODUCTION:
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                classes.add(node.name)
+            elif isinstance(node, ast.FunctionDef) and _class_name(node.returns):
+                returns[node.name] = _class_name(node.returns)
+    return classes, returns
+
+
+def _function(reader: str) -> tuple[ast.FunctionDef, str | None] | None:
+    """The function that "module.function" or "module.Class.method" names,
+    with the name of its class; None when there is no such function."""
+    module, *names = reader.split(".")
+    path = PACKAGE / f"{module}.py"
+    if not path.is_file():
+        return None
+    scope, cls = ast.parse(path.read_text(encoding="utf-8")), None
+    for name in names:
+        scope = next((
+            node for node in scope.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+        ), None)
+        if scope is None:
+            return None
+        if isinstance(scope, ast.ClassDef):
+            cls = scope.name
+    return (scope, cls) if isinstance(scope, ast.FunctionDef) else None
+
+
+def _typed_reads(func: ast.FunctionDef, cls: str | None,
+                 classes: set[str], returns: dict[str, str]) -> set[str]:
+    """"Class.attr" for every attribute the function reads on an object whose
+    class its syntax tree shows: `self` in a method, a parameter annotated
+    with the class, a name assigned a call of the class or of a function
+    annotated to return it, or such a call itself.  `space.space.dim` is a
+    read on `space.space`, whose class this does not follow."""
+
+    def called(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name = node.func.id
+            return name if name in classes else returns.get(name)
+        return None
+
+    args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+    known = {a.arg: _class_name(a.annotation) for a in args}
+    if cls is not None and args and args[0].arg == "self":
+        known["self"] = cls
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and (owner := called(node.value)) is not None):
+            known[node.targets[0].id] = owner
+    reads = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Attribute):
+            receiver = node.value
+            owner = known.get(receiver.id) if isinstance(receiver, ast.Name) else called(receiver)
+            if owner is not None:
+                reads.add(f"{owner}.{node.attr}")
+    return reads
+
+
+def test_shared_name_readers_read_their_member():
+    classes, returns = _production_types()
+    found = []
+    for member, readers in SHARED_NAME_READERS.items():
+        for reader in readers:
+            func = _function(reader)
+            if (f"{reader.partition('.')[0]}.py" in NOT_PRODUCTION or func is None
+                    or member not in _typed_reads(*func, classes, returns)):
+                found.append(f"{reader} ({member})")
+    _fail_at("listed production reader that does not read its member", found)
 
 
 def test_all_is_what_init_imports():

@@ -3,6 +3,7 @@ import dataclasses
 import pickle
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from nestlab import (
     validate_nest,
 )
 from nestlab.oracles import _apply, _outer, fraction_rref
-from nestlab.ratlin import _pivot
+from nestlab.ratlin import _pivot, _primitive, int_row
 
 F = Fraction
 
@@ -265,7 +266,7 @@ def test_lattice_operations_leave_cached_rows_unchanged():
 
 
 def test_no_fraction_is_made_until_a_basis_is_read(fractions_made):
-    vecs = [as_vector(r) for r in ((1, 2, 0, 3), (0, 1, 1, 1), (2, 0, 1, 0), (1, 1, 1, 1))]
+    vecs = [(1, 2, 0, 3), (0, 1, 1, 1), (2, 0, 1, 0), (1, 1, 1, 1)]
     nest = validate_nest([span(vecs[:1], 4), span(vecs[:3], 4)], 4)
     k = len(nest.elements)
     phi = SupportFn(nest, tuple(min(i + 1, k - 1) for i in range(k)))
@@ -284,3 +285,97 @@ def test_no_fraction_is_made_until_a_basis_is_read(fractions_made):
     assert fractions_made(lattice_and_operator_spaces) == 0
     fresh = span(vecs[:2], 4)
     assert fractions_made(lambda: fresh.basis) > 0
+
+
+def test_int_and_fraction_rows_enter_the_kernel_without_a_fraction(fractions_made):
+    ints = [(2, 4, 0, 6), (0, -3, 3, 0), (1, 2, 1, 3)]
+    fractions = [tuple(F(x, 3) for x in row) for row in ints]
+
+    def int_rows():
+        line = span(ints[:1], 4)
+        nest = validate_nest([line, span(ints[:2], 4), span(ints, 4)], 4)
+        line.contains_vector(ints[1])
+        nest.elements[2].contains_vector(list(ints[2]))
+
+    def fraction_rows():
+        span(fractions, 4).contains_vector(fractions[0])
+
+    assert fractions_made(int_rows) == 0
+    assert fractions_made(fraction_rows) == 0
+    # a decimal string still enters through as_vector
+    assert fractions_made(lambda: span([("1", "2.5", "0", "0")], 4)) > 0
+
+
+# --- the kernel's entry against the Fraction route ---------------------------
+
+def _per_entry_primitive(row):
+    """_primitive as a loop: the gcd taken one entry at a time, the sign that
+    of the first nonzero entry."""
+    g = lead = 0
+    for x in row:
+        if x and not lead:
+            lead = x
+        g = gcd(g, x)
+    if g == 0:
+        return None
+    if lead < 0:
+        g = -g
+    return [x // g for x in row]
+
+
+def _fraction_route(row, n):
+    """int_row through Fraction: every entry made a Fraction, the row scaled
+    by the lcm of the denominators, then made primitive entry by entry."""
+    vec = as_vector(row, n)
+    scale = lcm(*(x.denominator for x in vec))
+    return _per_entry_primitive([int(x * scale) for x in vec])
+
+
+def _kernel_row(rng, n):
+    """A row of one entry kind, or of mixed kinds, that is zero a tenth of
+    the time and otherwise scaled by a factor that may be negative or share
+    a divisor with every entry; half the rows are lists."""
+    ints = [rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70)))
+            for _ in range(n)]
+    if rng.random() < 0.1:
+        ints = [0] * n
+    factor = rng.choice((1, 1, -1, 2, -6, 12))
+    kind = rng.choice(("int", "fraction", "str", "bool", "mixed"))
+    row = []
+    for x in ints:
+        x *= factor
+        pick = rng.choice(("int", "fraction", "str", "bool")) if kind == "mixed" else kind
+        den = rng.choice((1, 1, 2, 3, 10))
+        if pick == "fraction":
+            row.append(F(x, den))
+        elif pick == "str":
+            row.append(rng.choice((str(x), f"{x}/{den}", f"{x}.{rng.randint(0, 99)}")))
+        elif pick == "bool":
+            row.append(x % 2 == 1)
+        else:
+            row.append(x)
+    return row if rng.random() < 0.5 else tuple(row)
+
+
+def test_int_row_equals_the_fraction_route():
+    rng = random.Random(19)
+    for case in range(2000):
+        n = rng.randint(0, 7)
+        row = _kernel_row(rng, n)
+        got = int_row(row, n)
+        assert got == _fraction_route(row, n) == int_row(row), (case, row)
+        assert got is None or {type(x) for x in got} == {int}
+        assert got is not row
+
+
+def test_primitive_equals_the_per_entry_loop():
+    rng = random.Random(19)
+    for case in range(2000):
+        n = rng.randint(0, 7)
+        factor = rng.choice((1, -1, 2, -3, 2 ** 65))
+        row = [factor * rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70)))
+               for _ in range(n)]
+        for given in (row, tuple(row)):
+            got = _primitive(given)
+            assert got == _per_entry_primitive(given), (case, given)
+            assert got is not given
