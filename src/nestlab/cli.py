@@ -134,8 +134,7 @@ def _cmd_ess_support(doc: WorkbenchDoc) -> Any:
 
 def _cmd_m_of_phi(doc: WorkbenchDoc) -> Any:
     """largest operator space with the given support"""
-    nest = doc.require_nest()
-    return _fmt_space(m_of(nest, doc.require_support(nest)))
+    return _fmt_space(m_of(doc.require_nest(), doc.require_support()))
 
 
 def _cmd_check_reflexive(doc: WorkbenchDoc) -> Any:
@@ -147,7 +146,7 @@ def _cmd_check_reflexive(doc: WorkbenchDoc) -> Any:
 def _cmd_decompose(doc: WorkbenchDoc) -> Any:
     """rank-one decomposition of the 'target' operator"""
     nest = doc.require_nest()
-    phi = doc.require_support(nest)
+    phi = doc.require_support()
     targets = doc.matrices("target")
     if len(targets) != 1:
         raise DocumentError("'target' must hold exactly one matrix", path="operators.target")
@@ -159,8 +158,8 @@ def _cmd_rank_one_check(doc: WorkbenchDoc) -> Any:
     nest = doc.require_nest()
     if doc.rank_one is None:
         raise DocumentError("document has no 'rank_one' section", path="rank_one")
-    if doc.support_values is not None:
-        member, witness = rank_one_in_m(nest, doc.require_support(nest), doc.rank_one)
+    if doc.support_fn is not None:
+        member, witness = rank_one_in_m(nest, doc.support_fn, doc.rank_one)
     else:
         member, witness = rank_one_in_alg(nest, doc.rank_one)
     return {

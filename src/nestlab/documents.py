@@ -3,9 +3,15 @@
 A document is JSON with an explicit ``"version": "nestlab/1"`` field.
 Rationals are strings ("p/q" or "p"), matrices are row-major nested arrays,
 and a document carries either a concrete nest or an abstract chain, never
-both.  Serialization is canonical (sorted keys, canonical rational strings),
-so parsing followed by serialization is the identity on canonical documents.
-The `_fmt_*` writers here also produce every value the CLI prints.
+both.  `parse_document` builds each value once, through its constructor, and
+`_checked` turns any fault a constructor raises into a DocumentError at the
+section's path, so a `WorkbenchDoc` holds only checked values.
+Serialization is canonical: sorted keys, canonical rational strings, and a
+nest as its proper elements in increasing order, each as the primitive
+integer rows of its reduced echelon basis.  Parsing followed by
+serialization is therefore the identity on canonical documents, and takes
+any other spelling of the same values to the canonical one.  The `_fmt_*`
+writers here also produce every value the CLI prints.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .chaincalc import (
     ATTAINED,
@@ -27,7 +33,7 @@ from .chaincalc import (
     SupportPair,
     validate_chain,
 )
-from .errors import ChainError, DocumentError, JoinNotRepresentedError, SupportFunctionError
+from .errors import DocumentError, NestlabError
 from .nest import Nest, validate_nest
 from .opspace import OperatorSpace, RankOne, SupportFn
 from .ratlin import Matrix, Vector, span
@@ -96,6 +102,15 @@ def _matrix(raw: Any, path: str, n: int | None) -> Matrix:
     return Matrix(len(rows), width, tuple(rows))
 
 
+def _checked(path: str, build: Callable, *args: Any) -> Any:
+    """build(*args), with any fault its constructor raises turned into a
+    DocumentError at the section's path."""
+    try:
+        return build(*args)
+    except NestlabError as exc:
+        raise DocumentError(str(exc), path=path) from None
+
+
 def _fmt_vector(v: Sequence[Fraction]) -> list[str]:
     return [str(x) for x in v]
 
@@ -160,7 +175,7 @@ def _parse_chain(raw: Any, path: str) -> AbstractNest:
                 if coinitiality not in MARKS:
                     raise _not_one_of(MARKS, f"{path}.nodes[{i}].above.coinitiality")
         nodes.append(ChainNode(label, below_kind, gap, cofinality, above_kind, coinitiality))
-    return validate_chain(nodes)
+    return _checked(path, validate_chain, nodes)
 
 
 def _fmt_chain(chain: AbstractNest) -> dict:
@@ -187,8 +202,7 @@ def _resolve_tables(
     chain: AbstractNest, value: dict, left_limit: dict, path: str
 ) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
     """Index tables for a map's label tables.  A label that is no node, or a
-    node the value table misses, is a DocumentError at the map's path; a left
-    limit naming no node raises JoinNotRepresentedError."""
+    node the value table misses, is a DocumentError at the map's path."""
     index = chain.label_index
     values = [0] * len(index)
     for key, target in value.items():
@@ -210,8 +224,9 @@ def _resolve_tables(
                 f"left limit at {key!r} is {target!r}, not a node label", path=path
             )
         if target not in index:
-            raise JoinNotRepresentedError(
-                f"left limit at {key!r} names {target!r}, which is not a chain node"
+            raise DocumentError(
+                f"left limit at {key!r} names {target!r}, which is not a chain node",
+                path=path,
             )
         left[index[key]] = index[target]
     return tuple(values), tuple(left)
@@ -226,11 +241,7 @@ def _parse_abstract_fn(raw: Any, chain: AbstractNest, path: str) -> AbstractSupp
     left = raw.get("left_limit", {})
     if not isinstance(left, dict):
         raise DocumentError("'left_limit' must map node labels to node labels", path=path)
-    tables = _resolve_tables(chain, value, left, path)
-    try:
-        return AbstractSupportFn(chain, *tables)
-    except ChainError as exc:
-        raise DocumentError(str(exc), path=path) from None
+    return _checked(path, AbstractSupportFn, chain, *_resolve_tables(chain, value, left, path))
 
 
 def _fmt_abstract_fn(f: AbstractSupportFn) -> dict:
@@ -270,40 +281,31 @@ def _support_table(phi: SupportFn) -> dict:
 
 @dataclass
 class WorkbenchDoc:
-    """Parsed form of one workbench document."""
+    """Parsed form of one workbench document: every value in it has passed
+    its constructor."""
 
     ambient_dim: int | None = None
-    nest_bases: list[list[Vector]] | None = None
+    nest: Nest | None = None
     operators: dict[str, list[Matrix]] = field(default_factory=dict)
-    support_values: list[int] | None = None
+    support_fn: SupportFn | None = None
     rank_one: RankOne | None = None
     chain: AbstractNest | None = None
     abstract_fn: AbstractSupportFn | None = None
     abstract_pair: SupportPair | None = None
-    # the validated nest, built on first request
-    _nest: Nest | None = field(default=None, init=False, repr=False, compare=False)
 
-    # --- builders ---------------------------------------------------------
+    # --- section lookups --------------------------------------------------
 
     def require_nest(self) -> Nest:
-        if self._nest is None:
+        if self.nest is None:
             if self.ambient_dim is None:
                 raise DocumentError("document has no 'ambient_dim'", path="ambient_dim")
-            if self.nest_bases is None:
-                raise DocumentError("document has no 'nest' section", path="nest")
-            subspaces = [
-                span(rows, self.ambient_dim) for rows in self.nest_bases
-            ]
-            self._nest = validate_nest(subspaces, self.ambient_dim)
-        return self._nest
+            raise DocumentError("document has no 'nest' section", path="nest")
+        return self.nest
 
-    def require_support(self, nest: Nest) -> SupportFn:
-        if self.support_values is None:
+    def require_support(self) -> SupportFn:
+        if self.support_fn is None:
             raise DocumentError("document has no 'support_fn' section", path="support_fn")
-        try:
-            return SupportFn(nest, tuple(self.support_values))
-        except SupportFunctionError as exc:
-            raise DocumentError(str(exc), path="support_fn") from None
+        return self.support_fn
 
     def matrices(self, role: str) -> list[Matrix]:
         if role not in self.operators:
@@ -378,14 +380,16 @@ def parse_document(text: str) -> WorkbenchDoc:
             raise DocumentError("a nest needs 'ambient_dim'", path="nest")
         if not isinstance(raw["nest"], list):
             raise DocumentError("'nest' must be an array of bases", path="nest")
-        doc.nest_bases = []
+        subspaces = []
         for i, basis in enumerate(raw["nest"]):
             if not isinstance(basis, list):
                 raise DocumentError("each nest element is an array of vectors",
                                     path=f"nest[{i}]")
-            doc.nest_bases.append([
-                _vector(v, f"nest[{i}][{k}]", doc.ambient_dim) for k, v in enumerate(basis)
-            ])
+            subspaces.append(span(
+                [_vector(v, f"nest[{i}][{k}]", doc.ambient_dim) for k, v in enumerate(basis)],
+                doc.ambient_dim,
+            ))
+        doc.nest = _checked("nest", validate_nest, subspaces, doc.ambient_dim)
     if "operators" in raw:
         ops = raw["operators"]
         if not isinstance(ops, dict):
@@ -402,19 +406,14 @@ def parse_document(text: str) -> WorkbenchDoc:
         sv = raw["support_fn"]
         if not isinstance(sv, list) or not all(type(x) is int for x in sv):
             raise DocumentError("'support_fn' is an array of element indices", path="support_fn")
-        doc.support_values = list(sv)
-        if doc.nest_bases is not None:
-            # the table indexes the validated nest, so it is checked against it here
-            doc.require_support(doc.require_nest())
+        doc.support_fn = _checked("support_fn", SupportFn, doc.require_nest(), tuple(sv))
     if "rank_one" in raw:
         ro = raw["rank_one"]
         if not isinstance(ro, dict) or "functional" not in ro or "vector" not in ro:
             raise DocumentError("'rank_one' needs 'functional' and 'vector'", path="rank_one")
         functional = _vector(ro["functional"], "rank_one.functional", doc.ambient_dim)
         vector = _vector(ro["vector"], "rank_one.vector", doc.ambient_dim)
-        if len(functional) != len(vector):
-            raise DocumentError("functional and vector sizes differ", path="rank_one")
-        doc.rank_one = RankOne(functional, vector)
+        doc.rank_one = _checked("rank_one", RankOne, functional, vector)
     if "chain" in raw:
         doc.chain = _parse_chain(raw["chain"], "chain")
     if "abstract_fn" in raw:
@@ -426,7 +425,8 @@ def parse_document(text: str) -> WorkbenchDoc:
         if not isinstance(ap, dict) or "phi" not in ap or "psi" not in ap:
             raise DocumentError("'abstract_pair' needs 'phi' and 'psi'", path="abstract_pair")
         chain = doc.require_chain()
-        doc.abstract_pair = SupportPair(
+        doc.abstract_pair = _checked(
+            "abstract_pair", SupportPair,
             _parse_abstract_fn(ap["phi"], chain, "abstract_pair.phi"),
             _parse_abstract_fn(ap["psi"], chain, "abstract_pair.psi"),
         )
@@ -438,15 +438,16 @@ def document_payload(doc: WorkbenchDoc) -> dict:
     out: dict[str, Any] = {"version": VERSION}
     if doc.ambient_dim is not None:
         out["ambient_dim"] = doc.ambient_dim
-    if doc.nest_bases is not None:
-        out["nest"] = [[_fmt_vector(v) for v in basis] for basis in doc.nest_bases]
+    if doc.nest is not None:
+        # the proper elements, each as its canonical integer rows
+        out["nest"] = [[_fmt_vector(r) for r in e.rows] for e in doc.nest.elements[1:-1]]
     if doc.operators:
         out["operators"] = {
             role: [_fmt_matrix(m) for m in items]
             for role, items in doc.operators.items()
         }
-    if doc.support_values is not None:
-        out["support_fn"] = list(doc.support_values)
+    if doc.support_fn is not None:
+        out["support_fn"] = list(doc.support_fn.values)
     if doc.rank_one is not None:
         out["rank_one"] = _fmt_rank_one(doc.rank_one)
     if doc.chain is not None:

@@ -59,10 +59,6 @@ class LimitGapError(ChainError):
     """A node marked as a limit from below also declares a jump dimension."""
 
 
-class JoinNotRepresentedError(ChainError):
-    """A declared left limit names a node absent from the chain."""
-
-
 class PairAdmissibilityError(ChainError):
     """A (phi, psi) pair violates the pair axioms."""
 

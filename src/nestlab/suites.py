@@ -136,10 +136,10 @@ def _rng(seed: int, tag: str) -> random.Random:
 
 def _replay(command: str, nest=None, **fields) -> dict:
     """An input, given as WorkbenchDoc fields, as the document that
-    `nestlab <command> --doc` replays; a nest is written as its proper
-    elements, and a map brings its chain."""
+    `nestlab <command> --doc` replays; a nest brings its ambient dimension,
+    and a map its chain."""
     if nest is not None:
-        fields.update(ambient_dim=nest.ambient_dim, nest_bases=[e.rows for e in nest][1:-1])
+        fields.update(ambient_dim=nest.ambient_dim, nest=nest)
     if "abstract_fn" in fields:
         fields["chain"] = fields["abstract_fn"].chain
     return {"command": command, "document": document_payload(WorkbenchDoc(**fields))}
@@ -241,7 +241,7 @@ def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
     def exhaustive() -> Iterator[tuple]:
         for phi in zero_fixing_supports(nest):
             yield (nest, phi), (phi.values,), partial(
-                _replay, "m-of-phi", nest, support_values=phi.values
+                _replay, "m-of-phi", nest, support_fn=phi
             )
 
     def random_supports(tag: str, fix_zero: bool = False) -> Iterator[tuple]:
@@ -250,7 +250,7 @@ def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
             rnest = sampling.random_nest(rng)
             phi = sampling.random_support(rng, rnest, fix_zero=fix_zero)
             yield (rnest, phi), (rnest.ambient_dim, len(rnest)), partial(
-                _replay, "m-of-phi", rnest, support_values=phi.values
+                _replay, "m-of-phi", rnest, support_fn=phi
             )
 
     def galois(nest, phi: SupportFn) -> bool:
@@ -337,7 +337,7 @@ def suite_decompose(seed: int, cases: int) -> list[PropertyOutcome]:
             )
             ok = ok and total == t.entries
             yield ok, (nest.ambient_dim, rank(t)), partial(
-                _replay, "decompose", nest, support_values=phi.values, operators={"target": [t]}
+                _replay, "decompose", nest, support_fn=phi, operators={"target": [t]}
             )
 
     return [_run("decomposition is exact, rank-counted, and memberwise", sound())]
@@ -395,7 +395,7 @@ def suite_rankone(seed: int, cases: int) -> list[PropertyOutcome]:
                 and rank_one_in_m(rnest, phi, r) == (direct, witness)
             )
             yield ok, (n,), partial(
-                _replay, "rank-one-check", rnest, support_values=phi.values, rank_one=r
+                _replay, "rank-one-check", rnest, support_fn=phi, rank_one=r
             )
 
     return [

@@ -17,7 +17,6 @@ from nestlab import (
     ChainError,
     ChainNode,
     DocumentError,
-    JoinNotRepresentedError,
     LimitGapError,
     MissingEndpointError,
     NonzeroAtZeroError,
@@ -242,8 +241,7 @@ PARSER_MESSAGES = {
 ])
 def test_from_labels_reports_what_the_parser_reports(table, key, target):
     """Label tables resolve to index tables only in the parser.  A fault is a
-    DocumentError with its message at the path of the map it sits in, except
-    a left limit naming no node, which is a JoinNotRepresentedError."""
+    DocumentError with its message at the path of the map it sits in."""
     message = PARSER_MESSAGES[table, key, repr(target)]
     step = dense_step()
     for path in ("abstract_fn", "abstract_pair.psi"):
@@ -257,14 +255,10 @@ def test_from_labels_reports_what_the_parser_reports(table, key, target):
             del tables[table][key]
         else:
             tables[table][key] = target
-        with pytest.raises((DocumentError, JoinNotRepresentedError)) as parsed:
+        with pytest.raises(DocumentError) as parsed:
             parse_document(json.dumps(payload))
-        if target == "Z":
-            assert type(parsed.value) is JoinNotRepresentedError
-            assert str(parsed.value) == message
-        else:
-            assert type(parsed.value) is DocumentError and parsed.value.path == path
-            assert str(parsed.value) == f"{path}: {message}"
+        assert type(parsed.value) is DocumentError and parsed.value.path == path
+        assert str(parsed.value) == f"{path}: {message}"
 
 
 def test_the_label_map_is_not_a_field():

@@ -237,29 +237,72 @@ def test_a_process_given_a_malformed_document_exits_two(tmp_path):
 BRACKET = "must sit between the value at the predecessor and the value at the node"
 
 
-@pytest.mark.parametrize("where", ["abstract_fn", "abstract_pair.psi"])
-@pytest.mark.parametrize("edit, message", [
-    (("value", "A", "X"), "value table is not monotone"),
-    (("left_limit", "A", "X"), f"left limit at 'A' {BRACKET}"),
-    (("left_limit", "A", None), "limit node 'A' needs a left limit"),
-], ids=["not-monotone", "left-limit-outside-bracket", "left-limit-missing"])
+def _edit(*path, value=None):
+    """An edit that sets the value at path in a document, or deletes it."""
+    def edit(raw):
+        *parents, last = path
+        for key in parents:
+            raw = raw[key]
+        if value is None:
+            del raw[last]
+        else:
+            raw[last] = value
+    return edit
+
+
+def _map_rows(edit_id, table, node, target, message):
+    return [
+        pytest.param("chain-step", _edit(*where.split("."), table, node, value=target),
+                     where, message, id=f"{edit_id}-{where}")
+        for where in ("abstract_fn", "abstract_pair.psi")
+    ]
+
+
+# A fixture, one edit that some constructor rejects, the section it fails
+# at and the constructor's message: every constructor a document reaches.
+CONSTRUCTOR_FAULTS = [
+    *_map_rows("not-monotone", "value", "A", "X", "value table is not monotone"),
+    *_map_rows("left-limit-outside-bracket", "left_limit", "A", "X",
+               f"left limit at 'A' {BRACKET}"),
+    *_map_rows("left-limit-missing", "left_limit", "A", None,
+               "limit node 'A' needs a left limit"),
+    *_map_rows("left-limit-names-no-node", "left_limit", "A", "Q",
+               "left limit at 'A' names 'Q', which is not a chain node"),
+    pytest.param("chain-step", _edit("chain", "nodes", 2, "label", value="A"),
+                 "chain", "duplicate node label 'A'", id="duplicate-label"),
+    pytest.param("chain-step", _edit("chain", "nodes", 0, "label", value="O"),
+                 "chain", 'the chain must start at a node labelled "0"', id="first-node-not-0"),
+    pytest.param("chain-step", _edit("chain", "nodes", 1, "below", "gap", value=1),
+                 "chain", "node 'A' is a limit from below but declares a jump",
+                 id="limit-node-with-gap"),
+    pytest.param("chain-step", _edit("chain", "nodes", 1, "above"),
+                 "chain", "node 'A' needs an above annotation", id="node-without-above"),
+    pytest.param("chain-step", _edit("abstract_pair", "phi", "left_limit", "C", value="B"),
+                 "abstract_pair", "phi must be left continuous", id="phi-not-left-continuous"),
+    pytest.param("chain-step", _edit("abstract_pair", "psi", "value", "B", value="X"),
+                 "abstract_pair", "psi must sit below phi at every node", id="psi-above-phi"),
+    pytest.param("chain-step",
+                 _edit("rank_one", value={"functional": ["1", "0"], "vector": ["1"]}),
+                 "rank_one", "functional and vector sizes differ", id="rank-one-sizes-differ"),
+    pytest.param("support", _edit("nest", 1, value=[["0", "1", "0"]]), "nest",
+                 "subspaces are incomparable: span[['1', '0', '0']] and span[['0', '1', '0']]",
+                 id="nest-incomparable"),
+    pytest.param("support", _edit("support_fn", 3, value=7),
+                 "support_fn", "support value 7 is out of range", id="support-out-of-range"),
+]
+
+
+@pytest.mark.parametrize("fixture, edit, section, message", CONSTRUCTOR_FAULTS)
 def test_a_map_breaking_its_constructor_rules_exits_two_at_its_path(
-    where, edit, message, tmp_path, capsys
+    fixture, edit, section, message, tmp_path, capsys
 ):
     # chain-regularize reads only abstract_fn, yet the whole document parses
-    raw = json.loads(Path(doc_path("chain-step")).read_text(encoding="utf-8"))
-    table_map = raw
-    for key in where.split("."):
-        table_map = table_map[key]
-    table, node, target = edit
-    if target is None:
-        del table_map[table][node]
-    else:
-        table_map[table][node] = target
+    raw = json.loads(Path(doc_path(fixture)).read_text(encoding="utf-8"))
+    edit(raw)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw), encoding="utf-8")
     code, out, err = invoke(capsys, "chain-regularize", "--doc", str(bad))
-    assert (code, out, err) == (2, "", f"parse error: {where}: {message}\n")
+    assert (code, out, err) == (2, "", f"parse error: {section}: {message}\n")
 
 
 def test_unexpected_exception_exits_three_without_traceback(monkeypatch, capsys):

@@ -7,8 +7,9 @@ import pytest
 
 from nestlab import (
     DocumentError,
-    JoinNotRepresentedError,
+    PairAdmissibilityError,
     RankOne,
+    SupportPair,
     WorkbenchDoc,
     parse_document,
     serialize_document,
@@ -41,17 +42,27 @@ def test_round_trip_is_identity(name):
 
 def test_swept_chains_and_maps_round_trip():
     # what the Python API builds, the serializer writes and the parser reads
-    # back: every chain of up to three nodes over the sweep alphabet, alone
-    # and with each of its maps
-    docs = 0
+    # back: every chain of up to three nodes over the sweep alphabet, alone,
+    # with each of its maps, and with a seeded sample of the pairs of its maps
+    # that SupportPair accepts
+    rng = random.Random("documents:pair-round-trip")
+    docs = pairs = 0
     for chain in sweep_chains(3):
+        maps = list(sweep_maps(chain))
+        sampled = []
+        for _ in range(4):
+            try:
+                sampled.append(SupportPair(rng.choice(maps), rng.choice(maps)))
+            except PairAdmissibilityError:
+                continue
         for doc in [WorkbenchDoc(chain=chain)] + [
-            WorkbenchDoc(chain=chain, abstract_fn=f) for f in sweep_maps(chain)
-        ]:
+            WorkbenchDoc(chain=chain, abstract_fn=f) for f in maps
+        ] + [WorkbenchDoc(chain=chain, abstract_pair=pair) for pair in sampled]:
             text = serialize_document(doc)
             assert parse_document(text) == doc, text
             docs += 1
-    assert docs == 156 + 2238
+        pairs += len(sampled)
+    assert docs == 156 + 2238 + pairs and pairs == 98
 
 
 def test_sampled_concrete_documents_round_trip():
@@ -66,15 +77,57 @@ def test_sampled_concrete_documents_round_trip():
         functional, vector = ([sampling.random_entry(rng) for _ in range(n)] for _ in range(2))
         doc = WorkbenchDoc(
             ambient_dim=n,
-            nest_bases=[list(e.basis.entries) for e in nest.elements[1:-1]],
+            nest=nest,
             operators={"generators": gens},
-            support_values=list(phi.values),
+            support_fn=phi,
             rank_one=RankOne.of(functional, vector),
         )
         text = serialize_document(doc)
         back = parse_document(text)
-        assert back == doc and back.require_nest() == nest, text
+        assert back == doc, text
         assert serialize_document(back) == text
+
+
+def _spanning_rows(rng, element):
+    """Rows that span the element, but not its canonical ones: its basis
+    shuffled, each row scaled by a nonzero rational, the first row mixed with
+    the second, and one row written twice."""
+    rows = [list(r) for r in element.basis.entries]
+    rng.shuffle(rows)
+    if len(rows) >= 2:
+        c = rng.choice((1, -2, Fraction(1, 3)))
+        rows[0] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    scales = (1, 2, -3, Fraction(1, 2), Fraction(-5, 7))
+    rows = [[c * x for x in r] for r, c in zip(rows, (rng.choice(scales) for _ in rows))]
+    if rows and rng.random() < 0.5:
+        rows.append(list(rows[rng.randrange(len(rows))]))
+    return rows
+
+
+def test_a_nest_written_any_way_parses_to_its_canonical_form():
+    # the same nest written with shuffled, scaled or repeated basis rows,
+    # with the zero and full space listed or left out, and with its elements
+    # in any order, parses to an equal Nest; serializing it writes the
+    # canonical form, which parsing and serializing leave as it is
+    rng = random.Random("documents:nest-forms")
+    for _ in range(40):
+        nest = sampling.random_nest(rng)
+        n = nest.ambient_dim
+        elements = list(nest.elements[1:-1])
+        if rng.random() < 0.5:
+            elements.append(nest.elements[0])
+        if rng.random() < 0.5:
+            elements.append(nest.elements[-1])
+        if elements and rng.random() < 0.5:
+            elements.append(rng.choice(elements))
+        rng.shuffle(elements)
+        written = [[[str(x) for x in r] for r in _spanning_rows(rng, e)] for e in elements]
+        text = json.dumps({"version": "nestlab/1", "ambient_dim": n, "nest": written})
+        doc = parse_document(text)
+        assert doc.nest == nest, text
+        canonical = serialize_document(doc)
+        assert canonical == serialize_document(WorkbenchDoc(ambient_dim=n, nest=nest))
+        assert serialize_document(parse_document(canonical)) == canonical
 
 
 def test_parse_rejects_bad_json():
@@ -129,8 +182,11 @@ def test_nest_and_chain_are_exclusive():
 def test_left_limit_must_name_a_node():
     raw = json.loads(fixture_text("chain-continuous"))
     raw["abstract_fn"]["left_limit"]["A"] = "nowhere"
-    with pytest.raises(JoinNotRepresentedError):
+    with pytest.raises(DocumentError) as info:
         parse_document(json.dumps(raw))
+    assert str(info.value) == (
+        "abstract_fn: left limit at 'A' names 'nowhere', which is not a chain node"
+    )
 
 
 def test_a_map_may_leave_out_an_empty_left_limit_table():
@@ -151,7 +207,7 @@ def test_value_table_must_cover_all_nodes():
 def test_missing_sections_are_reported():
     doc = parse_document(fixture_text("triangular"))
     with pytest.raises(DocumentError, match="support_fn"):
-        doc.require_support(doc.require_nest())
+        doc.require_support()
     with pytest.raises(DocumentError, match="chain"):
         doc.require_chain()
     with pytest.raises(DocumentError, match="target"):
@@ -237,20 +293,24 @@ def _one_rational(text):
     return json.dumps({"version": "nestlab/1", "ambient_dim": 1, "nest": [[[text]]]})
 
 
+def _parsed_rational(text):
+    """The value one rational string parses to, read back from the line it
+    spans with 1 in Q^2."""
+    doc = {"version": "nestlab/1", "ambient_dim": 2, "nest": [[["1", text]]]}
+    (line,) = parse_document(json.dumps(doc)).nest.elements[1:-1]
+    return line.basis.entries[0][1]
+
+
 def test_rational_length_is_bounded():
     at_limit = "1" * MAX_RATIONAL_CHARS
-    (basis,) = parse_document(_one_rational(at_limit)).nest_bases
-    assert basis[0][0] == int(at_limit)
+    assert _parsed_rational(at_limit) == int(at_limit)
     with pytest.raises(DocumentError, match=r"^nest\[0\]\[0\]\[0\]: .*characters"):
         parse_document(_one_rational(at_limit + "1"))
 
 
 def test_rational_exponent_is_bounded():
-    at_limit = f"1e{MAX_RATIONAL_EXPONENT}"
-    (basis,) = parse_document(_one_rational(at_limit)).nest_bases
-    assert basis[0][0] == 10 ** MAX_RATIONAL_EXPONENT
-    (basis,) = parse_document(_one_rational(f"1e-{MAX_RATIONAL_EXPONENT}")).nest_bases
-    assert basis[0][0] == Fraction(1, 10 ** MAX_RATIONAL_EXPONENT)
+    assert _parsed_rational(f"1e{MAX_RATIONAL_EXPONENT}") == 10 ** MAX_RATIONAL_EXPONENT
+    assert _parsed_rational(f"1e-{MAX_RATIONAL_EXPONENT}") == Fraction(1, 10 ** MAX_RATIONAL_EXPONENT)
     for beyond in (f"1e{MAX_RATIONAL_EXPONENT + 1}", f"1E-{MAX_RATIONAL_EXPONENT + 1}"):
         with pytest.raises(DocumentError, match=r"^nest\[0\]\[0\]\[0\]: .*exponent"):
             parse_document(_one_rational(beyond))

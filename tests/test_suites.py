@@ -201,8 +201,7 @@ def test_correspondence_failures_replay(monkeypatch, tmp_path):
     outcomes = run_suite("correspondence", 0, 4)
     assert sum(not o.passed for o in outcomes) == 4
     for doc in replayed(outcomes, tmp_path):
-        nest = doc.require_nest()
-        assert (nest, doc.require_support(nest).values) in seen
+        assert (doc.nest, doc.support_fn.values) in seen
 
 
 def test_closedcar_failures_replay(monkeypatch, tmp_path):
@@ -225,8 +224,7 @@ def test_decompose_failures_replay(monkeypatch, tmp_path):
 
     monkeypatch.setattr(suites, "decompose", decompose)
     (doc,) = replayed(run_suite("decompose", 0, 4), tmp_path)
-    nest = doc.require_nest()
-    assert (nest, doc.require_support(nest).values, *doc.matrices("target")) in seen
+    assert (doc.nest, doc.support_fn.values, *doc.matrices("target")) in seen
 
 
 def test_rankone_failures_replay(monkeypatch, tmp_path):
@@ -243,8 +241,7 @@ def test_rankone_failures_replay(monkeypatch, tmp_path):
     grid, density, random_m = replayed(outcomes, tmp_path)
     assert (grid.require_nest(), grid.rank_one) in seen
     assert (density.require_nest(),) in seen
-    nest = random_m.require_nest()
-    assert (nest, random_m.require_support(nest).values, random_m.rank_one) in seen
+    assert (random_m.nest, random_m.support_fn.values, random_m.rank_one) in seen
 
 
 def test_chaincalc_failures_replay(monkeypatch, tmp_path):
