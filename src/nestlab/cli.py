@@ -111,42 +111,42 @@ def _operator_space(doc: WorkbenchDoc, nest) -> OperatorSpace:
 
 def _cmd_alg(doc: WorkbenchDoc) -> Any:
     """nest algebra of the document's nest"""
-    return _fmt_space(nest_algebra(doc.require_nest()))
+    return _fmt_space(nest_algebra(doc.require("nest")))
 
 
 def _cmd_gen_bimodule(doc: WorkbenchDoc) -> Any:
     """bimodule generated by the 'generators' operators"""
-    nest = doc.require_nest()
+    nest = doc.require("nest")
     return _fmt_space(generate_bimodule(nest, doc.matrices("generators")))
 
 
 def _cmd_support(doc: WorkbenchDoc) -> Any:
     """support function of the document's bimodule"""
-    nest = doc.require_nest()
+    nest = doc.require("nest")
     return _support_table(support_of(nest, _operator_space(doc, nest)))
 
 
 def _cmd_ess_support(doc: WorkbenchDoc) -> Any:
     """essential support of the document's bimodule"""
-    nest = doc.require_nest()
+    nest = doc.require("nest")
     return _support_table(essential_support_of(nest, _operator_space(doc, nest)))
 
 
 def _cmd_m_of_phi(doc: WorkbenchDoc) -> Any:
     """largest operator space with the given support"""
-    return _fmt_space(m_of(doc.require_nest(), doc.require_support()))
+    return _fmt_space(m_of(doc.require("nest"), doc.require("support_fn")))
 
 
 def _cmd_check_reflexive(doc: WorkbenchDoc) -> Any:
     """whether the document's bimodule is reflexive"""
-    nest = doc.require_nest()
+    nest = doc.require("nest")
     return {"reflexive": is_reflexive(nest, _operator_space(doc, nest))}
 
 
 def _cmd_decompose(doc: WorkbenchDoc) -> Any:
     """rank-one decomposition of the 'target' operator"""
-    nest = doc.require_nest()
-    phi = doc.require_support()
+    nest = doc.require("nest")
+    phi = doc.require("support_fn")
     targets = doc.matrices("target")
     if len(targets) != 1:
         raise DocumentError("'target' must hold exactly one matrix", path="operators.target")
@@ -155,13 +155,12 @@ def _cmd_decompose(doc: WorkbenchDoc) -> Any:
 
 def _cmd_rank_one_check(doc: WorkbenchDoc) -> Any:
     """rank-one membership with witness"""
-    nest = doc.require_nest()
-    if doc.rank_one is None:
-        raise DocumentError("document has no 'rank_one' section", path="rank_one")
+    nest = doc.require("nest")
+    rank_one = doc.require("rank_one")
     if doc.support_fn is not None:
-        member, witness = rank_one_in_m(nest, doc.support_fn, doc.rank_one)
+        member, witness = rank_one_in_m(nest, doc.support_fn, rank_one)
     else:
-        member, witness = rank_one_in_alg(nest, doc.rank_one)
+        member, witness = rank_one_in_alg(nest, rank_one)
     return {
         "member": member,
         "witness": None if witness is None else nest.elements.index(witness),
@@ -172,7 +171,7 @@ def _cmd_rank_one_check(doc: WorkbenchDoc) -> Any:
 
 def _cmd_chain_validate(doc: WorkbenchDoc) -> Any:
     """validate the document's abstract chain"""
-    chain = doc.require_chain()
+    chain = doc.require("chain")
     finite = chain.finite_stratum()
     return {
         "labels": list(chain.label_index),
@@ -185,7 +184,7 @@ def _cmd_chain_validate(doc: WorkbenchDoc) -> Any:
 
 def _cmd_chain_regularize(doc: WorkbenchDoc) -> Any:
     """lower regularization of the abstract map"""
-    return _fmt_abstract_fn(lower_regularization(doc.require_abstract_fn()))
+    return _fmt_abstract_fn(lower_regularization(doc.require("abstract_fn")))
 
 
 COMMANDS = {
@@ -204,25 +203,27 @@ COMMANDS = {
 
 def _p_infinity(doc: WorkbenchDoc) -> Any:
     # check_p_infinity is the emptiness of the finite stratum
-    empty = check_p_infinity(doc.require_chain())
+    empty = check_p_infinity(doc.require("chain"))
     return {"result": empty, "finite_stratum_empty": empty}
 
 
 # The kinds of the two kinded commands.  Each handler names the chaincalc
-# function it calls, so that the function is looked up when the handler runs.
+# function it calls, so that the function is looked up when the handler runs
+# and the benchmark's tracer can swap it; tests/test_bench_api.py checks
+# that every swapped name is reached.
 CHAIN_CHECKS = {
-    "left-continuous": lambda doc: {"result": check_left_continuous(doc.require_abstract_fn())},
-    "essential": lambda doc: {"result": check_essential(doc.require_abstract_fn())},
-    "pair": lambda doc: {"result": check_pair(doc.require_abstract_pair())},
-    "p": lambda doc: {"result": check_p_property(doc.require_chain())},
+    "left-continuous": lambda doc: {"result": check_left_continuous(doc.require("abstract_fn"))},
+    "essential": lambda doc: {"result": check_essential(doc.require("abstract_fn"))},
+    "pair": lambda doc: {"result": check_pair(doc.require("abstract_pair"))},
+    "p": lambda doc: {"result": check_p_property(doc.require("chain"))},
     "p-infinity": _p_infinity,
 }
 
 PREDICT_KINDS = {
-    "me": lambda doc: _fmt_abstract_fn(predict_me_support(doc.require_abstract_fn())),
-    "max-pair": lambda doc: _fmt_pair(predict_max_pair(doc.require_abstract_pair())),
-    "m0": lambda doc: _fmt_pair(predict_m0(doc.require_abstract_fn())),
-    "m0-pair": lambda doc: _fmt_pair(predict_m0_pair(doc.require_abstract_pair())),
+    "me": lambda doc: _fmt_abstract_fn(predict_me_support(doc.require("abstract_fn"))),
+    "max-pair": lambda doc: _fmt_pair(predict_max_pair(doc.require("abstract_pair"))),
+    "m0": lambda doc: _fmt_pair(predict_m0(doc.require("abstract_fn"))),
+    "m0-pair": lambda doc: _fmt_pair(predict_m0_pair(doc.require("abstract_pair"))),
 }
 
 # command -> (its kinds, what one kind is called, help text)

@@ -5,7 +5,9 @@ Rationals are strings ("p/q" or "p"), matrices are row-major nested arrays,
 and a document carries either a concrete nest or an abstract chain, never
 both.  `parse_document` builds each value once, through its constructor, and
 `_checked` turns any fault a constructor raises into a DocumentError at the
-section's path, so a `WorkbenchDoc` holds only checked values.
+section's path, so a `WorkbenchDoc` holds only checked values.  Its fields
+name the sections, and `require(section)` looks one up.  A document built in
+Python takes its dimension from its nest and its chain from its maps.
 Serialization is canonical: sorted keys, canonical rational strings, and a
 nest as its proper elements in increasing order, each as the primitive
 integer rows of its reduced echelon basis.  Parsing followed by
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -282,7 +284,7 @@ def _support_table(phi: SupportFn) -> dict:
 @dataclass
 class WorkbenchDoc:
     """Parsed form of one workbench document: every value in it has passed
-    its constructor."""
+    its constructor.  The fields are the document's sections."""
 
     ambient_dim: int | None = None
     nest: Nest | None = None
@@ -293,19 +295,30 @@ class WorkbenchDoc:
     abstract_fn: AbstractSupportFn | None = None
     abstract_pair: SupportPair | None = None
 
-    # --- section lookups --------------------------------------------------
+    def __post_init__(self):
+        # a nest brings its ambient dimension, and a map its chain; the parser
+        # fills an empty document, so it never gets here with a section given
+        if self.nest is not None:
+            self._implied("ambient_dim", self.nest.ambient_dim, "nest")
+        if self.abstract_fn is not None:
+            self._implied("chain", self.abstract_fn.chain, "abstract_fn")
+        if self.abstract_pair is not None:
+            self._implied("chain", self.abstract_pair.phi.chain, "abstract_pair")
 
-    def require_nest(self) -> Nest:
-        if self.nest is None:
-            if self.ambient_dim is None:
+    def _implied(self, name: str, value: Any, source: str) -> None:
+        given = getattr(self, name)
+        if given is None:
+            setattr(self, name, value)
+        elif given != value:
+            raise DocumentError(f"disagrees with the {source}", path=name)
+
+    def require(self, section: str) -> Any:
+        value = getattr(self, section)
+        if value is None:
+            if section == "nest" and self.ambient_dim is None:
                 raise DocumentError("document has no 'ambient_dim'", path="ambient_dim")
-            raise DocumentError("document has no 'nest' section", path="nest")
-        return self.nest
-
-    def require_support(self) -> SupportFn:
-        if self.support_fn is None:
-            raise DocumentError("document has no 'support_fn' section", path="support_fn")
-        return self.support_fn
+            raise DocumentError(f"document has no {section!r} section", path=section)
+        return value
 
     def matrices(self, role: str) -> list[Matrix]:
         if role not in self.operators:
@@ -314,22 +327,9 @@ class WorkbenchDoc:
             )
         return self.operators[role]
 
-    def require_chain(self) -> AbstractNest:
-        if self.chain is None:
-            raise DocumentError("document has no 'chain' section", path="chain")
-        return self.chain
 
-    def require_abstract_fn(self) -> AbstractSupportFn:
-        if self.abstract_fn is None:
-            raise DocumentError("document has no 'abstract_fn' section", path="abstract_fn")
-        return self.abstract_fn
-
-    def require_abstract_pair(self) -> SupportPair:
-        if self.abstract_pair is None:
-            raise DocumentError(
-                "document has no 'abstract_pair' section", path="abstract_pair"
-            )
-        return self.abstract_pair
+# the fields a document may carry
+DOCUMENT_FIELDS = frozenset(("version", *(f.name for f in fields(WorkbenchDoc))))
 
 
 def parse_document(text: str) -> WorkbenchDoc:
@@ -355,12 +355,8 @@ def parse_document(text: str) -> WorkbenchDoc:
             f"unsupported document version {raw.get('version')!r}, expected {VERSION!r}",
             path="version",
         )
-    known = {
-        "version", "ambient_dim", "nest", "operators", "support_fn",
-        "rank_one", "chain", "abstract_fn", "abstract_pair",
-    }
     for key in raw:
-        if key not in known:
+        if key not in DOCUMENT_FIELDS:
             raise DocumentError(f"unknown document field {key!r}", path=key)
     if "nest" in raw and "chain" in raw:
         raise DocumentError(
@@ -406,7 +402,7 @@ def parse_document(text: str) -> WorkbenchDoc:
         sv = raw["support_fn"]
         if not isinstance(sv, list) or not all(type(x) is int for x in sv):
             raise DocumentError("'support_fn' is an array of element indices", path="support_fn")
-        doc.support_fn = _checked("support_fn", SupportFn, doc.require_nest(), tuple(sv))
+        doc.support_fn = _checked("support_fn", SupportFn, doc.require("nest"), tuple(sv))
     if "rank_one" in raw:
         ro = raw["rank_one"]
         if not isinstance(ro, dict) or "functional" not in ro or "vector" not in ro:
@@ -418,13 +414,13 @@ def parse_document(text: str) -> WorkbenchDoc:
         doc.chain = _parse_chain(raw["chain"], "chain")
     if "abstract_fn" in raw:
         doc.abstract_fn = _parse_abstract_fn(
-            raw["abstract_fn"], doc.require_chain(), "abstract_fn"
+            raw["abstract_fn"], doc.require("chain"), "abstract_fn"
         )
     if "abstract_pair" in raw:
         ap = raw["abstract_pair"]
         if not isinstance(ap, dict) or "phi" not in ap or "psi" not in ap:
             raise DocumentError("'abstract_pair' needs 'phi' and 'psi'", path="abstract_pair")
-        chain = doc.require_chain()
+        chain = doc.require("chain")
         doc.abstract_pair = _checked(
             "abstract_pair", SupportPair,
             _parse_abstract_fn(ap["phi"], chain, "abstract_pair.phi"),

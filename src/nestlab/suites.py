@@ -136,13 +136,9 @@ def _rng(seed: int, tag: str) -> random.Random:
 
 def _replay(command: str, nest=None, **fields) -> dict:
     """An input, given as WorkbenchDoc fields, as the document that
-    `nestlab <command> --doc` replays; a nest brings its ambient dimension,
-    and a map its chain."""
-    if nest is not None:
-        fields.update(ambient_dim=nest.ambient_dim, nest=nest)
-    if "abstract_fn" in fields:
-        fields["chain"] = fields["abstract_fn"].chain
-    return {"command": command, "document": document_payload(WorkbenchDoc(**fields))}
+    `nestlab <command> --doc` replays; `WorkbenchDoc` takes the ambient
+    dimension from the nest and the chain from the map."""
+    return {"command": command, "document": document_payload(WorkbenchDoc(nest=nest, **fields))}
 
 
 def _subspaces(n: int, **spaces) -> dict:

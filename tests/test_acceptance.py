@@ -96,8 +96,8 @@ def test_c7_dense_chain_fixture_tables(fixture_dir):
     start = time.perf_counter()
     phi = parse_document((fixture_dir / "chain-continuous.json").read_text())
     step_doc = parse_document((fixture_dir / "chain-step.json").read_text())
-    f = phi.require_abstract_fn()
-    step = step_doc.require_abstract_fn()
+    f = phi.require("abstract_fn")
+    step = step_doc.require("abstract_fn")
 
     reg = lower_regularization(f)
     ok = (

@@ -1,20 +1,30 @@
 """The benchmark under bench/ reaches nestlab by name: the call sites in
 `run.CALL_SITES` and the names `tracing.NESTED` swaps while tracing.  These
-tests check that every such name still resolves and that every recorded
-seed-0 case of every workload still gives its recorded digest.
+tests check that every such name still resolves, that every recorded seed-0
+case of every workload still gives its recorded digest, and that the CLI
+looks up every swapped name when a command runs.
 
 The benchmark is imported in a fresh interpreter, so that its `sys.path`
 entries and its reimport of nestlab stay out of the pytest process, and without
-writing bytecode, so that bench/ is left as it was.
+writing bytecode, so that bench/ is left as it was.  `tracing.py` alone, which
+imports nothing from bench/ or nestlab, is also run in process with `runpy`,
+which writes no bytecode either.
 """
 
+import contextlib
+import importlib
+import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from nestlab.cli import main
+from test_golden import FIXTURES, INVOCATIONS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -70,3 +80,28 @@ def test_every_recorded_case_gives_its_digest(probe, name):
     stats = probe["workloads"][name]
     assert stats["attempted"] == stats["expected"] > 0
     assert stats["failed"] == 0, stats["problems"]
+
+
+def _counted(calls: dict, span: str, fn):
+    def counted(*args, **kwargs):
+        calls[span] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_every_traced_name_is_looked_up_when_a_command_runs(monkeypatch):
+    # a traced run swaps each NESTED name in its module; a handler or parser
+    # that held the function itself would bypass the swap, and the spans the
+    # benchmark reports for it would silently vanish
+    nested = runpy.run_path(str(ROOT / "bench" / "tracing.py"))["NESTED"]
+    calls = {span: 0 for _, _, span in nested}
+    for module, attr, span in nested:
+        mod = importlib.import_module(f"nestlab.{module}")
+        monkeypatch.setattr(mod, attr, _counted(calls, span, getattr(mod, attr)))
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        for command, *kind in INVOCATIONS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                main([command, "--doc", str(fixture), *kind])
+    assert len(calls) == 18
+    assert [span for span, n in calls.items() if n == 0] == []

@@ -17,7 +17,7 @@ from nestlab import (
 from nestlab import sampling
 from nestlab.cli import main
 from nestlab.documents import MAX_AMBIENT_DIM, MAX_RATIONAL_CHARS, MAX_RATIONAL_EXPONENT
-from nestlab.suites import sweep_chains, sweep_maps
+from nestlab.suites import canonical_triangular_nest, sweep_chains, sweep_maps
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,14 +55,17 @@ def test_swept_chains_and_maps_round_trip():
                 sampled.append(SupportPair(rng.choice(maps), rng.choice(maps)))
             except PairAdmissibilityError:
                 continue
-        for doc in [WorkbenchDoc(chain=chain)] + [
-            WorkbenchDoc(chain=chain, abstract_fn=f) for f in maps
-        ] + [WorkbenchDoc(chain=chain, abstract_pair=pair) for pair in sampled]:
+        built = [WorkbenchDoc(chain=chain)]
+        # a map or a pair brings its own chain, so the chain may be left out
+        for c in (chain, None):
+            built += [WorkbenchDoc(chain=c, abstract_fn=f) for f in maps]
+            built += [WorkbenchDoc(chain=c, abstract_pair=pair) for pair in sampled]
+        for doc in built:
             text = serialize_document(doc)
             assert parse_document(text) == doc, text
             docs += 1
         pairs += len(sampled)
-    assert docs == 156 + 2238 + pairs and pairs == 98
+    assert docs == 156 + 2 * 2238 + 2 * pairs and pairs == 98
 
 
 def test_sampled_concrete_documents_round_trip():
@@ -75,17 +78,39 @@ def test_sampled_concrete_documents_round_trip():
         gens = sampling.random_generators(rng, n)
         phi = sampling.random_support(rng, nest)
         functional, vector = ([sampling.random_entry(rng) for _ in range(n)] for _ in range(2))
-        doc = WorkbenchDoc(
-            ambient_dim=n,
+        sections = dict(
             nest=nest,
             operators={"generators": gens},
             support_fn=phi,
             rank_one=RankOne.of(functional, vector),
         )
-        text = serialize_document(doc)
-        back = parse_document(text)
-        assert back == doc, text
-        assert serialize_document(back) == text
+        # the nest brings its ambient dimension, so it may be left out
+        for doc in (WorkbenchDoc(ambient_dim=n, **sections), WorkbenchDoc(**sections)):
+            text = serialize_document(doc)
+            back = parse_document(text)
+            assert back == doc, text
+            assert serialize_document(back) == text
+
+
+def _chain_doc(name):
+    return parse_document(fixture_text(name))
+
+
+@pytest.mark.parametrize("build, path, message", [
+    pytest.param(lambda: WorkbenchDoc(ambient_dim=2, nest=canonical_triangular_nest()),
+                 "ambient_dim", "disagrees with the nest", id="ambient-dim"),
+    pytest.param(lambda: WorkbenchDoc(chain=_chain_doc("chain-pinf").chain,
+                                      abstract_fn=_chain_doc("chain-continuous").abstract_fn),
+                 "chain", "disagrees with the abstract_fn", id="abstract-fn-chain"),
+    pytest.param(lambda: WorkbenchDoc(abstract_fn=_chain_doc("chain-pinf").abstract_fn,
+                                      abstract_pair=_chain_doc("chain-step").abstract_pair),
+                 "chain", "disagrees with the abstract_pair", id="abstract-pair-chain"),
+])
+def test_a_built_document_refuses_a_disagreeing_dimension_or_chain(build, path, message):
+    with pytest.raises(DocumentError) as info:
+        build()
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {message}"
 
 
 def _spanning_rows(rng, element):
@@ -164,7 +189,7 @@ def test_rational_strings_parse_exactly():
         "nest": [[["1/3", "-2"]]],
     }
     parsed = parse_document(json.dumps(doc))
-    nest = parsed.require_nest()
+    nest = parsed.require("nest")
     assert nest.elements[1].contains_vector((1, -6))
 
 
@@ -204,17 +229,31 @@ def test_value_table_must_cover_all_nodes():
         parse_document(json.dumps(raw))
 
 
-def test_missing_sections_are_reported():
-    doc = parse_document(fixture_text("triangular"))
-    with pytest.raises(DocumentError, match="support_fn"):
-        doc.require_support()
-    with pytest.raises(DocumentError, match="chain"):
-        doc.require_chain()
-    with pytest.raises(DocumentError, match="target"):
-        doc.matrices("target")
-    no_nest = parse_document(json.dumps({"version": "nestlab/1", "ambient_dim": 2}))
-    with pytest.raises(DocumentError, match="^nest: document has no 'nest' section$"):
-        no_nest.require_nest()
+@pytest.mark.parametrize("name, lookup, path, message", [
+    pytest.param("triangular", lambda doc: doc.require("support_fn"), "support_fn",
+                 "document has no 'support_fn' section", id="support_fn"),
+    pytest.param("support", lambda doc: doc.require("rank_one"), "rank_one",
+                 "document has no 'rank_one' section", id="rank_one"),
+    pytest.param("triangular", lambda doc: doc.require("chain"), "chain",
+                 "document has no 'chain' section", id="chain"),
+    pytest.param("triangular", lambda doc: doc.require("abstract_fn"), "abstract_fn",
+                 "document has no 'abstract_fn' section", id="abstract_fn"),
+    pytest.param("chain-continuous", lambda doc: doc.require("abstract_pair"), "abstract_pair",
+                 "document has no 'abstract_pair' section", id="abstract_pair"),
+    pytest.param("triangular", lambda doc: doc.matrices("target"), "operators",
+                 "document has no operator list named 'target'", id="operators-target"),
+    # a document with no nest and no 'ambient_dim' is told of the dimension
+    pytest.param("chain-continuous", lambda doc: doc.require("nest"), "ambient_dim",
+                 "document has no 'ambient_dim'", id="nest-without-ambient_dim"),
+    pytest.param(None, lambda doc: doc.require("nest"), "nest",
+                 "document has no 'nest' section", id="nest-with-ambient_dim"),
+])
+def test_missing_sections_are_reported(name, lookup, path, message):
+    text = fixture_text(name) if name else json.dumps({"version": "nestlab/1", "ambient_dim": 2})
+    with pytest.raises(DocumentError) as info:
+        lookup(parse_document(text))
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_operator_roles_parse_as_matrices():
@@ -378,7 +417,7 @@ def test_huge_integer_literals_are_document_errors(name, place):
 def test_ambient_dim_is_bounded():
     nest = [[["1"] + ["0"] * (MAX_AMBIENT_DIM - 1)]]
     doc = {"version": "nestlab/1", "ambient_dim": MAX_AMBIENT_DIM, "nest": nest}
-    assert parse_document(json.dumps(doc)).require_nest().ambient_dim == MAX_AMBIENT_DIM
+    assert parse_document(json.dumps(doc)).require("nest").ambient_dim == MAX_AMBIENT_DIM
     doc["ambient_dim"] = MAX_AMBIENT_DIM + 1
     with pytest.raises(DocumentError, match=r"^ambient_dim: "):
         parse_document(json.dumps(doc))

@@ -210,7 +210,7 @@ def test_closedcar_failures_replay(monkeypatch, tmp_path):
     monkeypatch.setattr(suites, "essential_support_of", suites.support_of)
     outcomes = run_suite("closedcar", 0, 4)
     for doc in replayed(outcomes, tmp_path):
-        assert (doc.require_nest(), doc.matrices("generators")) in samples
+        assert (doc.require("nest"), doc.matrices("generators")) in samples
     assert not any(o.passed for o in outcomes)
 
 
@@ -239,8 +239,8 @@ def test_rankone_failures_replay(monkeypatch, tmp_path):
     monkeypatch.setattr(suites, "span_of_rank_ones", record)
     outcomes = run_suite("rankone", 0, 4)
     grid, density, random_m = replayed(outcomes, tmp_path)
-    assert (grid.require_nest(), grid.rank_one) in seen
-    assert (density.require_nest(),) in seen
+    assert (grid.require("nest"), grid.rank_one) in seen
+    assert (density.require("nest"),) in seen
     assert (random_m.nest, random_m.support_fn.values, random_m.rank_one) in seen
 
 
@@ -258,7 +258,7 @@ def test_chaincalc_failures_replay(monkeypatch, tmp_path):
     docs = replayed(outcomes, tmp_path)
     assert len(docs) == 4  # every property but the guards
     for doc in docs:
-        assert doc.require_abstract_fn() in maps
+        assert doc.require("abstract_fn") in maps
     for doc in docs[:3]:  # the three regularization properties
         assert not check_left_continuous(doc.abstract_fn)
 
