@@ -3,10 +3,13 @@
 A chain is presented by finitely many named nodes, ordered from "0" to "X".
 Each node carries how it is approached from below (an attained jump with a
 declared dimension, possibly infinite, or a limit with a cofinality mark) and
-from above (attained, or a limit with a coinitiality mark).  Maps between
-chain nodes carry an explicit left-limit table, the declared join of the
-values strictly below each limit node; the table is constrained to stay
-between the value at the predecessor and the value at the node itself.
+from above (attained, or a limit with a coinitiality mark), in the words of
+`KINDS` and `MARKS`.  Maps between chain nodes carry an explicit left-limit
+table, the declared join of the values strictly below each limit node; the
+table is constrained to stay between the value at the predecessor and the
+value at the node itself.  Each constructor derives its chain facts once: an
+`AbstractNest` keeps its finite stratum, and a map's table has an entry
+exactly at the limits from below, so no check re-reads the annotations.
 
 All predictions about operator spaces attached to such chains are guarded
 identities: they verify the hypotheses of the corresponding classification
@@ -36,6 +39,9 @@ LIMIT = "limit"
 COUNTABLE = "countable"
 UNCOUNTABLE = "uncountable"
 INFINITE = math.inf
+# the words a 'kind' and a cofinality or coinitiality mark may take
+KINDS = (ATTAINED, LIMIT)
+MARKS = (COUNTABLE, UNCOUNTABLE)
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,10 @@ class AbstractNest:
 
     The constructor keeps the label -> index map it builds as `label_index`,
     in chain order: `documents` resolves and writes every label through it.
-    It is set with `object.__setattr__` rather than cached on first read: a
+    It keeps `finite_stratum`, the indices of the attained jumps of finite
+    dimension, for the essential, pair and P-infinity checks; where the chain
+    has limits from below, a map's left-limit table says.  Both attributes are
+    set with `object.__setattr__` rather than cached on first read: a
     `cached_property` write materializes the instance `__dict__`, and every
     later attribute read on the chain gets slower.
     """
@@ -88,6 +97,10 @@ class AbstractNest:
         for i, node in enumerate(nodes):
             self._check_below(i, node)
             self._check_above(i, node)
+        finite = tuple(
+            i for i, node in enumerate(nodes) if node.below == ATTAINED and node.gap != INFINITE
+        )
+        object.__setattr__(self, "finite_stratum", finite)
 
     @staticmethod
     def _check_below(i: int, node: ChainNode) -> None:
@@ -109,7 +122,7 @@ class AbstractNest:
                 raise LimitGapError(
                     f"node {node.label!r} is a limit from below but declares a jump"
                 )
-            if node.cofinality not in (COUNTABLE, UNCOUNTABLE):
+            if node.cofinality not in MARKS:
                 raise ChainError(f"node {node.label!r} needs a cofinality mark")
         else:
             raise ChainError(f"node {node.label!r} needs a below annotation")
@@ -124,35 +137,13 @@ class AbstractNest:
             if node.coinitiality is not None:
                 raise ChainError(f"attained node {node.label!r} takes no coinitiality mark")
         elif node.above == LIMIT:
-            if node.coinitiality not in (COUNTABLE, UNCOUNTABLE):
+            if node.coinitiality not in MARKS:
                 raise ChainError(f"node {node.label!r} needs a coinitiality mark")
         else:
             raise ChainError(f"node {node.label!r} needs an above annotation")
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def limit_below(self, i: int) -> bool:
-        return self.nodes[i].below == LIMIT
-
-    def limit_above(self, i: int) -> bool:
-        return self.nodes[i].above == LIMIT
-
-    def in_finite_stratum(self, i: int) -> bool:
-        """Nodes with an attained jump of finite positive dimension."""
-        node = self.nodes[i]
-        return node.below == ATTAINED and node.gap != INFINITE
-
-    def finite_stratum(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.nodes)) if self.in_finite_stratum(i))
-
-    def upper_limit_fixed(self, i: int) -> bool:
-        """Whether the node equals its own limit from above.
-
-        The top node is fixed by the empty-meet convention; otherwise the node
-        must be marked as a limit from above.
-        """
-        return i == len(self.nodes) - 1 or self.limit_above(i)
 
 
 def validate_chain(nodes: Sequence[ChainNode]) -> AbstractNest:
@@ -166,7 +157,8 @@ class AbstractSupportFn:
 
     ``value`` maps node index to node index.  ``left_limit`` has an entry
     exactly at limit-from-below nodes and satisfies
-    value(predecessor) <= left_limit(node) <= value(node).
+    value(predecessor) <= left_limit(node) <= value(node); the constructor
+    enforces both, so readers take the chain's limits from the table.
     """
 
     chain: AbstractNest
@@ -237,47 +229,36 @@ class SupportPair:
 
 def check_left_continuous(f: AbstractSupportFn) -> bool:
     """True when the declared left limit agrees with the value at every
-    limit-from-below node; attained nodes impose nothing."""
-    return all(
-        ll == v
-        for node, ll, v in zip(f.chain.nodes, f.left_limit, f.value)
-        if node.below == LIMIT
-    )
+    limit-from-below node, the nodes where the table has an entry."""
+    return all(ll is None or ll == v for ll, v in zip(f.left_limit, f.value))
 
 
 def lower_regularization(f: AbstractSupportFn) -> AbstractSupportFn:
     """Greatest left-continuous map below f.
 
     Values at attained nodes (and at node 0) are kept; the value at a limit
-    node drops to the declared left limit.  The output's left-limit table then
-    repeats its own values, so the result is left continuous by construction.
+    node, where the table has an entry, drops to that entry.  The table is
+    also the output's, so the result is left continuous by construction.
     """
-    k = len(f.chain)
-    value = list(f.value)
-    for i in range(1, k):
-        if f.chain.limit_below(i):
-            value[i] = f.left_limit[i]
-    left = tuple(
-        value[i] if f.chain.limit_below(i) else None for i in range(k)
-    )
-    return AbstractSupportFn(f.chain, tuple(value), left)
+    value = tuple(v if ll is None else ll for ll, v in zip(f.left_limit, f.value))
+    return AbstractSupportFn(f.chain, value, f.left_limit)
 
 
 def check_essential(f: AbstractSupportFn) -> bool:
     """The two essential-support axioms.
 
     Fixed-from-above: a value inside the finite stratum must equal its own
-    limit from above.  Finite-quotient stability: nodes a finite dimension
-    apart must share their value.  A finite quotient is a run of attained
-    finite jumps, so stability says that every node in the finite stratum
-    keeps its predecessor's value.
+    limit from above: it is the top node (by the empty-meet convention) or
+    is marked as a limit from above.  Finite-quotient stability: nodes a
+    finite dimension apart must share their value.  A finite quotient is a
+    run of attained finite jumps, so stability says that every node in the
+    finite stratum keeps its predecessor's value.
     """
-    chain = f.chain
-    for i in range(len(chain)):
-        v = f.value[i]
-        if chain.in_finite_stratum(v) and not chain.upper_limit_fixed(v):
-            return False
-    return all(f.value[i - 1] == f.value[i] for i in chain.finite_stratum())
+    nodes, finite = f.chain.nodes, f.chain.finite_stratum
+    fixed = all(
+        v == len(nodes) - 1 or nodes[v].above == LIMIT for v in f.value if v in finite
+    )
+    return fixed and all(f.value[i - 1] == f.value[i] for i in finite)
 
 
 def check_pair(p: SupportPair) -> bool:
@@ -285,12 +266,8 @@ def check_pair(p: SupportPair) -> bool:
     lands in the finite stratum."""
     if not check_essential(p.psi):
         return False
-    chain = p.psi.chain
-    for i in range(len(chain)):
-        v = p.psi.value[i]
-        if chain.in_finite_stratum(v) and v >= p.phi.value[i]:
-            return False
-    return True
+    finite = p.psi.chain.finite_stratum
+    return all(v < u for v, u in zip(p.psi.value, p.phi.value) if v in finite)
 
 
 def check_p_property(chain: AbstractNest) -> bool:
@@ -307,7 +284,7 @@ def check_p_property(chain: AbstractNest) -> bool:
 def check_p_infinity(chain: AbstractNest) -> bool:
     """Every attained jump is infinite; equivalently the finite stratum is
     empty (see AbstractNest.finite_stratum)."""
-    return not chain.finite_stratum()
+    return not chain.finite_stratum
 
 
 # ---------------------------------------------------------------------------

@@ -172,13 +172,11 @@ def _cmd_rank_one_check(doc: WorkbenchDoc) -> Any:
 def _cmd_chain_validate(doc: WorkbenchDoc) -> Any:
     """validate the document's abstract chain"""
     chain = doc.require("chain")
-    finite = chain.finite_stratum()
     return {
         "labels": list(chain.label_index),
-        "finite_stratum": [chain.nodes[i].label for i in finite],
+        "finite_stratum": [chain.nodes[i].label for i in chain.finite_stratum],
         "p_property": check_p_property(chain),
-        # p-infinity is the emptiness of the finite stratum
-        "p_infinity": not finite,
+        "p_infinity": check_p_infinity(chain),
     }
 
 
@@ -202,7 +200,6 @@ COMMANDS = {
 
 
 def _p_infinity(doc: WorkbenchDoc) -> Any:
-    # check_p_infinity is the emptiness of the finite stratum
     empty = check_p_infinity(doc.require("chain"))
     return {"result": empty, "finite_stratum_empty": empty}
 

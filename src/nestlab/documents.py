@@ -7,7 +7,11 @@ both.  `parse_document` builds each value once, through its constructor, and
 `_checked` turns any fault a constructor raises into a DocumentError at the
 section's path, so a `WorkbenchDoc` holds only checked values.  Its fields
 name the sections, and `require(section)` looks one up.  A document built in
-Python takes its dimension from its nest and its chain from its maps.
+Python takes its nest from its support table, its dimension from its nest
+and its chain from its maps, and refuses a nest beside a chain, a dimension
+out of bounds, or a matrix or vector of another width, with the parser's
+message and path.  A chain node's annotations take the words of
+`chaincalc.KINDS` and `MARKS`.
 Serialization is canonical: sorted keys, canonical rational strings, and a
 nest as its proper elements in increasing order, each as the primitive
 integer rows of its reduced echelon basis.  Parsing followed by
@@ -25,10 +29,8 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .chaincalc import (
-    ATTAINED,
-    COUNTABLE,
-    LIMIT,
-    UNCOUNTABLE,
+    KINDS,
+    MARKS,
     AbstractNest,
     AbstractSupportFn,
     ChainNode,
@@ -41,6 +43,7 @@ from .opspace import OperatorSpace, RankOne, SupportFn
 from .ratlin import Matrix, Vector, span
 
 VERSION = "nestlab/1"
+NEST_OR_CHAIN = "a document carries either a concrete nest or an abstract chain, not both"
 
 # Bounds on a rational string, checked before Fraction sees it, so that a
 # short document cannot ask for a huge integer: at most this many characters,
@@ -84,7 +87,10 @@ def _vector(raw: Any, path: str, n: int | None = None) -> Vector:
     """An array of rationals; with n given, it must have n entries."""
     if not isinstance(raw, list):
         raise DocumentError("expected an array of rationals", path=path)
-    vec = tuple(_rational(x, f"{path}[{i}]") for i, x in enumerate(raw))
+    return _sized(tuple(_rational(x, f"{path}[{i}]") for i, x in enumerate(raw)), path, n)
+
+
+def _sized(vec: Vector, path: str, n: int | None) -> Vector:
     if n is not None and len(vec) != n:
         raise DocumentError(f"vector has {len(vec)} entries, expected {n}", path=path)
     return vec
@@ -99,9 +105,21 @@ def _matrix(raw: Any, path: str, n: int | None) -> Matrix:
     for i, r in enumerate(rows):
         if len(r) != width:
             raise DocumentError("matrix rows have unequal lengths", path=f"{path}[{i}]")
-    if n is not None and (len(rows), width) != (n, n):
-        raise DocumentError(f"matrix is {len(rows)}x{width}, expected {n}x{n}", path=path)
-    return Matrix(len(rows), width, tuple(rows))
+    return _square(Matrix(len(rows), width, tuple(rows)), path, n)
+
+
+def _square(m: Matrix, path: str, n: int | None) -> Matrix:
+    if n is not None and (m.rows, m.cols) != (n, n):
+        raise DocumentError(f"matrix is {m.rows}x{m.cols}, expected {n}x{n}", path=path)
+    return m
+
+
+def _dimension(dim: Any) -> int:
+    if type(dim) is not int or dim < 1:
+        raise DocumentError("'ambient_dim' must be a positive integer", path="ambient_dim")
+    if dim > MAX_AMBIENT_DIM:
+        raise DocumentError(f"'ambient_dim' is at most {MAX_AMBIENT_DIM}", path="ambient_dim")
+    return dim
 
 
 def _checked(path: str, build: Callable, *args: Any) -> Any:
@@ -119,11 +137,6 @@ def _fmt_vector(v: Sequence[Fraction]) -> list[str]:
 
 def _fmt_matrix(m: Matrix) -> list[list[str]]:
     return [_fmt_vector(r) for r in m.entries]
-
-
-# the words a 'kind' and a cofinality or coinitiality mark may take
-KINDS = (ATTAINED, LIMIT)
-MARKS = (COUNTABLE, UNCOUNTABLE)
 
 
 def _not_one_of(allowed: tuple[str, ...], path: str) -> DocumentError:
@@ -296,14 +309,29 @@ class WorkbenchDoc:
     abstract_pair: SupportPair | None = None
 
     def __post_init__(self):
-        # a nest brings its ambient dimension, and a map its chain; the parser
-        # fills an empty document, so it never gets here with a section given
+        # a support table brings its nest, a nest its ambient dimension, and a
+        # map its chain; what the parser would refuse is refused here with its
+        # message and path.  The parser fills an empty document, so it never
+        # gets here with a section given.
+        if self.support_fn is not None:
+            self._implied("nest", self.support_fn.nest, "support_fn")
         if self.nest is not None:
             self._implied("ambient_dim", self.nest.ambient_dim, "nest")
         if self.abstract_fn is not None:
             self._implied("chain", self.abstract_fn.chain, "abstract_fn")
         if self.abstract_pair is not None:
             self._implied("chain", self.abstract_pair.phi.chain, "abstract_pair")
+        if self.nest is not None and self.chain is not None:
+            raise DocumentError(NEST_OR_CHAIN)
+        n = self.ambient_dim
+        if n is not None:
+            _dimension(n)
+        for role, items in self.operators.items():
+            for i, m in enumerate(items):
+                _square(m, f"operators.{role}[{i}]", n)
+        if self.rank_one is not None:
+            # RankOne gives its vector the functional's length
+            _sized(self.rank_one.functional, "rank_one.functional", n)
 
     def _implied(self, name: str, value: Any, source: str) -> None:
         given = getattr(self, name)
@@ -359,18 +387,11 @@ def parse_document(text: str) -> WorkbenchDoc:
         if key not in DOCUMENT_FIELDS:
             raise DocumentError(f"unknown document field {key!r}", path=key)
     if "nest" in raw and "chain" in raw:
-        raise DocumentError(
-            "a document carries either a concrete nest or an abstract chain, not both"
-        )
+        raise DocumentError(NEST_OR_CHAIN)
 
     doc = WorkbenchDoc()
     if "ambient_dim" in raw:
-        dim = raw["ambient_dim"]
-        if type(dim) is not int or dim < 1:
-            raise DocumentError("'ambient_dim' must be a positive integer", path="ambient_dim")
-        if dim > MAX_AMBIENT_DIM:
-            raise DocumentError(f"'ambient_dim' is at most {MAX_AMBIENT_DIM}", path="ambient_dim")
-        doc.ambient_dim = dim
+        doc.ambient_dim = _dimension(raw["ambient_dim"])
     if "nest" in raw:
         if doc.ambient_dim is None:
             raise DocumentError("a nest needs 'ambient_dim'", path="nest")

@@ -408,15 +408,14 @@ def greatest_lc_minorant(f: AbstractSupportFn) -> tuple[int, ...]:
     candidate is admissible iff its values stay below f's values everywhere
     and below f's declared left limit at limit nodes.
     """
-    chain = f.chain
-    k = len(chain)
+    k = len(f.value)
     # the constant-zero table always qualifies, and values are never negative
     best = (0,) * k
     for values in itertools.combinations_with_replacement(range(k), k):
         if any(values[i] > f.value[i] for i in range(k)):
             continue
         if any(
-            chain.limit_below(i) and values[i] > f.left_limit[i] for i in range(k)
+            f.left_limit[i] is not None and values[i] > f.left_limit[i] for i in range(k)
         ):
             continue
         best = tuple(map(max, best, values))

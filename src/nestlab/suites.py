@@ -439,7 +439,7 @@ def sweep_chains(max_nodes: int = 4) -> Iterator[AbstractNest]:
 def left_limit_tables(chain: AbstractNest, values: tuple[int, ...]) -> Iterator[tuple]:
     choices = []
     for i in range(len(chain)):
-        if chain.limit_below(i):
+        if chain.nodes[i].below == LIMIT:
             choices.append(range(values[i - 1], values[i] + 1))
         else:
             choices.append((None,))
@@ -457,11 +457,8 @@ def suite_chaincalc(seed: int, cases: int) -> list[PropertyOutcome]:
     oracle_cache: dict = {}
 
     def oracle_for(f: AbstractSupportFn) -> tuple[int, ...]:
-        key = (
-            tuple(f.chain.limit_below(i) for i in range(len(f.chain))),
-            f.value,
-            f.left_limit,
-        )
+        # the left-limit table has an entry exactly at the limit nodes
+        key = (f.value, f.left_limit)
         if key not in oracle_cache:
             oracle_cache[key] = oracle_greatest_lc_minorant(f)
         return oracle_cache[key]

@@ -40,6 +40,7 @@ from nestlab import (
     predict_me_support,
     validate_chain,
 )
+from nestlab import cli
 from nestlab.suites import _replay, sweep_chains, sweep_maps
 
 
@@ -168,9 +169,9 @@ def test_quotient_dim_sums_jumps():
 
 
 def test_finite_stratum():
-    assert finite_chain().finite_stratum() == (1, 2)
-    assert infinite_chain().finite_stratum() == ()
-    assert dense_chain().finite_stratum() == ()
+    assert finite_chain().finite_stratum == (1, 2)
+    assert infinite_chain().finite_stratum == ()
+    assert dense_chain().finite_stratum == ()
 
 
 # --- maps and regularization -----------------------------------------------------
@@ -350,13 +351,23 @@ def test_essential_needs_equal_values_at_finite_distance():
     assert not check_essential(f)
 
 
+def in_finite_stratum(chain, v):
+    # stated from the annotations: an attained jump of finite dimension
+    node = chain.nodes[v]
+    return node.below == ATTAINED and node.gap != INFINITE
+
+
 def pairwise_essential(f):
     # the definition as stated: values in the finite stratum are fixed from
-    # above, and every two nodes a finite dimension apart share their value
+    # above (the top node by the empty-meet convention, any other node when
+    # it is marked as a limit from above), and every two nodes a finite
+    # dimension apart share their value
     chain = f.chain
     k = len(chain)
     fixed = all(
-        chain.upper_limit_fixed(v) for v in f.value if chain.in_finite_stratum(v)
+        v == k - 1 or chain.nodes[v].above == LIMIT
+        for v in f.value
+        if in_finite_stratum(chain, v)
     )
     stable = all(
         f.value[i] == f.value[j]
@@ -394,7 +405,7 @@ def test_pair_check_matches_the_definition():
     def strictly_below(p):
         chain = p.psi.chain
         return all(
-            v < u for v, u in zip(p.psi.value, p.phi.value) if chain.in_finite_stratum(v)
+            v < u for v, u in zip(p.psi.value, p.phi.value) if in_finite_stratum(chain, v)
         )
 
     rejected_as_inessential = 0
@@ -440,6 +451,26 @@ def test_p_infinity():
     assert check_p_infinity(infinite_chain())
     assert check_p_infinity(dense_chain())
     assert not check_p_infinity(finite_chain())
+
+
+def test_each_chain_fact_is_read_where_its_owner_keeps_it():
+    # the finite stratum the chain keeps, and the limits from below a map's
+    # left-limit table marks, against the node annotations; the two P-infinity
+    # verdicts the CLI prints come from one definition
+    maps = 0
+    for chain in sweep_chains(4):
+        finite = tuple(i for i in range(len(chain)) if in_finite_stratum(chain, i))
+        assert chain.finite_stratum == finite, chain
+        doc = WorkbenchDoc(chain=chain)
+        validated = cli.run("chain-validate", doc).result
+        checked = cli.run("chain-check", doc, "p-infinity").result
+        assert validated["p_infinity"] is checked["result"] is (not finite), chain
+        limits = tuple(node.below == LIMIT for node in chain.nodes)
+        for f in sweep_maps(chain):
+            assert tuple(ll is not None for ll in f.left_limit) == limits, f
+            assert lower_regularization(f).left_limit == f.left_limit, f
+            maps += 1
+    assert maps
 
 
 # --- guarded predictions ------------------------------------------------------------

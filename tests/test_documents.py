@@ -7,12 +7,16 @@ import pytest
 
 from nestlab import (
     DocumentError,
+    Matrix,
     PairAdmissibilityError,
     RankOne,
+    SupportFn,
     SupportPair,
     WorkbenchDoc,
     parse_document,
     serialize_document,
+    span,
+    validate_nest,
 )
 from nestlab import sampling
 from nestlab.cli import main
@@ -84,8 +88,15 @@ def test_sampled_concrete_documents_round_trip():
             support_fn=phi,
             rank_one=RankOne.of(functional, vector),
         )
-        # the nest brings its ambient dimension, so it may be left out
-        for doc in (WorkbenchDoc(ambient_dim=n, **sections), WorkbenchDoc(**sections)):
+        # the nest brings its ambient dimension and the support table its
+        # nest, so either may be left out
+        without_nest = {k: v for k, v in sections.items() if k != "nest"}
+        for doc in (
+            WorkbenchDoc(ambient_dim=n, **sections),
+            WorkbenchDoc(**sections),
+            WorkbenchDoc(**without_nest),
+            WorkbenchDoc(support_fn=phi),
+        ):
             text = serialize_document(doc)
             back = parse_document(text)
             assert back == doc, text
@@ -96,9 +107,51 @@ def _chain_doc(name):
     return parse_document(fixture_text(name))
 
 
+def _flag(*rows):
+    # the nest in Q^3 spanned by the first 1, 2, ... of the given rows
+    return validate_nest([span(rows[:j], 3) for j in range(1, len(rows) + 1)], 3)
+
+
+NOT_BOTH = "a document carries either a concrete nest or an abstract chain, not both"
+# sections the parser refuses together, each with the path and message; each
+# states everything the serializer writes, so that the same sections set
+# without the constructor serialize to the same document
+PARSER_FAULTS = {
+    "nest-and-chain": (
+        lambda: dict(nest=canonical_triangular_nest(), chain=_chain_doc("chain-step").chain),
+        None, NOT_BOTH),
+    "dimension-bound": (
+        lambda: dict(ambient_dim=MAX_AMBIENT_DIM + 1),
+        "ambient_dim", f"'ambient_dim' is at most {MAX_AMBIENT_DIM}"),
+    "rank-one-width": (
+        lambda: dict(ambient_dim=3, nest=canonical_triangular_nest(),
+                     rank_one=RankOne.of([1, 0], [0, 1])),
+        "rank_one.functional", "vector has 2 entries, expected 3"),
+    "generator-width": (
+        lambda: dict(ambient_dim=3, nest=canonical_triangular_nest(),
+                     operators={"generators": [Matrix(2, 2, ((1, 0), (0, 1)))]}),
+        "operators.generators[0]", "matrix is 2x2, expected 3x3"),
+}
+
+
 @pytest.mark.parametrize("build, path, message", [
     pytest.param(lambda: WorkbenchDoc(ambient_dim=2, nest=canonical_triangular_nest()),
                  "ambient_dim", "disagrees with the nest", id="ambient-dim"),
+    *(pytest.param(lambda sections=sections: WorkbenchDoc(**sections()), path, message, id=fault)
+      for fault, (sections, path, message) in PARSER_FAULTS.items()),
+    # a map brings its chain, which cannot sit beside a nest
+    pytest.param(lambda: WorkbenchDoc(nest=canonical_triangular_nest(),
+                                      abstract_fn=_chain_doc("chain-step").abstract_fn),
+                 None, NOT_BOTH, id="nest-and-map"),
+    # a support table on another flag, with as many elements and with fewer
+    pytest.param(lambda: WorkbenchDoc(
+        nest=canonical_triangular_nest(),
+        support_fn=SupportFn(_flag([0, 0, 1], [0, 1, 0], [1, 0, 0]), (0, 1, 1, 3))),
+                 "nest", "disagrees with the support_fn", id="support-fn-other-flag"),
+    pytest.param(lambda: WorkbenchDoc(
+        nest=canonical_triangular_nest(),
+        support_fn=SupportFn(_flag([0, 0, 1]), (0, 1, 2))),
+                 "nest", "disagrees with the support_fn", id="support-fn-fewer-elements"),
     pytest.param(lambda: WorkbenchDoc(chain=_chain_doc("chain-pinf").chain,
                                       abstract_fn=_chain_doc("chain-continuous").abstract_fn),
                  "chain", "disagrees with the abstract_fn", id="abstract-fn-chain"),
@@ -110,7 +163,23 @@ def test_a_built_document_refuses_a_disagreeing_dimension_or_chain(build, path, 
     with pytest.raises(DocumentError) as info:
         build()
     assert info.value.path == path
-    assert str(info.value) == f"{path}: {message}"
+    assert str(info.value) == (f"{path}: {message}" if path else message)
+
+
+@pytest.mark.parametrize("fault", PARSER_FAULTS)
+def test_a_built_document_refuses_in_the_parsers_words(fault):
+    # the same sections set after construction skip the constructor's
+    # checks, and the document they serialize to is refused by the parser in
+    # the words the constructor uses
+    sections = PARSER_FAULTS[fault][0]
+    with pytest.raises(DocumentError) as built:
+        WorkbenchDoc(**sections())
+    doc = WorkbenchDoc()
+    for name, value in sections().items():
+        setattr(doc, name, value)
+    with pytest.raises(DocumentError) as parsed:
+        parse_document(serialize_document(doc))
+    assert (parsed.value.path, str(parsed.value)) == (built.value.path, str(built.value))
 
 
 def _spanning_rows(rng, element):

@@ -6,7 +6,8 @@ AssertionError`: under `python -O` the first would vanish, and either turns
 an impossible state into a crash instead of a result the independent gates
 judge.  Only oracles.py, which the tests alone use, may do so.  The package
 is stdlib-only, and only the property suites import the oracles; importing
-the package loads neither them nor their sampler.
+the package loads neither them nor their sampler.  Every name a module
+imports is read in it, except in `__init__`, which re-exports.
 
 The public surface is what production code uses: every name in
 `nestlab.__all__` is read by a package module other than the oracles, the
@@ -122,6 +123,25 @@ def test_every_import_is_stdlib_or_relative():
             if m.partition(".")[0] not in sys.stdlib_module_names
         ]
     _fail_at("non-stdlib import", found)
+
+
+def test_every_imported_name_is_read():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{_at(path, node)} ({name})"
+                    for name in (a.asname or a.name.partition(".")[0] for a in node.names)
+                    if name not in reads
+                ]
+    _fail_at("imported name that the module never reads", found)
 
 
 def test_only_the_suites_import_the_oracles():
