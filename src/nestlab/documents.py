@@ -1,17 +1,20 @@
 """Workbench documents: the versioned on-disk format the CLI consumes.
 
 A document is JSON with an explicit ``"version": "nestlab/1"`` field.
-Rationals are strings ("p/q" or "p"), matrices are row-major nested arrays,
-and a document carries either a concrete nest or an abstract chain, never
-both.  `parse_document` builds each value once, through its constructor, and
-`_checked` turns any fault a constructor raises into a DocumentError at the
-section's path, so a `WorkbenchDoc` holds only checked values.  Its fields
-name the sections, and `require(section)` looks one up.  A document built in
-Python takes its nest from its support table, its dimension from its nest
-and its chain from its maps, and refuses a nest beside a chain, a dimension
-out of bounds, or a matrix or vector of another width, with the parser's
-message and path.  A chain node's annotations take the words of
-`chaincalc.KINDS` and `MARKS`.
+Rationals are strings ("p/q" or "p") of at most `MAX_RATIONAL_CHARS`, the
+one bound on a rational; matrices are row-major nested arrays, and a
+document carries either a concrete nest or an abstract chain, never both.
+A document has one construction path: `parse_document` builds each value
+once, through its constructor (`_checked` turns a fault one raises into a
+DocumentError at the section's path), and then the frozen `WorkbenchDoc`
+through its own, as Python code does.  So `WorkbenchDoc.__post_init__`
+states each rule that relates or bounds sections, in the parser's words:
+the nest comes from the support table, the dimension from the nest and the
+chain from the maps, and a nest beside a chain, a dimension out of bounds, a
+matrix or vector of another width, an empty matrix or a value written longer
+than the bound is refused, so what a document writes parses back.  Its
+fields name the sections, and `require(section)` looks one up.  A chain
+node's annotations take the words of `chaincalc.KINDS` and `MARKS`.
 Serialization is canonical: sorted keys, canonical rational strings, and a
 nest as its proper elements in increasing order, each as the primitive
 integer rows of its reduced echelon basis.  Parsing followed by
@@ -44,12 +47,18 @@ from .ratlin import Matrix, Vector, span
 
 VERSION = "nestlab/1"
 NEST_OR_CHAIN = "a document carries either a concrete nest or an abstract chain, not both"
+NO_ROWS = "expected a non-empty array of rows"
 
-# Bounds on a rational string, checked before Fraction sees it, so that a
-# short document cannot ask for a huge integer: at most this many characters,
-# and a decimal exponent ("1e5", "2.5E-3") of at most this magnitude.
+# The one bound on a rational: its string has at most this many characters,
+# checked before Fraction sees it, so that a short document cannot ask for a
+# huge integer.  A decimal exponent ("1e5", "2.5E-3") beyond it is refused
+# too, as it writes a longer canonical string, and a document refuses any
+# value that it would write longer (`_check_written`).
 MAX_RATIONAL_CHARS = 256
-MAX_RATIONAL_EXPONENT = 256
+# a numerator and denominator of this many bits together write at most
+# MAX_RATIONAL_CHARS characters: b bits make at most b*log10(2) + 1 digits,
+# and a sign and a slash add two more
+_SHORT_BITS = int((MAX_RATIONAL_CHARS - 4) / math.log10(2))
 # A concrete nest lives in Q^n with n at most this; operator spaces have
 # width n^2 and the exact elimination over them grows faster than that.
 MAX_AMBIENT_DIM = 16
@@ -61,26 +70,50 @@ def _rational(raw: Any, path: str) -> Fraction:
             f"rationals are strings like '3/4' or '-2', got {raw!r}", path=path
         )
     if len(raw) > MAX_RATIONAL_CHARS:
-        raise DocumentError(
-            f"rational has {len(raw)} characters, more than {MAX_RATIONAL_CHARS}",
-            path=path,
-        )
+        raise _too_long(len(raw), path)
     _, e, exponent = raw.lower().partition("e")
     if e:
         try:
             magnitude = abs(int(exponent))
         except ValueError:
             magnitude = 0  # malformed; Fraction rejects it below
-        if magnitude > MAX_RATIONAL_EXPONENT:
+        if magnitude > MAX_RATIONAL_CHARS:
             raise DocumentError(
                 f"rational exponent {exponent.strip()} is beyond "
-                f"+-{MAX_RATIONAL_EXPONENT}",
+                f"+-{MAX_RATIONAL_CHARS}",
                 path=path,
             )
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad rational {raw!r}: {exc}", path=path) from None
+
+
+def _too_long(chars: int, path: str) -> DocumentError:
+    return DocumentError(
+        f"rational has {chars} characters, more than {MAX_RATIONAL_CHARS}", path=path
+    )
+
+
+def _digits(k: int) -> int:
+    """The decimal digits of k != 0, counted without str, which refuses an
+    integer beyond int's string conversion limit: with b bits, k has
+    floor(b*log10(2)) digits or one more."""
+    k = abs(k)
+    d = int(k.bit_length() * math.log10(2))
+    return d + 1 if k >= 10**d else d
+
+
+def _check_written(vec: Sequence[Fraction], path: str) -> None:
+    """Refuse an entry whose canonical string is longer than the parser reads
+    back, at its path and in the parser's words.  Bit lengths come first, so
+    a short entry is never written out and a huge one never converted."""
+    for j, x in enumerate(vec):
+        p, q = x.numerator, x.denominator
+        if p.bit_length() + q.bit_length() > _SHORT_BITS:
+            chars = (p < 0) + _digits(p) + (1 + _digits(q) if q != 1 else 0)
+            if chars > MAX_RATIONAL_CHARS:
+                raise _too_long(chars, f"{path}[{j}]")
 
 
 def _vector(raw: Any, path: str, n: int | None = None) -> Vector:
@@ -96,22 +129,16 @@ def _sized(vec: Vector, path: str, n: int | None) -> Vector:
     return vec
 
 
-def _matrix(raw: Any, path: str, n: int | None) -> Matrix:
-    """A matrix of rationals; with n given, it must be n x n."""
+def _matrix(raw: Any, path: str) -> Matrix:
+    """A matrix of rationals, with rows of equal length."""
     if not isinstance(raw, list) or not raw:
-        raise DocumentError("expected a non-empty array of rows", path=path)
+        raise DocumentError(NO_ROWS, path=path)
     rows = [_vector(r, f"{path}[{i}]") for i, r in enumerate(raw)]
     width = len(rows[0])
     for i, r in enumerate(rows):
         if len(r) != width:
             raise DocumentError("matrix rows have unequal lengths", path=f"{path}[{i}]")
-    return _square(Matrix(len(rows), width, tuple(rows)), path, n)
-
-
-def _square(m: Matrix, path: str, n: int | None) -> Matrix:
-    if n is not None and (m.rows, m.cols) != (n, n):
-        raise DocumentError(f"matrix is {m.rows}x{m.cols}, expected {n}x{n}", path=path)
-    return m
+    return Matrix(len(rows), width, tuple(rows))
 
 
 def _dimension(dim: Any) -> int:
@@ -294,10 +321,22 @@ def _support_table(phi: SupportFn) -> dict:
     }
 
 
-@dataclass
+def _require(sections: dict[str, Any], section: str) -> Any:
+    value = sections.get(section)
+    if value is None:
+        if section == "nest" and sections.get("ambient_dim") is None:
+            raise DocumentError("document has no 'ambient_dim'", path="ambient_dim")
+        raise DocumentError(f"document has no {section!r} section", path=section)
+    return value
+
+
+@dataclass(frozen=True)
 class WorkbenchDoc:
-    """Parsed form of one workbench document: every value in it has passed
-    its constructor.  The fields are the document's sections."""
+    """One workbench document, frozen.  The parser builds it through this
+    constructor, as Python code does, so every value in it and the document
+    itself have passed their checks, the one rational bound on what it
+    writes included: what a document writes parses back.  The fields are
+    the document's sections."""
 
     ambient_dim: int | None = None
     nest: Nest | None = None
@@ -309,10 +348,9 @@ class WorkbenchDoc:
     abstract_pair: SupportPair | None = None
 
     def __post_init__(self):
-        # a support table brings its nest, a nest its ambient dimension, and a
-        # map its chain; what the parser would refuse is refused here with its
-        # message and path.  The parser fills an empty document, so it never
-        # gets here with a section given.
+        # a support table brings its nest, a nest its dimension and a map its
+        # chain; what the parser would refuse on reading `document_payload`
+        # is refused here, in its words and in the order it reads sections
         if self.support_fn is not None:
             self._implied("nest", self.support_fn.nest, "support_fn")
         if self.nest is not None:
@@ -326,27 +364,35 @@ class WorkbenchDoc:
         n = self.ambient_dim
         if n is not None:
             _dimension(n)
+        if self.nest is not None:
+            for i, e in enumerate(self.nest.elements[1:-1]):
+                for k, row in enumerate(e.rows):
+                    _check_written(row, f"nest[{i}][{k}]")
         for role, items in self.operators.items():
             for i, m in enumerate(items):
-                _square(m, f"operators.{role}[{i}]", n)
+                path = f"operators.{role}[{i}]"
+                if not m.rows:
+                    raise DocumentError(NO_ROWS, path=path)
+                for k, row in enumerate(m.entries):
+                    _check_written(row, f"{path}[{k}]")
+                if n is not None and (m.rows, m.cols) != (n, n):
+                    raise DocumentError(f"matrix is {m.rows}x{m.cols}, expected {n}x{n}",
+                                        path=path)
         if self.rank_one is not None:
             # RankOne gives its vector the functional's length
+            _check_written(self.rank_one.functional, "rank_one.functional")
             _sized(self.rank_one.functional, "rank_one.functional", n)
+            _check_written(self.rank_one.vector, "rank_one.vector")
 
     def _implied(self, name: str, value: Any, source: str) -> None:
         given = getattr(self, name)
         if given is None:
-            setattr(self, name, value)
+            object.__setattr__(self, name, value)
         elif given != value:
             raise DocumentError(f"disagrees with the {source}", path=name)
 
     def require(self, section: str) -> Any:
-        value = getattr(self, section)
-        if value is None:
-            if section == "nest" and self.ambient_dim is None:
-                raise DocumentError("document has no 'ambient_dim'", path="ambient_dim")
-            raise DocumentError(f"document has no {section!r} section", path=section)
-        return value
+        return _require(vars(self), section)
 
     def matrices(self, role: str) -> list[Matrix]:
         if role not in self.operators:
@@ -389,11 +435,10 @@ def parse_document(text: str) -> WorkbenchDoc:
     if "nest" in raw and "chain" in raw:
         raise DocumentError(NEST_OR_CHAIN)
 
-    doc = WorkbenchDoc()
-    if "ambient_dim" in raw:
-        doc.ambient_dim = _dimension(raw["ambient_dim"])
+    n = _dimension(raw["ambient_dim"]) if "ambient_dim" in raw else None
+    sections: dict[str, Any] = {"ambient_dim": n}
     if "nest" in raw:
-        if doc.ambient_dim is None:
+        if n is None:
             raise DocumentError("a nest needs 'ambient_dim'", path="nest")
         if not isinstance(raw["nest"], list):
             raise DocumentError("'nest' must be an array of bases", path="nest")
@@ -403,51 +448,49 @@ def parse_document(text: str) -> WorkbenchDoc:
                 raise DocumentError("each nest element is an array of vectors",
                                     path=f"nest[{i}]")
             subspaces.append(span(
-                [_vector(v, f"nest[{i}][{k}]", doc.ambient_dim) for k, v in enumerate(basis)],
-                doc.ambient_dim,
+                [_vector(v, f"nest[{i}][{k}]", n) for k, v in enumerate(basis)], n
             ))
-        doc.nest = _checked("nest", validate_nest, subspaces, doc.ambient_dim)
+        sections["nest"] = _checked("nest", validate_nest, subspaces, n)
     if "operators" in raw:
         ops = raw["operators"]
         if not isinstance(ops, dict):
             raise DocumentError("'operators' must map role names to matrix lists", path="operators")
+        operators = sections["operators"] = {}
         for role, items in ops.items():
             if not isinstance(items, list):
                 raise DocumentError("each operator role holds an array of matrices",
                                     path=f"operators.{role}")
-            doc.operators[role] = [
-                _matrix(m, f"operators.{role}[{i}]", doc.ambient_dim)
-                for i, m in enumerate(items)
-            ]
+            operators[role] = [_matrix(m, f"operators.{role}[{i}]") for i, m in enumerate(items)]
     if "support_fn" in raw:
         sv = raw["support_fn"]
         if not isinstance(sv, list) or not all(type(x) is int for x in sv):
             raise DocumentError("'support_fn' is an array of element indices", path="support_fn")
-        doc.support_fn = _checked("support_fn", SupportFn, doc.require("nest"), tuple(sv))
+        nest = _require(sections, "nest")
+        sections["support_fn"] = _checked("support_fn", SupportFn, nest, tuple(sv))
     if "rank_one" in raw:
         ro = raw["rank_one"]
         if not isinstance(ro, dict) or "functional" not in ro or "vector" not in ro:
             raise DocumentError("'rank_one' needs 'functional' and 'vector'", path="rank_one")
-        functional = _vector(ro["functional"], "rank_one.functional", doc.ambient_dim)
-        vector = _vector(ro["vector"], "rank_one.vector", doc.ambient_dim)
-        doc.rank_one = _checked("rank_one", RankOne, functional, vector)
+        functional = _vector(ro["functional"], "rank_one.functional", n)
+        vector = _vector(ro["vector"], "rank_one.vector", n)
+        sections["rank_one"] = _checked("rank_one", RankOne, functional, vector)
     if "chain" in raw:
-        doc.chain = _parse_chain(raw["chain"], "chain")
+        sections["chain"] = _parse_chain(raw["chain"], "chain")
     if "abstract_fn" in raw:
-        doc.abstract_fn = _parse_abstract_fn(
-            raw["abstract_fn"], doc.require("chain"), "abstract_fn"
+        sections["abstract_fn"] = _parse_abstract_fn(
+            raw["abstract_fn"], _require(sections, "chain"), "abstract_fn"
         )
     if "abstract_pair" in raw:
         ap = raw["abstract_pair"]
         if not isinstance(ap, dict) or "phi" not in ap or "psi" not in ap:
             raise DocumentError("'abstract_pair' needs 'phi' and 'psi'", path="abstract_pair")
-        chain = doc.require("chain")
-        doc.abstract_pair = _checked(
+        chain = _require(sections, "chain")
+        sections["abstract_pair"] = _checked(
             "abstract_pair", SupportPair,
             _parse_abstract_fn(ap["phi"], chain, "abstract_pair.phi"),
             _parse_abstract_fn(ap["psi"], chain, "abstract_pair.psi"),
         )
-    return doc
+    return WorkbenchDoc(**sections)
 
 
 def document_payload(doc: WorkbenchDoc) -> dict:

@@ -23,6 +23,7 @@ import random
 
 import pytest
 
+from nestlab import DocumentError, parse_document, serialize_document
 from nestlab.cli import main
 from test_golden import FIXTURES, GOLDEN, INVOCATIONS
 
@@ -202,6 +203,16 @@ def test_mutant_outcomes_match_the_recorded_transcript(fixture, tmp_path):
             assert run["exit"] in (0, 1, 2), (name, invocation, run)
             assert "Traceback" not in run["stderr"], (name, invocation)
         assert runs == expected[name], name
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_every_document_that_parses_writes_one_that_parses_back(fixture):
+    for name, text in {"fixture": fixture.read_text(encoding="utf-8"), **mutants(fixture)}.items():
+        try:
+            doc = parse_document(text)
+        except DocumentError:
+            continue
+        assert parse_document(serialize_document(doc)) == doc, name
 
 
 if __name__ == "__main__":

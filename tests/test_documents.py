@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -20,7 +21,7 @@ from nestlab import (
 )
 from nestlab import sampling
 from nestlab.cli import main
-from nestlab.documents import MAX_AMBIENT_DIM, MAX_RATIONAL_CHARS, MAX_RATIONAL_EXPONENT
+from nestlab.documents import MAX_AMBIENT_DIM, MAX_RATIONAL_CHARS
 from nestlab.suites import canonical_triangular_nest, sweep_chains, sweep_maps
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -131,6 +132,16 @@ PARSER_FAULTS = {
         lambda: dict(ambient_dim=3, nest=canonical_triangular_nest(),
                      operators={"generators": [Matrix(2, 2, ((1, 0), (0, 1)))]}),
         "operators.generators[0]", "matrix is 2x2, expected 3x3"),
+    # what the serializer writes is read back under the one rational bound
+    "rational-303-characters": (
+        lambda: dict(ambient_dim=1, rank_one=RankOne.of([Fraction(1, 10**300)], [1])),
+        "rank_one.functional[0]", "rational has 303 characters, more than 256"),
+    "rank-one-1e256": (
+        lambda: dict(ambient_dim=1, rank_one=RankOne.of([10**256], [1])),
+        "rank_one.functional[0]", "rational has 257 characters, more than 256"),
+    "empty-matrix": (
+        lambda: dict(operators={"g": [Matrix(0, 0, ())]}),
+        "operators.g[0]", "expected a non-empty array of rows"),
 }
 
 
@@ -168,7 +179,7 @@ def test_a_built_document_refuses_a_disagreeing_dimension_or_chain(build, path, 
 
 @pytest.mark.parametrize("fault", PARSER_FAULTS)
 def test_a_built_document_refuses_in_the_parsers_words(fault):
-    # the same sections set after construction skip the constructor's
+    # the same sections set past the frozen fields skip the constructor's
     # checks, and the document they serialize to is refused by the parser in
     # the words the constructor uses
     sections = PARSER_FAULTS[fault][0]
@@ -176,7 +187,7 @@ def test_a_built_document_refuses_in_the_parsers_words(fault):
         WorkbenchDoc(**sections())
     doc = WorkbenchDoc()
     for name, value in sections().items():
-        setattr(doc, name, value)
+        object.__setattr__(doc, name, value)
     with pytest.raises(DocumentError) as parsed:
         parse_document(serialize_document(doc))
     assert (parsed.value.path, str(parsed.value)) == (built.value.path, str(built.value))
@@ -417,12 +428,48 @@ def test_rational_length_is_bounded():
 
 
 def test_rational_exponent_is_bounded():
-    assert _parsed_rational(f"1e{MAX_RATIONAL_EXPONENT}") == 10 ** MAX_RATIONAL_EXPONENT
-    assert _parsed_rational(f"1e-{MAX_RATIONAL_EXPONENT}") == Fraction(1, 10 ** MAX_RATIONAL_EXPONENT)
-    for beyond in (f"1e{MAX_RATIONAL_EXPONENT + 1}", f"1E-{MAX_RATIONAL_EXPONENT + 1}"):
+    # the line through (1, 10^e) is written as the row 1, 10^e, and the one
+    # through (1, 10^-e) as 10^e, 1: e + 1 characters either way, so 255 is
+    # the largest exponent whose written row parses back; 256 is read but
+    # refused as the row it writes, and beyond it the exponent itself
+    edge = MAX_RATIONAL_CHARS - 1
+    assert _parsed_rational(f"1e{edge}") == 10 ** edge
+    assert _parsed_rational(f"1e-{edge}") == Fraction(1, 10 ** edge)
+    for written, path in ((f"1e{edge + 1}", "nest[0][0][1]"), (f"1e-{edge + 1}", "nest[0][0][0]")):
+        with pytest.raises(DocumentError) as info:
+            _parsed_rational(written)
+        assert str(info.value) == f"{path}: rational has 257 characters, more than 256"
+    for beyond in (f"1e{MAX_RATIONAL_CHARS + 1}", f"1E-{MAX_RATIONAL_CHARS + 1}"):
         with pytest.raises(DocumentError, match=r"^nest\[0\]\[0\]\[0\]: .*exponent"):
             parse_document(_one_rational(beyond))
 
+
+def test_a_value_beyond_the_string_limit_is_refused_by_its_length():
+    # the serializer could not write 10^5000 at all: int refuses to convert
+    # more than 4,300 digits, so the length is counted from the bit length
+    with pytest.raises(DocumentError) as info:
+        WorkbenchDoc(rank_one=RankOne.of([Fraction(1, 10**5000)], [1]))
+    assert str(info.value) == "rank_one.functional[0]: rational has 5003 characters, more than 256"
+
+
+def test_a_parsed_document_is_frozen():
+    doc = parse_document(fixture_text("support"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.support_fn = None
+
+
+def test_parsing_builds_the_document_through_its_constructor(monkeypatch):
+    # the constructor's checks see every section the parser read
+    seen = []
+    checks = WorkbenchDoc.__post_init__
+
+    def spy(doc):
+        seen.append((doc.nest, doc.support_fn))
+        checks(doc)
+
+    monkeypatch.setattr(WorkbenchDoc, "__post_init__", spy)
+    doc = parse_document(fixture_text("support"))
+    assert doc.support_fn is not None and seen == [(doc.nest, doc.support_fn)]
 
 
 def _with_literal(name, place, literal):
@@ -586,6 +633,16 @@ ONE_NODE_CHAIN = {"nodes": [{"label": "0", "above": {"kind": "attained"}},
                  "'rank_one' needs 'functional' and 'vector'", id="rank-one-no-vector"),
     pytest.param(_without("chain-step", "abstract_pair", "psi"), "abstract_pair",
                  "'abstract_pair' needs 'phi' and 'psi'", id="abstract-pair-no-psi"),
+    # values the parser reads but would write longer than it reads back: a
+    # rational whose canonical string is long, and a nest whose echelon rows
+    # grow past the bound from entries of 130 digits
+    pytest.param(_doc(ambient_dim=1, rank_one={"functional": ["1e256"], "vector": ["1"]}),
+                 "rank_one.functional[0]", "rational has 257 characters, more than 256",
+                 id="rank-one-1e256"),
+    pytest.param(_doc(ambient_dim=3, nest=[[["1", "7" * 130, "3" * 130],
+                                            ["5" * 130, "1", "2" * 130]]]),
+                 "nest[0][0][0]", "rational has 260 characters, more than 256",
+                 id="nest-rows-grow"),
 ])
 def test_malformed_sections_name_their_field(text, path, message):
     with pytest.raises(DocumentError) as info:
