@@ -4,7 +4,9 @@ A chain is presented by finitely many named nodes, ordered from "0" to "X".
 Each node carries how it is approached from below (an attained jump with a
 declared dimension, possibly infinite, or a limit with a cofinality mark) and
 from above (attained, or a limit with a coinitiality mark), in the words of
-`KINDS` and `MARKS`.  Maps between chain nodes carry an explicit left-limit
+`KINDS` and `MARKS`.  `SIDES` is the one home of that two-sided grammar: the
+chain constructor checks each side by it, and `documents` reads and writes
+each side by it.  Maps between chain nodes carry an explicit left-limit
 table, the declared join of the values strictly below each limit node; the
 table is constrained to stay between the value at the predecessor and the
 value at the node itself.  Each constructor derives its chain facts once: an
@@ -42,6 +44,14 @@ INFINITE = math.inf
 # the words a 'kind' and a cofinality or coinitiality mark may take
 KINDS = (ATTAINED, LIMIT)
 MARKS = (COUNTABLE, UNCOUNTABLE)
+# The grammar of a node's two sides, below first: the `ChainNode` field of the
+# side's kind, the field of its limit mark, and the end node that takes no
+# annotation on that side.  Only the below side carries a jump dimension, its
+# `gap`.  `ChainNode` lists its fields in this order, after the label: each
+# side's kind, then the gap on the below side, then the side's mark.  The
+# chain constructor, and the documents parser and writer, read it.
+SIDES = (("below", "cofinality", "0"), ("above", "coinitiality", "X"))
+GAP_SIDE = SIDES[0][0]
 
 
 @dataclass(frozen=True)
@@ -94,53 +104,37 @@ class AbstractNest:
                 if node.label in seen:
                     raise ChainError(f"duplicate node label {node.label!r}")
                 seen.add(node.label)
-        for i, node in enumerate(nodes):
-            self._check_below(i, node)
-            self._check_above(i, node)
+        for node in nodes:
+            label = node.label
+            for side, mark, end in SIDES:
+                kind, marked = getattr(node, side), getattr(node, mark)
+                gap = node.gap if side == GAP_SIDE else None
+                if label == end:
+                    if kind is not None or marked is not None or gap is not None:
+                        raise ChainError(f'node "{end}" takes no {side} annotation')
+                elif kind == ATTAINED:
+                    if marked is not None:
+                        raise ChainError(f"attained node {label!r} takes no {mark} mark")
+                    if side == GAP_SIDE and not (
+                        gap == INFINITE or (type(gap) is int and gap >= 1)
+                    ):
+                        raise ChainError(
+                            f"node {label!r} needs a positive or infinite jump dimension"
+                        )
+                elif kind == LIMIT:
+                    if gap is not None:
+                        raise LimitGapError(
+                            f"node {label!r} is a limit from {side} but declares a jump"
+                        )
+                    if marked not in MARKS:
+                        raise ChainError(f"node {label!r} needs a {mark} mark")
+                else:
+                    article = "an" if side[0] in "aeiou" else "a"
+                    raise ChainError(f"node {label!r} needs {article} {side} annotation")
         finite = tuple(
             i for i, node in enumerate(nodes) if node.below == ATTAINED and node.gap != INFINITE
         )
         object.__setattr__(self, "finite_stratum", finite)
-
-    @staticmethod
-    def _check_below(i: int, node: ChainNode) -> None:
-        if i == 0:
-            if node.below is not None or node.gap is not None or node.cofinality is not None:
-                raise ChainError('node "0" takes no below annotation')
-            return
-        if node.below == ATTAINED:
-            if node.cofinality is not None:
-                raise ChainError(f"attained node {node.label!r} takes no cofinality mark")
-            gap = node.gap
-            ok = gap == INFINITE or (type(gap) is int and gap >= 1)
-            if not ok:
-                raise ChainError(
-                    f"node {node.label!r} needs a positive or infinite jump dimension"
-                )
-        elif node.below == LIMIT:
-            if node.gap is not None:
-                raise LimitGapError(
-                    f"node {node.label!r} is a limit from below but declares a jump"
-                )
-            if node.cofinality not in MARKS:
-                raise ChainError(f"node {node.label!r} needs a cofinality mark")
-        else:
-            raise ChainError(f"node {node.label!r} needs a below annotation")
-
-    @staticmethod
-    def _check_above(i: int, node: ChainNode) -> None:
-        if node.label == "X":
-            if node.above is not None or node.coinitiality is not None:
-                raise ChainError('node "X" takes no above annotation')
-            return
-        if node.above == ATTAINED:
-            if node.coinitiality is not None:
-                raise ChainError(f"attained node {node.label!r} takes no coinitiality mark")
-        elif node.above == LIMIT:
-            if node.coinitiality not in MARKS:
-                raise ChainError(f"node {node.label!r} needs a coinitiality mark")
-        else:
-            raise ChainError(f"node {node.label!r} needs an above annotation")
 
     def __len__(self) -> int:
         return len(self.nodes)

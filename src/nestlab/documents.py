@@ -13,8 +13,10 @@ the nest comes from the support table, the dimension from the nest and the
 chain from the maps, and a nest beside a chain, a dimension out of bounds, a
 matrix or vector of another width, an empty matrix or a value written longer
 than the bound is refused, so what a document writes parses back.  Its
-fields name the sections, and `require(section)` looks one up.  A chain
-node's annotations take the words of `chaincalc.KINDS` and `MARKS`.
+fields name the sections, and `require(section)` looks one up.  The parser
+bounds each nest vector's primitive integer row the same way before it
+spans any element.  A chain node's two sides are read and written by the
+grammar of `chaincalc.SIDES`.
 Serialization is canonical: sorted keys, canonical rational strings, and a
 nest as its proper elements in increasing order, each as the primitive
 integer rows of its reduced echelon basis.  Parsing followed by
@@ -32,8 +34,10 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .chaincalc import (
+    GAP_SIDE,
     KINDS,
     MARKS,
+    SIDES,
     AbstractNest,
     AbstractSupportFn,
     ChainNode,
@@ -43,7 +47,7 @@ from .chaincalc import (
 from .errors import DocumentError, NestlabError
 from .nest import Nest, validate_nest
 from .opspace import OperatorSpace, RankOne, SupportFn
-from .ratlin import Matrix, Vector, span
+from .ratlin import Matrix, Vector, int_row, span
 
 VERSION = "nestlab/1"
 NEST_OR_CHAIN = "a document carries either a concrete nest or an abstract chain, not both"
@@ -184,39 +188,33 @@ def _parse_chain(raw: Any, path: str) -> AbstractNest:
         label = item["label"]
         if not isinstance(label, str):
             raise DocumentError("a node 'label' is a string", path=f"{path}.nodes[{i}].label")
-        below_kind = gap = cofinality = above_kind = coinitiality = None
-        below = item.get("below")
-        if below is not None:
-            if not isinstance(below, dict) or "kind" not in below:
-                raise DocumentError("'below' needs a 'kind'", path=f"{path}.nodes[{i}]")
-            below_kind = below["kind"]
-            if below_kind not in KINDS:
-                raise _not_one_of(KINDS, f"{path}.nodes[{i}].below.kind")
-            if "gap" in below:
-                gap = below["gap"]
-                if gap == "inf":
-                    gap = math.inf
-                elif type(gap) is not int:
-                    raise DocumentError(
-                        "'gap' is a positive integer or \"inf\"",
-                        path=f"{path}.nodes[{i}].below.gap",
-                    )
-            if "cofinality" in below:
-                cofinality = below["cofinality"]
-                if cofinality not in MARKS:
-                    raise _not_one_of(MARKS, f"{path}.nodes[{i}].below.cofinality")
-        above = item.get("above")
-        if above is not None:
-            if not isinstance(above, dict) or "kind" not in above:
-                raise DocumentError("'above' needs a 'kind'", path=f"{path}.nodes[{i}]")
-            above_kind = above["kind"]
-            if above_kind not in KINDS:
-                raise _not_one_of(KINDS, f"{path}.nodes[{i}].above.kind")
-            if "coinitiality" in above:
-                coinitiality = above["coinitiality"]
-                if coinitiality not in MARKS:
-                    raise _not_one_of(MARKS, f"{path}.nodes[{i}].above.coinitiality")
-        nodes.append(ChainNode(label, below_kind, gap, cofinality, above_kind, coinitiality))
+        fields = [label]
+        for side, mark, _ in SIDES:
+            raw_side = item.get(side)
+            kind = gap = marked = None
+            if raw_side is not None:
+                if not isinstance(raw_side, dict) or "kind" not in raw_side:
+                    raise DocumentError(f"'{side}' needs a 'kind'", path=f"{path}.nodes[{i}]")
+                kind = raw_side["kind"]
+                if kind not in KINDS:
+                    raise _not_one_of(KINDS, f"{path}.nodes[{i}].{side}.kind")
+                if side == GAP_SIDE and "gap" in raw_side:
+                    gap = raw_side["gap"]
+                    if gap == "inf":
+                        gap = math.inf
+                    elif type(gap) is not int:
+                        raise DocumentError(
+                            "'gap' is a positive integer or \"inf\"",
+                            path=f"{path}.nodes[{i}].{side}.gap",
+                        )
+                if mark in raw_side:
+                    marked = raw_side[mark]
+                    if marked not in MARKS:
+                        raise _not_one_of(MARKS, f"{path}.nodes[{i}].{side}.{mark}")
+            # positional, which costs less than keywords on this per-node path,
+            # in the field order that SIDES states for `ChainNode`
+            fields += (kind, gap, marked) if side == GAP_SIDE else (kind, marked)
+        nodes.append(ChainNode(*fields))
     return _checked(path, validate_chain, nodes)
 
 
@@ -224,18 +222,16 @@ def _fmt_chain(chain: AbstractNest) -> dict:
     nodes = []
     for node in chain.nodes:
         item: dict[str, Any] = {"label": node.label}
-        if node.below is not None:
-            below: dict[str, Any] = {"kind": node.below}
-            if node.gap is not None:
-                below["gap"] = "inf" if node.gap == math.inf else node.gap
-            if node.cofinality is not None:
-                below["cofinality"] = node.cofinality
-            item["below"] = below
-        if node.above is not None:
-            above: dict[str, Any] = {"kind": node.above}
-            if node.coinitiality is not None:
-                above["coinitiality"] = node.coinitiality
-            item["above"] = above
+        for side, mark, _ in SIDES:
+            kind = getattr(node, side)
+            if kind is not None:
+                annotation: dict[str, Any] = {"kind": kind}
+                if side == GAP_SIDE and node.gap is not None:
+                    annotation["gap"] = "inf" if node.gap == math.inf else node.gap
+                marked = getattr(node, mark)
+                if marked is not None:
+                    annotation[mark] = marked
+                item[side] = annotation
         nodes.append(item)
     return {"nodes": nodes}
 
@@ -447,9 +443,15 @@ def parse_document(text: str) -> WorkbenchDoc:
             if not isinstance(basis, list):
                 raise DocumentError("each nest element is an array of vectors",
                                     path=f"nest[{i}]")
-            subspaces.append(span(
-                [_vector(v, f"nest[{i}][{k}]", n) for k, v in enumerate(basis)], n
-            ))
+            # each vector's primitive integer row is bounded before any
+            # element is spanned, so a long row costs no elimination
+            rows = []
+            for k, v in enumerate(basis):
+                row = int_row(_vector(v, f"nest[{i}][{k}]", n))
+                if row is not None:
+                    _check_written(row, f"nest[{i}][{k}]")
+                    rows.append(row)
+            subspaces.append(span(rows, n))
         sections["nest"] = _checked("nest", validate_nest, subspaces, n)
     if "operators" in raw:
         ops = raw["operators"]

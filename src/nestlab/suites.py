@@ -491,7 +491,8 @@ def suite_chaincalc(seed: int, cases: int) -> list[PropertyOutcome]:
                 continue
             pair = predict_m0(f)
             ok = (
-                check_left_continuous(pair.phi)
+                pair.phi.value == oracle_for(f)
+                and check_left_continuous(pair.phi)
                 and pair.psi == pair.phi
                 and check_pair(pair)
             )

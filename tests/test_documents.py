@@ -19,7 +19,7 @@ from nestlab import (
     span,
     validate_nest,
 )
-from nestlab import sampling
+from nestlab import documents, sampling
 from nestlab.cli import main
 from nestlab.documents import MAX_AMBIENT_DIM, MAX_RATIONAL_CHARS
 from nestlab.suites import canonical_triangular_nest, sweep_chains, sweep_maps
@@ -472,6 +472,32 @@ def test_parsing_builds_the_document_through_its_constructor(monkeypatch):
     assert doc.support_fn is not None and seen == [(doc.nest, doc.support_fn)]
 
 
+# 1/a, 1/b, 1/c with pairwise coprime 131-digit a, b, c: each entry is short,
+# but the vector's primitive integer row (bc, ac, ab) has 261-digit entries
+LONG_ROW = [f"1/{10**130 + d}" for d in (1, 3, 7)]
+
+
+@pytest.mark.parametrize("basis", [
+    pytest.param([LONG_ROW], id="line"),
+    # the element is {x4 = 0}, whose echelon rows are short: the vector's own
+    # row is still refused
+    pytest.param([LONG_ROW + ["0"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+                 id="inside-a-short-element"),
+])
+def test_a_nest_vector_is_refused_by_its_row_before_any_span(monkeypatch, basis):
+    spanned = []
+
+    def spy(vectors, n):
+        spanned.append(vectors)
+        return span(vectors, n)
+
+    monkeypatch.setattr(documents, "span", spy)
+    with pytest.raises(DocumentError) as info:
+        parse_document(_doc(ambient_dim=len(basis[0]), nest=[basis]))
+    assert str(info.value) == "nest[0][0][0]: rational has 261 characters, more than 256"
+    assert spanned == []
+
+
 def _with_literal(name, place, literal):
     """A fixture's text with one field set to a raw JSON literal."""
     raw = json.loads(fixture_text(name))
@@ -613,6 +639,13 @@ ONE_NODE_CHAIN = {"nodes": [{"label": "0", "above": {"kind": "attained"}},
                             {"label": "X", "below": {"kind": "attained", "gap": 1}}]}
 
 
+def _one_side(i, side, **annotation):
+    """ONE_NODE_CHAIN with node i's annotation on one side replaced."""
+    nodes = [dict(node) for node in ONE_NODE_CHAIN["nodes"]]
+    nodes[i][side] = annotation
+    return _doc(chain={"nodes": nodes})
+
+
 @pytest.mark.parametrize("text, path, message", [
     pytest.param(_one_rational("1eX"), "nest[0][0][0]",
                  "bad rational '1eX': Invalid literal for Fraction: '1eX'", id="bad-exponent"),
@@ -643,6 +676,24 @@ ONE_NODE_CHAIN = {"nodes": [{"label": "0", "above": {"kind": "attained"}},
                                             ["5" * 130, "1", "2" * 130]]]),
                  "nest[0][0][0]", "rational has 260 characters, more than 256",
                  id="nest-rows-grow"),
+    # each rule of `chaincalc.SIDES`, on each side, reached through the parser
+    pytest.param(_one_side(1, "below", kind="attained", gap=1, cofinality="countable"),
+                 "chain", "attained node 'X' takes no cofinality mark",
+                 id="attained-below-marked"),
+    pytest.param(_one_side(0, "above", kind="attained", coinitiality="countable"),
+                 "chain", "attained node '0' takes no coinitiality mark",
+                 id="attained-above-marked"),
+    pytest.param(_one_side(1, "below", kind="limit"),
+                 "chain", "node 'X' needs a cofinality mark", id="limit-below-unmarked"),
+    pytest.param(_one_side(0, "above", kind="limit"),
+                 "chain", "node '0' needs a coinitiality mark", id="limit-above-unmarked"),
+    pytest.param(_one_side(0, "below", kind="attained", gap=1),
+                 "chain", 'node "0" takes no below annotation', id="zero-below"),
+    pytest.param(_one_side(1, "above", kind="attained"),
+                 "chain", 'node "X" takes no above annotation', id="top-above"),
+    pytest.param(_one_side(1, "below", kind="attained", gap=0),
+                 "chain", "node 'X' needs a positive or infinite jump dimension",
+                 id="gap-zero"),
 ])
 def test_malformed_sections_name_their_field(text, path, message):
     with pytest.raises(DocumentError) as info:

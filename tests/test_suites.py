@@ -278,6 +278,27 @@ def test_a_property_that_raises_fails_alone(monkeypatch):
     }}
 
 
+def test_the_prediction_property_compares_against_the_enumerated_minorant(monkeypatch):
+    # the constant-zero pair is left continuous, equal in its components and
+    # admissible on a chain without finite jumps: only the oracle rejects it
+    real_sweep = suites.sweep_chains
+    monkeypatch.setattr(suites, "sweep_chains", lambda: real_sweep(3))
+    real_predict = suites.predict_m0
+
+    def zero_pair(f):
+        real_predict(f)  # keeps the guards, which the guard cases check
+        zero = chaincalc.AbstractSupportFn(
+            f.chain, (0,) * len(f.value), tuple(ll if ll is None else 0 for ll in f.left_limit)
+        )
+        return chaincalc.SupportPair(zero, zero)
+
+    monkeypatch.setattr(suites, "predict_m0", zero_pair)
+    *rest, predictions = run_suite("chaincalc", 0, 1)
+    assert all(o.passed for o in rest)
+    assert predictions.name == "predicted pairs pass their own validators"
+    assert predictions.failures > 0
+
+
 def test_each_regularization_property_draws_its_own_stream(monkeypatch):
     real_sweep = suites.sweep_chains
     monkeypatch.setattr(suites, "sweep_chains", lambda: real_sweep(3))
