@@ -247,17 +247,8 @@ def proptest(suite: str, seed: int, cases: int) -> Verdict:
     outcomes = run_suite(suite, seed, cases)
     result = {
         "suite": suite,
-        "all_passed": all(o.passed for o in outcomes),
-        "properties": [
-            {
-                "name": o.name,
-                "cases": o.cases,
-                "failures": o.failures,
-                "passed": o.passed,
-                "minimal_failure": o.minimal_failure,
-            }
-            for o in outcomes
-        ],
+        "all_passed": all(o["passed"] for o in outcomes),
+        "properties": outcomes,
     }
     return Verdict("proptest", result, seed=seed, cases=cases)
 

@@ -12,11 +12,13 @@ states each rule that relates or bounds sections, in the parser's words:
 the nest comes from the support table, the dimension from the nest and the
 chain from the maps, and a nest beside a chain, a dimension out of bounds, a
 matrix or vector of another width, an empty matrix or a value written longer
-than the bound is refused, so what a document writes parses back.  Its
-fields name the sections, and `require(section)` looks one up.  The parser
-bounds each nest vector's primitive integer row the same way before it
-spans any element.  A chain node's two sides are read and written by the
-grammar of `chaincalc.SIDES`.
+than the bound is refused, so what a document writes parses back.
+`SECTIONS` is the one home of the section list and order: it holds each
+section's reader and writer, `parse_document`, `document_payload` and
+`DOCUMENT_FIELDS` iterate it, and `WorkbenchDoc` has one field per section,
+which `require(section)` looks up.  The parser bounds each nest vector's
+primitive integer row the same way before it spans any element.  A chain
+node's two sides are read and written by the grammar of `chaincalc.SIDES`.
 Serialization is canonical: sorted keys, canonical rational strings, and a
 nest as its proper elements in increasing order, each as the primitive
 integer rows of its reduced echelon basis.  Parsing followed by
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -326,13 +328,85 @@ def _require(sections: dict[str, Any], section: str) -> Any:
     return value
 
 
+def _read_nest(raw: Any, sections: dict[str, Any]) -> Nest:
+    n = sections.get("ambient_dim")
+    if n is None:
+        raise DocumentError("a nest needs 'ambient_dim'", path="nest")
+    if not isinstance(raw, list):
+        raise DocumentError("'nest' must be an array of bases", path="nest")
+    subspaces = []
+    for i, basis in enumerate(raw):
+        if not isinstance(basis, list):
+            raise DocumentError("each nest element is an array of vectors", path=f"nest[{i}]")
+        # each vector's primitive integer row is bounded before any
+        # element is spanned, so a long row costs no elimination
+        rows = []
+        for k, v in enumerate(basis):
+            row = int_row(_vector(v, f"nest[{i}][{k}]", n))
+            if row is not None:
+                _check_written(row, f"nest[{i}][{k}]")
+                rows.append(row)
+        subspaces.append(span(rows, n))
+    return _checked("nest", validate_nest, subspaces, n)
+
+
+def _read_operators(raw: Any, sections: dict[str, Any]) -> dict[str, list[Matrix]]:
+    if not isinstance(raw, dict):
+        raise DocumentError("'operators' must map role names to matrix lists", path="operators")
+    operators = {}
+    for role, items in raw.items():
+        if not isinstance(items, list):
+            raise DocumentError("each operator role holds an array of matrices",
+                                path=f"operators.{role}")
+        operators[role] = [_matrix(m, f"operators.{role}[{i}]") for i, m in enumerate(items)]
+    return operators
+
+
+def _read_support_fn(raw: Any, sections: dict[str, Any]) -> SupportFn:
+    if not isinstance(raw, list) or not all(type(x) is int for x in raw):
+        raise DocumentError("'support_fn' is an array of element indices", path="support_fn")
+    return _checked("support_fn", SupportFn, _require(sections, "nest"), tuple(raw))
+
+
+def _read_rank_one(raw: Any, sections: dict[str, Any]) -> RankOne:
+    if not isinstance(raw, dict) or "functional" not in raw or "vector" not in raw:
+        raise DocumentError("'rank_one' needs 'functional' and 'vector'", path="rank_one")
+    n = sections.get("ambient_dim")
+    functional, vector = (_vector(raw[k], f"rank_one.{k}", n) for k in ("functional", "vector"))
+    return _checked("rank_one", RankOne, functional, vector)
+
+
+def _read_abstract_pair(raw: Any, sections: dict[str, Any]) -> SupportPair:
+    if not isinstance(raw, dict) or "phi" not in raw or "psi" not in raw:
+        raise DocumentError("'abstract_pair' needs 'phi' and 'psi'", path="abstract_pair")
+    chain = _require(sections, "chain")
+    phi, psi = (_parse_abstract_fn(raw[k], chain, f"abstract_pair.{k}") for k in ("phi", "psi"))
+    return _checked("abstract_pair", SupportPair, phi, psi)
+
+
+# read(raw value, sections read so far) and write(value); the order is the parser's
+SECTIONS: dict[str, tuple[Callable[[Any, dict], Any], Callable[[Any], Any]]] = {
+    "ambient_dim": (lambda raw, _: _dimension(raw), lambda n: n),
+    "nest": (_read_nest,
+             lambda nest: [[_fmt_vector(r) for r in e.rows] for e in nest.elements[1:-1]]),
+    "operators": (_read_operators,
+                  lambda ops: {role: [_fmt_matrix(m) for m in ms] for role, ms in ops.items()}),
+    "support_fn": (_read_support_fn, lambda phi: list(phi.values)),
+    "rank_one": (_read_rank_one, _fmt_rank_one),
+    "chain": (lambda raw, _: _parse_chain(raw, "chain"), _fmt_chain),
+    "abstract_fn": (lambda raw, sections: _parse_abstract_fn(
+        raw, _require(sections, "chain"), "abstract_fn"), _fmt_abstract_fn),
+    "abstract_pair": (_read_abstract_pair, _fmt_pair),
+}
+
+
 @dataclass(frozen=True)
 class WorkbenchDoc:
     """One workbench document, frozen.  The parser builds it through this
     constructor, as Python code does, so every value in it and the document
     itself have passed their checks, the one rational bound on what it
-    writes included: what a document writes parses back.  The fields are
-    the document's sections."""
+    writes included: what a document writes parses back.  Its fields are
+    the `SECTIONS`, in their order."""
 
     ambient_dim: int | None = None
     nest: Nest | None = None
@@ -398,8 +472,7 @@ class WorkbenchDoc:
         return self.operators[role]
 
 
-# the fields a document may carry
-DOCUMENT_FIELDS = frozenset(("version", *(f.name for f in fields(WorkbenchDoc))))
+DOCUMENT_FIELDS = frozenset(("version", *SECTIONS))
 
 
 def parse_document(text: str) -> WorkbenchDoc:
@@ -431,93 +504,20 @@ def parse_document(text: str) -> WorkbenchDoc:
     if "nest" in raw and "chain" in raw:
         raise DocumentError(NEST_OR_CHAIN)
 
-    n = _dimension(raw["ambient_dim"]) if "ambient_dim" in raw else None
-    sections: dict[str, Any] = {"ambient_dim": n}
-    if "nest" in raw:
-        if n is None:
-            raise DocumentError("a nest needs 'ambient_dim'", path="nest")
-        if not isinstance(raw["nest"], list):
-            raise DocumentError("'nest' must be an array of bases", path="nest")
-        subspaces = []
-        for i, basis in enumerate(raw["nest"]):
-            if not isinstance(basis, list):
-                raise DocumentError("each nest element is an array of vectors",
-                                    path=f"nest[{i}]")
-            # each vector's primitive integer row is bounded before any
-            # element is spanned, so a long row costs no elimination
-            rows = []
-            for k, v in enumerate(basis):
-                row = int_row(_vector(v, f"nest[{i}][{k}]", n))
-                if row is not None:
-                    _check_written(row, f"nest[{i}][{k}]")
-                    rows.append(row)
-            subspaces.append(span(rows, n))
-        sections["nest"] = _checked("nest", validate_nest, subspaces, n)
-    if "operators" in raw:
-        ops = raw["operators"]
-        if not isinstance(ops, dict):
-            raise DocumentError("'operators' must map role names to matrix lists", path="operators")
-        operators = sections["operators"] = {}
-        for role, items in ops.items():
-            if not isinstance(items, list):
-                raise DocumentError("each operator role holds an array of matrices",
-                                    path=f"operators.{role}")
-            operators[role] = [_matrix(m, f"operators.{role}[{i}]") for i, m in enumerate(items)]
-    if "support_fn" in raw:
-        sv = raw["support_fn"]
-        if not isinstance(sv, list) or not all(type(x) is int for x in sv):
-            raise DocumentError("'support_fn' is an array of element indices", path="support_fn")
-        nest = _require(sections, "nest")
-        sections["support_fn"] = _checked("support_fn", SupportFn, nest, tuple(sv))
-    if "rank_one" in raw:
-        ro = raw["rank_one"]
-        if not isinstance(ro, dict) or "functional" not in ro or "vector" not in ro:
-            raise DocumentError("'rank_one' needs 'functional' and 'vector'", path="rank_one")
-        functional = _vector(ro["functional"], "rank_one.functional", n)
-        vector = _vector(ro["vector"], "rank_one.vector", n)
-        sections["rank_one"] = _checked("rank_one", RankOne, functional, vector)
-    if "chain" in raw:
-        sections["chain"] = _parse_chain(raw["chain"], "chain")
-    if "abstract_fn" in raw:
-        sections["abstract_fn"] = _parse_abstract_fn(
-            raw["abstract_fn"], _require(sections, "chain"), "abstract_fn"
-        )
-    if "abstract_pair" in raw:
-        ap = raw["abstract_pair"]
-        if not isinstance(ap, dict) or "phi" not in ap or "psi" not in ap:
-            raise DocumentError("'abstract_pair' needs 'phi' and 'psi'", path="abstract_pair")
-        chain = _require(sections, "chain")
-        sections["abstract_pair"] = _checked(
-            "abstract_pair", SupportPair,
-            _parse_abstract_fn(ap["phi"], chain, "abstract_pair.phi"),
-            _parse_abstract_fn(ap["psi"], chain, "abstract_pair.psi"),
-        )
+    sections: dict[str, Any] = {}
+    for name, (read, _) in SECTIONS.items():
+        if name in raw:
+            sections[name] = read(raw[name], sections)
     return WorkbenchDoc(**sections)
 
 
 def document_payload(doc: WorkbenchDoc) -> dict:
     """The JSON object for a document, with canonical leaf encodings."""
     out: dict[str, Any] = {"version": VERSION}
-    if doc.ambient_dim is not None:
-        out["ambient_dim"] = doc.ambient_dim
-    if doc.nest is not None:
-        # the proper elements, each as its canonical integer rows
-        out["nest"] = [[_fmt_vector(r) for r in e.rows] for e in doc.nest.elements[1:-1]]
-    if doc.operators:
-        out["operators"] = {
-            role: [_fmt_matrix(m) for m in items]
-            for role, items in doc.operators.items()
-        }
-    if doc.support_fn is not None:
-        out["support_fn"] = list(doc.support_fn.values)
-    if doc.rank_one is not None:
-        out["rank_one"] = _fmt_rank_one(doc.rank_one)
-    if doc.chain is not None:
-        out["chain"] = _fmt_chain(doc.chain)
-    if doc.abstract_fn is not None:
-        out["abstract_fn"] = _fmt_abstract_fn(doc.abstract_fn)
-    if doc.abstract_pair is not None:
-        out["abstract_pair"] = _fmt_pair(doc.abstract_pair)
+    for name, (_, write) in SECTIONS.items():
+        value = getattr(doc, name)
+        if value is not None and value != {}:  # an empty operators table is no section
+            out[name] = write(value)
     return out
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
@@ -82,18 +81,6 @@ from .ratlin import (
 )
 
 
-@dataclass
-class PropertyOutcome:
-    name: str
-    cases: int
-    failures: int
-    minimal_failure: dict | None
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-
 # (passed, complexity, describer): only the minimal failure's describer is
 # called, so its arguments are bound with partial, never read from loop variables
 Case = tuple[bool, tuple, Callable[[], dict]]
@@ -106,10 +93,11 @@ def _holds(predicate: Callable[..., bool], samples: Iterable[tuple]) -> Iterator
         yield predicate(*args), complexity, describer
 
 
-def _run(name: str, cases: Iterable[Case]) -> PropertyOutcome:
-    """Tally a property's cases.  A case that raises is one failure and ends
-    the property: the generator cannot resume.  It is the minimal failure
-    unless a false case came first."""
+def _run(name: str, cases: Iterable[Case]) -> dict:
+    """Tally a property's cases into its outcome, keyed in the order that
+    `proptest` prints.  A case that raises is one failure and ends the
+    property: the generator cannot resume.  It is the minimal failure unless
+    a false case came first."""
     total = 0
     failures = 0
     minimal: tuple | None = None
@@ -127,7 +115,8 @@ def _run(name: str, cases: Iterable[Case]) -> PropertyOutcome:
         failures += 1
         if describe is None:
             describe = partial(dict, error={"type": type(exc).__name__, "message": str(exc)})
-    return PropertyOutcome(name, total, failures, describe and describe())
+    return {"name": name, "cases": total, "failures": failures, "passed": failures == 0,
+            "minimal_failure": describe and describe()}
 
 
 def _rng(seed: int, tag: str) -> random.Random:
@@ -156,7 +145,7 @@ def _random_subspace(rng: random.Random, n: int):
     )
 
 
-def suite_lattice(seed: int, cases: int) -> list[PropertyOutcome]:
+def suite_lattice(seed: int, cases: int) -> list[dict]:
     def samples(tag: str) -> Iterator[tuple]:
         rng = _rng(seed, tag)
         for _ in range(cases):
@@ -231,7 +220,7 @@ def _matches_constraints(nest, phi: SupportFn) -> bool:
     return m_of(nest, phi) == literal and literal.dim == oracles.dim_formula(nest, phi)
 
 
-def suite_correspondence(seed: int, cases: int) -> list[PropertyOutcome]:
+def suite_correspondence(seed: int, cases: int) -> list[dict]:
     nest = canonical_triangular_nest()
 
     def exhaustive() -> Iterator[tuple]:
@@ -283,7 +272,7 @@ def generator_samples(seed: int, cases: int) -> Iterator[tuple]:
         yield nest, sampling.random_generators(rng, nest.ambient_dim)
 
 
-def suite_closedcar(seed: int, cases: int) -> list[PropertyOutcome]:
+def suite_closedcar(seed: int, cases: int) -> list[dict]:
     # each sample carries its generators, closed-form bimodule and fixed-point closure
     samples = [
         (nest, gens, generate_bimodule(nest, gens), oracles.generate_bimodule(nest, gens))
@@ -315,7 +304,7 @@ def suite_closedcar(seed: int, cases: int) -> list[PropertyOutcome]:
 # decompose suite
 # ---------------------------------------------------------------------------
 
-def suite_decompose(seed: int, cases: int) -> list[PropertyOutcome]:
+def suite_decompose(seed: int, cases: int) -> list[dict]:
     def sound() -> Iterator[Case]:
         rng = _rng(seed, "decompose")
         for _ in range(cases):
@@ -343,7 +332,7 @@ def suite_decompose(seed: int, cases: int) -> list[PropertyOutcome]:
 # rank-one suite
 # ---------------------------------------------------------------------------
 
-def suite_rankone(seed: int, cases: int) -> list[PropertyOutcome]:
+def suite_rankone(seed: int, cases: int) -> list[dict]:
     nest = canonical_triangular_nest()
 
     def grid() -> Iterator[Case]:
@@ -452,7 +441,7 @@ def sweep_maps(chain: AbstractNest) -> Iterator[AbstractSupportFn]:
             yield AbstractSupportFn(chain, values, lls)
 
 
-def suite_chaincalc(seed: int, cases: int) -> list[PropertyOutcome]:
+def suite_chaincalc(seed: int, cases: int) -> list[dict]:
     sweep = [(chain, f) for chain in sweep_chains() for f in sweep_maps(chain)]
     oracle_cache: dict = {}
 
@@ -581,7 +570,7 @@ def _guard_cases() -> list[tuple[bool, str]]:
 # registry
 # ---------------------------------------------------------------------------
 
-SUITES: dict[str, Callable[[int, int], list[PropertyOutcome]]] = {
+SUITES: dict[str, Callable[[int, int], list[dict]]] = {
     "lattice": suite_lattice,
     "correspondence": suite_correspondence,
     "closedcar": suite_closedcar,
@@ -591,9 +580,9 @@ SUITES: dict[str, Callable[[int, int], list[PropertyOutcome]]] = {
 }
 
 
-def run_suite(suite: str, seed: int, cases: int) -> list[PropertyOutcome]:
+def run_suite(suite: str, seed: int, cases: int) -> list[dict]:
     if suite == "all":
-        out: list[PropertyOutcome] = []
+        out: list[dict] = []
         for name in SUITES:
             out.extend(SUITES[name](seed, cases))
         return out

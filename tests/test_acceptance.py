@@ -29,7 +29,7 @@ def report(number, ok, elapsed, detail):
 
 
 def outcome_detail(outcome):
-    return f"{outcome.name} [{outcome.cases} cases, {outcome.failures} failures]"
+    return f"{outcome['name']} [{outcome['cases']} cases, {outcome['failures']} failures]"
 
 
 def timed_suite(name, cases):
@@ -51,21 +51,21 @@ def correspondence():
 def test_c1_generated_bimodules_are_reflexive(closedcar):
     outcomes, elapsed = closedcar
     reflexive = outcomes[0]
-    assert reflexive.cases == 200
-    report(1, reflexive.passed, elapsed, outcome_detail(reflexive))
+    assert reflexive["cases"] == 200
+    report(1, reflexive["passed"], elapsed, outcome_detail(reflexive))
 
 
 def test_c2_support_determines_the_operator_space(correspondence):
     outcomes, elapsed = correspondence
     galois, injective = outcomes[0], outcomes[1]
-    ok = galois.passed and injective.passed
+    ok = galois["passed"] and injective["passed"]
     report(2, ok, elapsed, f"{outcome_detail(galois)}; {outcome_detail(injective)}")
 
 
 def test_c3_dimension_formula_is_exact(correspondence):
     outcomes, elapsed = correspondence
     exhaustive, random_pairs = outcomes[2], outcomes[4]
-    ok = exhaustive.passed and random_pairs.passed
+    ok = exhaustive["passed"] and random_pairs["passed"]
     report(
         3, ok, elapsed, f"{outcome_detail(exhaustive)}; {outcome_detail(random_pairs)}"
     )
@@ -74,22 +74,22 @@ def test_c3_dimension_formula_is_exact(correspondence):
 def test_c4_decomposition_is_rank_counted_and_exact():
     outcomes, elapsed = timed_suite("decompose", 100)
     sound = outcomes[0]
-    assert sound.cases == 100
-    report(4, sound.passed, elapsed, outcome_detail(sound))
+    assert sound["cases"] == 100
+    report(4, sound["passed"], elapsed, outcome_detail(sound))
 
 
 def test_c5_rank_one_membership_criteria_cohere():
     outcomes, elapsed = timed_suite("rankone", 50)
     grid, density = outcomes[0], outcomes[1]
-    ok = grid.passed and density.passed
+    ok = grid["passed"] and density["passed"]
     report(5, ok, elapsed, f"{outcome_detail(grid)}; {outcome_detail(density)}")
 
 
 def test_c6_essential_support_vanishes_on_every_sample(closedcar):
     outcomes, elapsed = closedcar
     essential = outcomes[1]
-    assert essential.cases == 200
-    report(6, essential.passed, elapsed, outcome_detail(essential))
+    assert essential["cases"] == 200
+    report(6, essential["passed"], elapsed, outcome_detail(essential))
 
 
 def test_c7_dense_chain_fixture_tables(fixture_dir):
@@ -118,14 +118,14 @@ def test_c7_dense_chain_fixture_tables(fixture_dir):
 def test_c8_regularization_matches_enumerated_minorant(chaincalc_outcomes):
     outcomes, elapsed = chaincalc_outcomes
     oracle, laws = outcomes[0], outcomes[1]
-    ok = oracle.passed and laws.passed
+    ok = oracle["passed"] and laws["passed"]
     report(8, ok, elapsed, f"{outcome_detail(oracle)}; {outcome_detail(laws)}")
 
 
 def test_c9_prediction_guards_reject_bad_hypotheses(chaincalc_outcomes):
     outcomes, elapsed = chaincalc_outcomes
     guards = outcomes[3]
-    report(9, guards.passed, elapsed, outcome_detail(guards))
+    report(9, guards["passed"], elapsed, outcome_detail(guards))
 
 
 @pytest.fixture(scope="module")

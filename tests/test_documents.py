@@ -252,6 +252,13 @@ def test_parse_rejects_unknown_fields():
         parse_document(json.dumps({"version": "nestlab/1", "extra": 1}))
 
 
+def test_sections_are_the_document_fields_in_order():
+    # one table states the sections, the order of WorkbenchDoc's fields and
+    # the fields that a document may carry
+    assert tuple(documents.SECTIONS) == tuple(f.name for f in dataclasses.fields(WorkbenchDoc))
+    assert documents.DOCUMENT_FIELDS == {"version", *documents.SECTIONS}
+
+
 def test_rationals_must_be_strings():
     doc = {
         "version": "nestlab/1",

@@ -4,6 +4,7 @@ and a failing case is reported as a document that the CLI replays."""
 import contextlib
 import io
 import json
+from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
 
@@ -20,8 +21,9 @@ from nestlab import (
     span,
     suites,
 )
-from nestlab.documents import parse_document
-from nestlab.suites import SUITES, PropertyOutcome, generator_samples, run_suite
+from nestlab.documents import SECTIONS, parse_document
+from nestlab.ratlin import meet
+from nestlab.suites import SUITES, generator_samples, run_suite
 
 
 def test_every_suite_passes_at_small_scale(chaincalc_outcomes):
@@ -32,14 +34,14 @@ def test_every_suite_passes_at_small_scale(chaincalc_outcomes):
         else:
             outcomes = run_suite(name, 3, 15)
         for outcome in outcomes:
-            assert outcome.passed, (name, outcome.name, outcome.minimal_failure)
+            assert outcome["passed"], (name, outcome["name"], outcome["minimal_failure"])
 
 
 def test_all_concatenates_every_suite(monkeypatch):
     def stub(name, count):
         def suite(seed, cases):
             return [
-                PropertyOutcome(f"{name}-{k}", cases, seed, None) for k in range(count)
+                {"name": f"{name}-{k}", "cases": cases, "failures": seed} for k in range(count)
             ]
         return suite
 
@@ -48,9 +50,47 @@ def test_all_concatenates_every_suite(monkeypatch):
     outcomes = run_suite("all", 5, 7)
     expected = [o for suite in stubs.values() for o in suite(5, 7)]
     assert outcomes == expected
-    assert [o.name for o in outcomes] == [
+    assert [o["name"] for o in outcomes] == [
         "first-0", "first-1", "second-0", "third-0", "third-1", "third-2",
     ]
+
+
+def test_a_lattice_failure_is_described_by_its_canonical_subspaces(monkeypatch):
+    # with meet answering the zero subspace, modularity fails exactly on the
+    # pairs whose true meet is nonzero
+    pairs = []
+
+    def zero_meet(a, b):
+        pairs.append((a, b))
+        return span([], a.ambient_dim)
+
+    monkeypatch.setattr(suites, "meet", zero_meet)
+    modular = run_suite("lattice", 0, 20)[0]
+    failing = [(a, b) for a, b in pairs if meet(a, b).dim > 0]
+    assert modular["failures"] == len(failing) > 0
+    # the first failure of least (ambient, dim a + dim b)
+    a, b = min(failing, key=lambda ab: (ab[0].ambient_dim, ab[0].dim + ab[1].dim))
+    described = modular["minimal_failure"]
+    assert list(described) == ["ambient", "a", "b"]
+    assert described["ambient"] == a.ambient_dim
+    for name, space in (("a", a), ("b", b)):
+        rows = [[Fraction(x) for x in row] for row in described[name]]
+        assert span(rows, a.ambient_dim) == space
+        # canonical rows: reduced echelon form with unit pivots
+        assert rows == [list(row) for row in space.basis.entries]
+
+
+def test_a_table_replay_document_prints_its_sections_in_table_order(monkeypatch, capsys):
+    monkeypatch.setattr(suites, "decompose", lambda nest, phi, t: [])
+    assert cli.main(["--format", "table", "proptest", "decompose", "--seed", "0",
+                     "--cases", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == "document:")
+    indent = len(lines[start]) - len(lines[start].lstrip()) + len(cli.TABLE_INDENT)
+    keys = [line.strip().split(":")[0] for line in lines[start + 1:]
+            if len(line) - len(line.lstrip()) == indent]
+    assert keys == ["version", "ambient_dim", "nest", "operators", "support_fn"]
+    assert keys[1:] == [name for name in SECTIONS if name in keys]
 
 
 def bimodule_samples(seed, cases):
@@ -124,7 +164,7 @@ def test_decompose_property_catches_wrong_factors(monkeypatch, corrupt):
     real = suites.decompose
     monkeypatch.setattr(suites, "decompose", lambda nest, phi, t: corrupt(real(nest, phi, t)))
     (outcome,) = run_suite("decompose", 0, 10)
-    assert outcome.failures > 0 and outcome.minimal_failure is not None
+    assert outcome["failures"] > 0 and outcome["minimal_failure"] is not None
 
 
 def test_decompose_property_reports_a_faulty_step_as_a_false_case(monkeypatch):
@@ -143,8 +183,8 @@ def test_decompose_property_reports_a_faulty_step_as_a_false_case(monkeypatch):
 
     monkeypatch.setattr(opspace, "_first_meet_vector", outside_the_range)
     (outcome,) = run_suite("decompose", 0, 10)
-    assert outcome.failures > 0
-    assert outcome.minimal_failure["command"] == "decompose"
+    assert outcome["failures"] > 0
+    assert outcome["minimal_failure"]["command"] == "decompose"
 
 
 def test_only_the_minimal_failure_is_described():
@@ -155,9 +195,12 @@ def test_only_the_minimal_failure_is_described():
 
     outcome = suites._run("p", [case(True, (0,)), case(False, (3,)), case(False, (1,)),
                                 case(False, (2,)), case(True, (0,))])
-    assert (outcome.cases, outcome.failures, outcome.minimal_failure) == (5, 3, {"at": (1,)})
+    assert outcome == {"name": "p", "cases": 5, "failures": 3, "passed": False,
+                       "minimal_failure": {"at": (1,)}}
+    # the order in which proptest prints an outcome, in either format
+    assert list(outcome) == ["name", "cases", "failures", "passed", "minimal_failure"]
     assert described == [(1,)]
-    assert suites._run("q", [case(True, (0,))]).minimal_failure is None
+    assert suites._run("q", [case(True, (0,))])["minimal_failure"] is None
     assert described == [(1,)]
 
 
@@ -169,15 +212,15 @@ def replayed(outcomes, tmp_path) -> list:
     """Every failing outcome's document, run through the CLI and parsed."""
     docs = []
     for outcome in outcomes:
-        if outcome.passed:
+        if outcome["passed"]:
             continue
-        failure = outcome.minimal_failure
+        failure = outcome["minimal_failure"]
         path = tmp_path / f"failure{len(docs)}.json"
         path.write_text(json.dumps(failure["document"]), encoding="utf-8")
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = cli.main([*failure["command"].split(), "--doc", str(path)])
-        assert code in (0, 1) and not stderr.getvalue(), (outcome.name, failure)
+        assert code in (0, 1) and not stderr.getvalue(), (outcome["name"], failure)
         docs.append(parse_document(path.read_text(encoding="utf-8")))
     assert docs
     return docs
@@ -199,7 +242,7 @@ def test_correspondence_failures_replay(monkeypatch, tmp_path):
     monkeypatch.setattr(suites, "support_of", lambda nest, space: None)
     monkeypatch.setattr(suites, "_matches_constraints", matches_constraints)
     outcomes = run_suite("correspondence", 0, 4)
-    assert sum(not o.passed for o in outcomes) == 4
+    assert sum(not o["passed"] for o in outcomes) == 4
     for doc in replayed(outcomes, tmp_path):
         assert (doc.nest, doc.support_fn.values) in seen
 
@@ -211,7 +254,7 @@ def test_closedcar_failures_replay(monkeypatch, tmp_path):
     outcomes = run_suite("closedcar", 0, 4)
     for doc in replayed(outcomes, tmp_path):
         assert (doc.require("nest"), doc.matrices("generators")) in samples
-    assert not any(o.passed for o in outcomes)
+    assert not any(o["passed"] for o in outcomes)
 
 
 def test_decompose_failures_replay(monkeypatch, tmp_path):
@@ -271,9 +314,9 @@ def test_a_property_that_raises_fails_alone(monkeypatch):
     outcomes = run_suite("chaincalc", 0, 1)
     assert len(outcomes) == 5
     *rest, predictions = outcomes
-    assert all(o.passed for o in rest)
-    assert predictions.failures == 1
-    assert predictions.minimal_failure == {"error": {
+    assert all(o["passed"] for o in rest)
+    assert predictions["failures"] == 1
+    assert predictions["minimal_failure"] == {"error": {
         "type": "PairAdmissibilityError", "message": "phi must be left continuous",
     }}
 
@@ -294,9 +337,9 @@ def test_the_prediction_property_compares_against_the_enumerated_minorant(monkey
 
     monkeypatch.setattr(suites, "predict_m0", zero_pair)
     *rest, predictions = run_suite("chaincalc", 0, 1)
-    assert all(o.passed for o in rest)
-    assert predictions.name == "predicted pairs pass their own validators"
-    assert predictions.failures > 0
+    assert all(o["passed"] for o in rest)
+    assert predictions["name"] == "predicted pairs pass their own validators"
+    assert predictions["failures"] > 0
 
 
 def test_each_regularization_property_draws_its_own_stream(monkeypatch):
@@ -310,12 +353,12 @@ def test_each_regularization_property_draws_its_own_stream(monkeypatch):
 
     monkeypatch.setattr(suites, "lower_regularization", broken)
     *regularization, guards, predictions = run_suite("chaincalc", 0, 1)
-    assert [(o.cases, o.failures, o.minimal_failure) for o in regularization] == [
+    assert [(o["cases"], o["failures"], o["minimal_failure"]) for o in regularization] == [
         (1, 1, {"error": {"type": "RuntimeError", "message": f"call {k}"}}) for k in (1, 2, 3)
     ]
     first = next(suites.sweep_maps(next(real_sweep(2))))
     assert calls == [first] * 3
-    assert guards.passed and predictions.passed
+    assert guards["passed"] and predictions["passed"]
 
 
 def test_a_raising_case_keeps_the_smaller_false_case_before_it():
@@ -325,8 +368,8 @@ def test_a_raising_case_keeps_the_smaller_false_case_before_it():
         raise RuntimeError("boom")
 
     outcome = suites._run("p", cases())
-    assert (outcome.cases, outcome.failures) == (3, 2)
-    assert outcome.minimal_failure == {"case": "false"}
+    assert (outcome["cases"], outcome["failures"]) == (3, 2)
+    assert outcome["minimal_failure"] == {"case": "false"}
 
 
 GUARDED = {
