@@ -22,7 +22,6 @@ input otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -35,6 +34,7 @@ from .errors import (
     PInfinityError,
     PPropertyError,
 )
+from .value import Value
 
 ATTAINED = "attained"
 LIMIT = "limit"
@@ -54,39 +54,42 @@ SIDES = (("below", "cofinality", "0"), ("above", "coinitiality", "X"))
 GAP_SIDE = SIDES[0][0]
 
 
-@dataclass(frozen=True)
-class ChainNode:
+class ChainNode(Value):
     """One named chain element with its below/above annotations."""
 
-    label: str
-    below: str | None = None
-    gap: int | float | None = None
-    cofinality: str | None = None
-    above: str | None = None
-    coinitiality: str | None = None
+    FIELDS = ("label", "below", "gap", "cofinality", "above", "coinitiality")
+    __slots__ = FIELDS
+
+    def __init__(self, label: str, below: str | None = None, gap: int | float | None = None,
+                 cofinality: str | None = None, above: str | None = None,
+                 coinitiality: str | None = None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "below", below)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "cofinality", cofinality)
+        object.__setattr__(self, "above", above)
+        object.__setattr__(self, "coinitiality", coinitiality)
 
 
-@dataclass(frozen=True)
-class AbstractNest:
+class AbstractNest(Value):
     """A finite presentation of a chain, validated on construction.
 
-    The constructor keeps the label -> index map it builds as `label_index`,
-    in chain order: `documents` resolves and writes every label through it.
-    It keeps `finite_stratum`, the indices of the attained jumps of finite
-    dimension, for the essential, pair and P-infinity checks; where the chain
-    has limits from below, a map's left-limit table says.  Both attributes are
-    set with `object.__setattr__` rather than cached on first read: a
-    `cached_property` write materializes the instance `__dict__`, and every
-    later attribute read on the chain gets slower.
+    Its one field is `nodes`.  The constructor keeps the label -> index map
+    it builds as `label_index`, in chain order: `documents` resolves and
+    writes every label through it.  It keeps `finite_stratum`, the indices
+    of the attained jumps of finite dimension, for the essential, pair and
+    P-infinity checks; where the chain has limits from below, a map's
+    left-limit table says.  Both are slots that are not fields, set once by
+    the constructor, so `==`, `hash` and `repr` ignore them.
     """
 
-    nodes: tuple[ChainNode, ...]
+    FIELDS = ("nodes",)
+    __slots__ = (*FIELDS, "label_index", "finite_stratum")
 
-    def __post_init__(self):
+    def __init__(self, nodes: tuple[ChainNode, ...]):
         # a tuple, so that a chain built from a list equals and hashes as one
         # built from a tuple
-        nodes = tuple(self.nodes)
-        object.__setattr__(self, "nodes", nodes)
+        nodes = tuple(nodes)
         if len(nodes) < 2:
             raise MissingEndpointError("a chain needs at least the nodes 0 and X")
         for i, node in enumerate(nodes):
@@ -97,7 +100,6 @@ class AbstractNest:
         if nodes[-1].label != "X":
             raise MissingEndpointError('the chain must end at a node labelled "X"')
         index = {node.label: i for i, node in enumerate(nodes)}
-        object.__setattr__(self, "label_index", index)
         if len(index) != len(nodes):
             seen = set()
             for node in nodes:
@@ -134,6 +136,8 @@ class AbstractNest:
         finite = tuple(
             i for i, node in enumerate(nodes) if node.below == ATTAINED and node.gap != INFINITE
         )
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "label_index", index)
         object.__setattr__(self, "finite_stratum", finite)
 
     def __len__(self) -> int:
@@ -145,8 +149,7 @@ def validate_chain(nodes: Sequence[ChainNode]) -> AbstractNest:
     return AbstractNest(nodes)
 
 
-@dataclass(frozen=True)
-class AbstractSupportFn:
+class AbstractSupportFn(Value):
     """A monotone node map with a declared left-limit table.
 
     ``value`` maps node index to node index.  ``left_limit`` has an entry
@@ -155,18 +158,16 @@ class AbstractSupportFn:
     enforces both, so readers take the chain's limits from the table.
     """
 
-    chain: AbstractNest
-    value: tuple[int, ...]
-    left_limit: tuple[int | None, ...]
+    FIELDS = ("chain", "value", "left_limit")
+    __slots__ = FIELDS
 
-    def __post_init__(self):
+    def __init__(self, chain: AbstractNest, value: tuple[int, ...],
+                 left_limit: tuple[int | None, ...]):
         # tuples, so that tables built from lists equal and hash as tuple-built
         # ones
-        value = tuple(self.value)
-        left_limit = tuple(self.left_limit)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "left_limit", left_limit)
-        nodes = self.chain.nodes
+        value = tuple(value)
+        left_limit = tuple(left_limit)
+        nodes = chain.nodes
         k = len(nodes)
         if len(value) != k or len(left_limit) != k:
             raise ChainError("map tables must cover every node exactly once")
@@ -196,25 +197,29 @@ class AbstractSupportFn:
                     f"node {node.label!r} is attained from below "
                     "and takes no left limit"
                 )
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "left_limit", left_limit)
 
 
-@dataclass(frozen=True)
-class SupportPair:
+class SupportPair(Value):
     """A pair (phi, psi) with psi below phi, phi left continuous, phi(0) = 0."""
 
-    phi: AbstractSupportFn
-    psi: AbstractSupportFn
+    FIELDS = ("phi", "psi")
+    __slots__ = FIELDS
 
-    def __post_init__(self):
-        if self.phi.chain != self.psi.chain:
+    def __init__(self, phi: AbstractSupportFn, psi: AbstractSupportFn):
+        if phi.chain != psi.chain:
             raise PairAdmissibilityError("pair components live on different chains")
-        if self.phi.value[0] != 0:
+        if phi.value[0] != 0:
             raise PairAdmissibilityError("phi must send node 0 to node 0")
-        if not check_left_continuous(self.phi):
+        if not check_left_continuous(phi):
             raise PairAdmissibilityError("phi must be left continuous")
-        for a, b in zip(self.psi.value, self.phi.value):
+        for a, b in zip(psi.value, phi.value):
             if a > b:
                 raise PairAdmissibilityError("psi must sit below phi at every node")
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "psi", psi)
 
 
 # ---------------------------------------------------------------------------

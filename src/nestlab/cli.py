@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Any
 
 from .chaincalc import (
@@ -52,18 +51,23 @@ from .opspace import (
     OperatorSpace,
 )
 from .suites import SUITES, run_suite
+from .value import Value
 
 TABLE_INDENT = "  "
 
 
-@dataclass
-class Verdict:
+class Verdict(Value):
     """What a single CLI invocation concluded."""
 
-    command: str
-    result: Any
-    seed: int | None = None
-    cases: int | None = None
+    FIELDS = ("command", "result", "seed", "cases")
+    __slots__ = FIELDS
+
+    def __init__(self, command: str, result: Any, seed: int | None = None,
+                 cases: int | None = None):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "cases", cases)
 
     def payload(self) -> dict:
         out: dict[str, Any] = {"command": self.command, "result": self.result}

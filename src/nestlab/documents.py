@@ -7,7 +7,7 @@ document carries either a concrete nest or an abstract chain, never both.
 A document has one construction path: `parse_document` builds each value
 once, through its constructor (`_checked` turns a fault one raises into a
 DocumentError at the section's path), and then the frozen `WorkbenchDoc`
-through its own, as Python code does.  So `WorkbenchDoc.__post_init__`
+through its own, as Python code does.  So the `WorkbenchDoc` constructor
 states each rule that relates or bounds sections, in the parser's words:
 the nest comes from the support table, the dimension from the nest and the
 chain from the maps, and a nest beside a chain, a dimension out of bounds, a
@@ -15,10 +15,11 @@ matrix or vector of another width, an empty matrix or a value written longer
 than the bound is refused, so what a document writes parses back.
 `SECTIONS` is the one home of the section list and order: it holds each
 section's reader and writer, `parse_document`, `document_payload` and
-`DOCUMENT_FIELDS` iterate it, and `WorkbenchDoc` has one field per section,
-which `require(section)` looks up.  The parser bounds each nest vector's
-primitive integer row the same way before it spans any element.  A chain
-node's two sides are read and written by the grammar of `chaincalc.SIDES`.
+`DOCUMENT_FIELDS` iterate it, and `WorkbenchDoc.FIELDS` is its section
+list, one field per section, which `require(section)` looks up.  The
+parser bounds each nest vector's primitive integer row the same way before
+it spans any element.  A chain node's two sides are read and written by
+the grammar of `chaincalc.SIDES`.
 Serialization is canonical: sorted keys, canonical rational strings, and a
 nest as its proper elements in increasing order, each as the primitive
 integer rows of its reduced echelon basis.  Parsing followed by
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from .chaincalc import (
@@ -50,6 +51,7 @@ from .errors import DocumentError, NestlabError
 from .nest import Nest, validate_nest
 from .opspace import OperatorSpace, RankOne, SupportFn
 from .ratlin import Matrix, Vector, int_row, span
+from .value import Value
 
 VERSION = "nestlab/1"
 NEST_OR_CHAIN = "a document carries either a concrete nest or an abstract chain, not both"
@@ -319,10 +321,10 @@ def _support_table(phi: SupportFn) -> dict:
     }
 
 
-def _require(sections: dict[str, Any], section: str) -> Any:
-    value = sections.get(section)
+def _require(get: Callable[[str], Any], section: str) -> Any:
+    value = get(section)
     if value is None:
-        if section == "nest" and sections.get("ambient_dim") is None:
+        if section == "nest" and get("ambient_dim") is None:
             raise DocumentError("document has no 'ambient_dim'", path="ambient_dim")
         raise DocumentError(f"document has no {section!r} section", path=section)
     return value
@@ -365,7 +367,7 @@ def _read_operators(raw: Any, sections: dict[str, Any]) -> dict[str, list[Matrix
 def _read_support_fn(raw: Any, sections: dict[str, Any]) -> SupportFn:
     if not isinstance(raw, list) or not all(type(x) is int for x in raw):
         raise DocumentError("'support_fn' is an array of element indices", path="support_fn")
-    return _checked("support_fn", SupportFn, _require(sections, "nest"), tuple(raw))
+    return _checked("support_fn", SupportFn, _require(sections.get, "nest"), tuple(raw))
 
 
 def _read_rank_one(raw: Any, sections: dict[str, Any]) -> RankOne:
@@ -379,7 +381,7 @@ def _read_rank_one(raw: Any, sections: dict[str, Any]) -> RankOne:
 def _read_abstract_pair(raw: Any, sections: dict[str, Any]) -> SupportPair:
     if not isinstance(raw, dict) or "phi" not in raw or "psi" not in raw:
         raise DocumentError("'abstract_pair' needs 'phi' and 'psi'", path="abstract_pair")
-    chain = _require(sections, "chain")
+    chain = _require(sections.get, "chain")
     phi, psi = (_parse_abstract_fn(raw[k], chain, f"abstract_pair.{k}") for k in ("phi", "psi"))
     return _checked("abstract_pair", SupportPair, phi, psi)
 
@@ -395,50 +397,58 @@ SECTIONS: dict[str, tuple[Callable[[Any, dict], Any], Callable[[Any], Any]]] = {
     "rank_one": (_read_rank_one, _fmt_rank_one),
     "chain": (lambda raw, _: _parse_chain(raw, "chain"), _fmt_chain),
     "abstract_fn": (lambda raw, sections: _parse_abstract_fn(
-        raw, _require(sections, "chain"), "abstract_fn"), _fmt_abstract_fn),
+        raw, _require(sections.get, "chain"), "abstract_fn"), _fmt_abstract_fn),
     "abstract_pair": (_read_abstract_pair, _fmt_pair),
 }
 
 
-@dataclass(frozen=True)
-class WorkbenchDoc:
+def _implied(name: str, given: Any, value: Any, source: str) -> Any:
+    """The value of section `name` that the section `source` implies."""
+    if given is None:
+        return value
+    if given != value:
+        raise DocumentError(f"disagrees with the {source}", path=name)
+    return given
+
+
+class WorkbenchDoc(Value):
     """One workbench document, frozen.  The parser builds it through this
     constructor, as Python code does, so every value in it and the document
     itself have passed their checks, the one rational bound on what it
     writes included: what a document writes parses back.  Its fields are
-    the `SECTIONS`, in their order."""
+    the `SECTIONS`, in their order; absent sections are None, except
+    `operators`, which is then the empty table."""
 
-    ambient_dim: int | None = None
-    nest: Nest | None = None
-    operators: dict[str, list[Matrix]] = field(default_factory=dict)
-    support_fn: SupportFn | None = None
-    rank_one: RankOne | None = None
-    chain: AbstractNest | None = None
-    abstract_fn: AbstractSupportFn | None = None
-    abstract_pair: SupportPair | None = None
+    FIELDS = tuple(SECTIONS)
+    __slots__ = FIELDS
 
-    def __post_init__(self):
+    def __init__(self, ambient_dim: int | None = None, nest: Nest | None = None,
+                 operators: dict[str, list[Matrix]] | None = None,
+                 support_fn: SupportFn | None = None, rank_one: RankOne | None = None,
+                 chain: AbstractNest | None = None, abstract_fn: AbstractSupportFn | None = None,
+                 abstract_pair: SupportPair | None = None):
         # a support table brings its nest, a nest its dimension and a map its
         # chain; what the parser would refuse on reading `document_payload`
         # is refused here, in its words and in the order it reads sections
-        if self.support_fn is not None:
-            self._implied("nest", self.support_fn.nest, "support_fn")
-        if self.nest is not None:
-            self._implied("ambient_dim", self.nest.ambient_dim, "nest")
-        if self.abstract_fn is not None:
-            self._implied("chain", self.abstract_fn.chain, "abstract_fn")
-        if self.abstract_pair is not None:
-            self._implied("chain", self.abstract_pair.phi.chain, "abstract_pair")
-        if self.nest is not None and self.chain is not None:
+        if support_fn is not None:
+            nest = _implied("nest", nest, support_fn.nest, "support_fn")
+        if nest is not None:
+            ambient_dim = _implied("ambient_dim", ambient_dim, nest.ambient_dim, "nest")
+        if abstract_fn is not None:
+            chain = _implied("chain", chain, abstract_fn.chain, "abstract_fn")
+        if abstract_pair is not None:
+            chain = _implied("chain", chain, abstract_pair.phi.chain, "abstract_pair")
+        if nest is not None and chain is not None:
             raise DocumentError(NEST_OR_CHAIN)
-        n = self.ambient_dim
+        n = ambient_dim
         if n is not None:
             _dimension(n)
-        if self.nest is not None:
-            for i, e in enumerate(self.nest.elements[1:-1]):
+        if nest is not None:
+            for i, e in enumerate(nest.elements[1:-1]):
                 for k, row in enumerate(e.rows):
                     _check_written(row, f"nest[{i}][{k}]")
-        for role, items in self.operators.items():
+        operators = {} if operators is None else operators
+        for role, items in operators.items():
             for i, m in enumerate(items):
                 path = f"operators.{role}[{i}]"
                 if not m.rows:
@@ -448,21 +458,22 @@ class WorkbenchDoc:
                 if n is not None and (m.rows, m.cols) != (n, n):
                     raise DocumentError(f"matrix is {m.rows}x{m.cols}, expected {n}x{n}",
                                         path=path)
-        if self.rank_one is not None:
+        if rank_one is not None:
             # RankOne gives its vector the functional's length
-            _check_written(self.rank_one.functional, "rank_one.functional")
-            _sized(self.rank_one.functional, "rank_one.functional", n)
-            _check_written(self.rank_one.vector, "rank_one.vector")
-
-    def _implied(self, name: str, value: Any, source: str) -> None:
-        given = getattr(self, name)
-        if given is None:
-            object.__setattr__(self, name, value)
-        elif given != value:
-            raise DocumentError(f"disagrees with the {source}", path=name)
+            _check_written(rank_one.functional, "rank_one.functional")
+            _sized(rank_one.functional, "rank_one.functional", n)
+            _check_written(rank_one.vector, "rank_one.vector")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "nest", nest)
+        object.__setattr__(self, "operators", operators)
+        object.__setattr__(self, "support_fn", support_fn)
+        object.__setattr__(self, "rank_one", rank_one)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "abstract_fn", abstract_fn)
+        object.__setattr__(self, "abstract_pair", abstract_pair)
 
     def require(self, section: str) -> Any:
-        return _require(vars(self), section)
+        return _require(partial(getattr, self), section)
 
     def matrices(self, role: str) -> list[Matrix]:
         if role not in self.operators:

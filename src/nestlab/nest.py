@@ -10,41 +10,40 @@ read: the hull, rank-one levels and decompose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .errors import AmbientMismatchError, IncomparableError
 from .ratlin import IntEchelon, Subspace, annihilator
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Nest:
-    """Strictly increasing chain {0} = E_0 < E_1 < ... < E_k = Q^n."""
+class Nest(Value):
+    """Strictly increasing chain {0} = E_0 < E_1 < ... < E_k = Q^n.  Only
+    its fields count for `==`, `hash` and `repr`, not its derived slots."""
 
-    ambient_dim: int
-    elements: tuple[Subspace, ...]
+    FIELDS = ("ambient_dim", "elements")
+    __slots__ = (*FIELDS, "adapted_levels", "operator_spaces", "_annihilators")
 
-    def __post_init__(self):
+    def __init__(self, ambient_dim: int, elements: tuple[Subspace, ...]):
         # a tuple, so that a nest built from a list equals and hashes as one
         # built from a tuple
-        object.__setattr__(self, "elements", tuple(self.elements))
-        for e in self.elements:
-            if e.ambient_dim != self.ambient_dim:
+        elements = tuple(elements)
+        for e in elements:
+            if e.ambient_dim != ambient_dim:
                 raise AmbientMismatchError(
-                    f"subspace of Q^{e.ambient_dim} cannot join a nest in Q^{self.ambient_dim}"
+                    f"subspace of Q^{e.ambient_dim} cannot join a nest in Q^{ambient_dim}"
                 )
-        if not self.elements:
+        if not elements:
             raise IncomparableError("a nest needs at least the two trivial elements")
-        if self.elements[0].dim != 0 or self.elements[-1].dim != self.ambient_dim:
+        if elements[0].dim != 0 or elements[-1].dim != ambient_dim:
             raise IncomparableError("nest must run from the zero subspace to the full space")
         # One echelon takes the rows of E_1, E_2, ... in turn.  Once E_(j-1)
         # is in it, it spans E_(j-1) + E_j, which has dimension dim E_j
         # exactly when E_(j-1) lies in E_j; the rows of E_j it keeps extend a
         # basis of E_(j-1) to one of E_j.
-        seen = IntEchelon(self.ambient_dim)
+        seen = IntEchelon(ambient_dim)
         levels = [()]
-        for a, b in zip(self.elements, self.elements[1:]):
+        for a, b in zip(elements, elements[1:]):
             if a.dim > b.dim or a == b:
                 raise IncomparableError("nest elements are not strictly increasing")
             levels.append(tuple(r for r in b.rows if seen.insert(r) is not None))
@@ -54,12 +53,14 @@ class Nest:
                     f"span{[list(map(str, r)) for r in a.basis.entries]} and "
                     f"span{[list(map(str, r)) for r in b.basis.entries]}"
                 )
-        # Not fields, so ==, hash and repr ignore them: the integer vectors
-        # grouped by level (level j holds gap_j vectors, level 0 none), and
-        # m_of of each support function asked for so far, keyed by its
-        # values, which `opspace.m_of` fills and owns.
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "elements", elements)
+        # the integer vectors grouped by level (level j holds gap_j vectors,
+        # level 0 none), and m_of of each support function asked for so
+        # far, keyed by its values, which `opspace.m_of` fills and owns
         object.__setattr__(self, "adapted_levels", tuple(levels))
         object.__setattr__(self, "operator_spaces", {})
+        object.__setattr__(self, "_annihilators", None)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -67,13 +68,16 @@ class Nest:
     def __iter__(self):
         return iter(self.elements)
 
-    @cached_property
+    @property
     def annihilators(self) -> tuple[Subspace, ...]:
         """annihilator(E_j) for each element, in chain order: the functionals
         killing E_j, as primitive integer echelon rows.  Computed when first
         read: only the closed form of m_of needs them, and a nest that is
         only factored through never does."""
-        return tuple(annihilator(e) for e in self.elements)
+        if self._annihilators is None:
+            object.__setattr__(
+                self, "_annihilators", tuple(annihilator(e) for e in self.elements))
+        return self._annihilators
 
 
 def validate_nest(subspaces: Iterable[Subspace], n: int) -> Nest:

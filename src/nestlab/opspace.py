@@ -34,7 +34,6 @@ and the tests use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -60,18 +59,20 @@ from .ratlin import (
     int_row,
     span,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class OperatorSpace:
+class OperatorSpace(Value):
     """A linear space of n x n matrices, canonically represented."""
 
-    ambient_dim: int
-    space: Subspace
+    FIELDS = ("ambient_dim", "space")
+    __slots__ = FIELDS
 
-    def __post_init__(self):
-        if self.space.ambient_dim != self.ambient_dim ** 2:
+    def __init__(self, ambient_dim: int, space: Subspace):
+        if space.ambient_dim != ambient_dim ** 2:
             raise AmbientMismatchError("operator space basis has the wrong width")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "space", space)
 
     @classmethod
     def from_matrices(cls, n: int, mats: Iterable[Matrix]) -> "OperatorSpace":
@@ -87,29 +88,30 @@ class OperatorSpace:
         return self.space.dim
 
 
-@dataclass(frozen=True)
-class SupportFn:
+class SupportFn(Value):
     """Order-preserving self-map of a nest, stored as element indices."""
 
-    nest: Nest
-    values: tuple[int, ...]
+    FIELDS = ("nest", "values")
+    __slots__ = FIELDS
 
-    def __post_init__(self):
+    def __init__(self, nest: Nest, values: tuple[int, ...]):
         # a tuple, so that the values can key the operator-space memo
-        object.__setattr__(self, "values", tuple(self.values))
-        k = len(self.nest.elements)
-        if len(self.values) != k:
+        values = tuple(values)
+        k = len(nest.elements)
+        if len(values) != k:
             raise SupportFunctionError("support table length does not match the nest")
-        for v in self.values:
+        for v in values:
             # exactly int: a bool or a float passes the range check below, but
             # a bool serializes as true, and a float cannot index a table
             if type(v) is not int:
                 raise SupportFunctionError(f"support value {v!r} is not an integer")
             if not 0 <= v < k:
                 raise SupportFunctionError(f"support value {v} is out of range")
-        for a, b in zip(self.values, self.values[1:]):
+        for a, b in zip(values, values[1:]):
             if a > b:
                 raise SupportFunctionError("support table is not monotone")
+        object.__setattr__(self, "nest", nest)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def identity(cls, nest: Nest) -> "SupportFn":
@@ -120,16 +122,17 @@ class SupportFn:
         return self.nest.elements[self.values[i]]
 
 
-@dataclass(frozen=True)
-class RankOne:
+class RankOne(Value):
     """The operator x |-> functional(x) * vector."""
 
-    functional: Vector
-    vector: Vector
+    FIELDS = ("functional", "vector")
+    __slots__ = FIELDS
 
-    def __post_init__(self):
-        if len(self.functional) != len(self.vector):
+    def __init__(self, functional: Vector, vector: Vector):
+        if len(functional) != len(vector):
             raise AmbientMismatchError("functional and vector sizes differ")
+        object.__setattr__(self, "functional", functional)
+        object.__setattr__(self, "vector", vector)
 
     @classmethod
     def of(cls, functional: Sequence, vector: Sequence) -> "RankOne":

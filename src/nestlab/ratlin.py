@@ -23,14 +23,13 @@ read: each stored row divided by its pivot, one `Fraction` per nonzero entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, DimensionMismatchError
+from .value import Value
 
 Vector = tuple[Fraction, ...]
 
@@ -199,22 +198,23 @@ def _echelon_from_rows(rows: Iterable[Sequence], ncols: int) -> IntEchelon:
 # matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Value):
     """Immutable dense matrix over Fraction: the value in which operators
     enter and leave the package.  Operator arithmetic runs in integers in
     `opspace`, and in the test oracles over Fraction rows."""
 
-    rows: int
-    cols: int
-    entries: tuple[Vector, ...]
+    FIELDS = ("rows", "cols", "entries")
+    __slots__ = FIELDS
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: tuple[Vector, ...]):
+        if len(entries) != rows:
             raise DimensionMismatchError("row count does not match entries")
-        for r in self.entries:
-            if len(r) != self.cols:
+        for r in entries:
+            if len(r) != cols:
                 raise DimensionMismatchError("ragged matrix rows")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -235,30 +235,29 @@ def rank(m: Matrix) -> int:
 # subspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """A subspace of Q^n held by its reduced row-echelon basis, each row
     scaled to a primitive integer vector with a positive pivot.
 
     The representation is canonical: no zero rows, pivot columns strictly
     increasing, zeros above and below every pivot, each row of gcd 1 with a
     positive pivot.  Equality of subspaces is therefore plain equality of the
-    dataclass fields.  The constructor checks that form and keeps the pivot
-    columns it finds as `pivots`, a tuple that is not a field, so `==`,
-    `hash` and `repr` ignore it.  `contains_row` tests an integer vector
-    against the rows and pivots without building an echelon.
+    fields `ambient_dim` and `rows`.  The constructor checks that form and
+    keeps the pivot columns it finds as `pivots`, a slot that is not a field,
+    so `==`, `hash` and `repr` ignore it.  `contains_row` tests an integer
+    vector against the rows and pivots without building an echelon.  The
+    slot `_basis` keeps the Fraction basis once `basis` is first read.
     """
 
-    ambient_dim: int
-    rows: tuple[tuple[int, ...], ...]
+    FIELDS = ("ambient_dim", "rows")
+    __slots__ = (*FIELDS, "pivots", "_basis")
 
-    def __post_init__(self):
+    def __init__(self, ambient_dim: int, rows: tuple[tuple[int, ...], ...]):
         # tuples, so that rows given as lists compare and hash as one value
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
+        rows = tuple(map(tuple, rows))
         pivots: list[int] = []
         for row in rows:
-            if len(row) != self.ambient_dim:
+            if len(row) != ambient_dim:
                 raise AmbientMismatchError("basis width does not match ambient dimension")
             p = _pivot(row)
             if p is None:
@@ -270,7 +269,10 @@ class Subspace:
             if any(map(itemgetter(p), rows[:len(pivots)])):
                 raise DimensionMismatchError("basis is not fully reduced")
             pivots.append(p)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_basis", None)
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -284,15 +286,17 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @cached_property
+    @property
     def basis(self) -> Matrix:
         """The reduced row-echelon basis over Fraction (pivots 1), built when
         first read: each row divided by its pivot."""
-        entries = [
-            tuple(Fraction(x, row[p]) if x else ZERO for x in row)
-            for row, p in zip(self.rows, self.pivots)
-        ]
-        return Matrix(self.dim, self.ambient_dim, tuple(entries))
+        if self._basis is None:
+            entries = [
+                tuple(Fraction(x, row[p]) if x else ZERO for x in row)
+                for row, p in zip(self.rows, self.pivots)
+            ]
+            object.__setattr__(self, "_basis", Matrix(self.dim, self.ambient_dim, tuple(entries)))
+        return self._basis
 
     def contains_row(self, v: Sequence[int]) -> bool:
         """Whether the integer vector v lies in the subspace."""

@@ -1,5 +1,4 @@
 import pickle
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -149,10 +148,10 @@ def test_adapted_basis_is_cached_and_invisible():
     nest = validate_nest([span([(1, 2, 0)], 3), span([(1, 2, 0), (0, 1, 1)], 3)], 3)
     fresh = Nest(nest.ambient_dim, nest.elements)
     levels, perps = nest.adapted_levels, nest.annihilators
-    assert {"adapted_levels", "annihilators"} <= set(vars(nest))
-    assert [f.name for f in fields(Nest)] == ["ambient_dim", "elements"]
+    assert nest._annihilators is perps
+    assert Nest.FIELDS == ("ambient_dim", "elements")
     # the constructor builds the levels; the annihilators wait to be read
-    assert "annihilators" not in vars(fresh)
+    assert fresh._annihilators is None
     assert nest == fresh and hash(nest) == hash(fresh) and repr(nest) == repr(fresh)
     assert nest.adapted_levels is levels and nest.annihilators is perps
     back = pickle.loads(pickle.dumps(nest))
@@ -188,8 +187,9 @@ def test_operator_spaces_are_memoized_and_invisible():
     assert nest_algebra(fresh) == alg
     assert m_of(fresh, SupportFn(fresh, phi.values)) is not space
 
+    # pickle rebuilds the nest through its constructor, memo empty
     back = pickle.loads(pickle.dumps(nest))
     assert back == nest == fresh and hash(back) == hash(nest)
-    assert back.operator_spaces == nest.operator_spaces
+    assert back.operator_spaces == {}
     assert m_of(back, SupportFn(back, phi.values)) == space
     assert nest_algebra(back) == alg

@@ -6,7 +6,9 @@ AssertionError`: under `python -O` the first would vanish, and either turns
 an impossible state into a crash instead of a result the independent gates
 judge.  Only oracles.py, which the tests alone use, may do so.  The package
 is stdlib-only, and only the property suites import the oracles; importing
-the package loads neither them nor their sampler.  Every name a module
+the package loads neither them nor their sampler, and importing it or its
+CLI loads neither `dataclasses` nor `inspect`, which every command would pay
+for at start-up.  Every name a module
 imports is read in it, except in `__init__`, which re-exports.
 
 The public surface is what production code uses: every name in
@@ -57,9 +59,9 @@ PUBLIC_MEMBERS = {
 # listed here, and each of them must read it on an object that its syntax
 # tree shows to be of the member's class (see `_typed_reads`)
 SHARED_NAME_READERS = {
-    "IntEchelon.dim": ("nest.Nest.__post_init__", "ratlin.rank"),
+    "IntEchelon.dim": ("nest.Nest.__init__", "ratlin.rank"),
     "IntEchelon.insert": (
-        "nest.Nest.__post_init__", "ratlin._echelon_from_rows", "ratlin.join",
+        "nest.Nest.__init__", "ratlin._echelon_from_rows", "ratlin.join",
         "ratlin.annihilator", "opspace._first_meet_vector",
     ),
     "Subspace.dim": ("ratlin.Subspace.contains", "ratlin.join"),
@@ -382,3 +384,16 @@ def test_importing_the_package_loads_no_test_module():
     loaded = set(json.loads(proc.stdout))
     assert "nestlab" in loaded
     assert loaded.isdisjoint({"nestlab.oracles", "nestlab.suites", "nestlab.sampling"})
+
+
+@pytest.mark.parametrize("module", ["nestlab", "nestlab.cli"])
+def test_importing_loads_neither_dataclasses_nor_inspect(module):
+    # every command pays for what importing nestlab imports
+    probe = (f"import sys; import {module}; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
