@@ -4,150 +4,22 @@ Everything is computed over the rationals with fractions.Fraction, so results
 are exact: equal subspaces compare equal, and no tolerance appears anywhere.
 """
 
-from .chaincalc import (
-    ATTAINED,
-    COUNTABLE,
-    INFINITE,
-    LIMIT,
-    UNCOUNTABLE,
-    AbstractNest,
-    AbstractSupportFn,
-    ChainNode,
-    SupportPair,
-    check_essential,
-    check_left_continuous,
-    check_p_infinity,
-    check_p_property,
-    check_pair,
-    lower_regularization,
-    predict_m0,
-    predict_m0_pair,
-    predict_max_pair,
-    predict_me_support,
-    validate_chain,
-)
-from .documents import WorkbenchDoc, document_payload, parse_document, serialize_document
-from .errors import (
-    AmbientMismatchError,
-    ChainError,
-    DimensionMismatchError,
-    DocumentError,
-    IncomparableError,
-    LimitGapError,
-    MissingEndpointError,
-    NestlabError,
-    NonzeroAtZeroError,
-    NotABimoduleError,
-    NotAMemberError,
-    NotEssentialError,
-    PairAdmissibilityError,
-    PInfinityError,
-    PPropertyError,
-    SupportFunctionError,
-    UnknownCommandError,
-    UnknownSuiteError,
-    ZeroVectorError,
-)
-from .nest import Nest, validate_nest
-from .opspace import (
-    OperatorSpace,
-    RankOne,
-    SupportFn,
-    decompose,
-    essential_support_of,
-    generate_bimodule,
-    is_bimodule,
-    is_reflexive,
-    m_of,
-    nest_algebra,
-    rank_one_in_alg,
-    rank_one_in_m,
-    span_of_rank_ones,
-    support_of,
-)
-from .ratlin import (
-    Matrix,
-    Subspace,
-    Vector,
-    annihilator,
-    as_fraction,
-    as_vector,
-    join,
-    meet,
-    rank,
-    span,
-)
+from .chaincalc import *
+from .documents import *
+from .errors import *
+from .nest import *
+from .opspace import *
+from .ratlin import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATTAINED",
-    "COUNTABLE",
-    "INFINITE",
-    "LIMIT",
-    "UNCOUNTABLE",
-    "AbstractNest",
-    "AbstractSupportFn",
-    "AmbientMismatchError",
-    "ChainError",
-    "ChainNode",
-    "DimensionMismatchError",
-    "DocumentError",
-    "IncomparableError",
-    "LimitGapError",
-    "Matrix",
-    "MissingEndpointError",
-    "Nest",
-    "NestlabError",
-    "NonzeroAtZeroError",
-    "NotABimoduleError",
-    "NotAMemberError",
-    "NotEssentialError",
-    "OperatorSpace",
-    "PairAdmissibilityError",
-    "PInfinityError",
-    "PPropertyError",
-    "RankOne",
-    "Subspace",
-    "SupportFn",
-    "SupportFunctionError",
-    "SupportPair",
-    "UnknownCommandError",
-    "UnknownSuiteError",
-    "Vector",
-    "WorkbenchDoc",
-    "ZeroVectorError",
-    "annihilator",
-    "as_fraction",
-    "as_vector",
-    "check_essential",
-    "check_left_continuous",
-    "check_p_infinity",
-    "check_p_property",
-    "check_pair",
-    "decompose",
-    "document_payload",
-    "essential_support_of",
-    "generate_bimodule",
-    "is_bimodule",
-    "is_reflexive",
-    "join",
-    "lower_regularization",
-    "m_of",
-    "meet",
-    "nest_algebra",
-    "parse_document",
-    "predict_m0",
-    "predict_m0_pair",
-    "predict_max_pair",
-    "predict_me_support",
-    "rank",
-    "rank_one_in_alg",
-    "rank_one_in_m",
-    "serialize_document",
-    "span",
-    "span_of_rank_ones",
-    "support_of",
-    "validate_chain",
-    "validate_nest",
-]
+# each module lists its public names in its own __all__; importing a
+# submodule binds its name here
+__all__ = (
+    chaincalc.__all__
+    + documents.__all__
+    + errors.__all__
+    + nest.__all__
+    + opspace.__all__
+    + ratlin.__all__
+)

@@ -36,6 +36,29 @@ from .errors import (
 )
 from .value import Value
 
+__all__ = [
+    "ATTAINED",
+    "COUNTABLE",
+    "INFINITE",
+    "LIMIT",
+    "UNCOUNTABLE",
+    "AbstractNest",
+    "AbstractSupportFn",
+    "ChainNode",
+    "SupportPair",
+    "check_essential",
+    "check_left_continuous",
+    "check_p_infinity",
+    "check_p_property",
+    "check_pair",
+    "lower_regularization",
+    "predict_m0",
+    "predict_m0_pair",
+    "predict_max_pair",
+    "predict_me_support",
+    "validate_chain",
+]
+
 ATTAINED = "attained"
 LIMIT = "limit"
 COUNTABLE = "countable"
@@ -63,12 +86,7 @@ class ChainNode(Value):
     def __init__(self, label: str, below: str | None = None, gap: int | float | None = None,
                  cofinality: str | None = None, above: str | None = None,
                  coinitiality: str | None = None):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "below", below)
-        object.__setattr__(self, "gap", gap)
-        object.__setattr__(self, "cofinality", cofinality)
-        object.__setattr__(self, "above", above)
-        object.__setattr__(self, "coinitiality", coinitiality)
+        self._set(label, below, gap, cofinality, above, coinitiality)
 
 
 class AbstractNest(Value):
@@ -136,9 +154,7 @@ class AbstractNest(Value):
         finite = tuple(
             i for i, node in enumerate(nodes) if node.below == ATTAINED and node.gap != INFINITE
         )
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "label_index", index)
-        object.__setattr__(self, "finite_stratum", finite)
+        self._set(nodes, index, finite)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -197,9 +213,7 @@ class AbstractSupportFn(Value):
                     f"node {node.label!r} is attained from below "
                     "and takes no left limit"
                 )
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "left_limit", left_limit)
+        self._set(chain, value, left_limit)
 
 
 class SupportPair(Value):
@@ -218,8 +232,7 @@ class SupportPair(Value):
         for a, b in zip(psi.value, phi.value):
             if a > b:
                 raise PairAdmissibilityError("psi must sit below phi at every node")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
+        self._set(phi, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,7 @@ class Verdict(Value):
 
     def __init__(self, command: str, result: Any, seed: int | None = None,
                  cases: int | None = None):
-        object.__setattr__(self, "command", command)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "cases", cases)
+        self._set(command, result, seed, cases)
 
     def payload(self) -> dict:
         out: dict[str, Any] = {"command": self.command, "result": self.result}

@@ -50,8 +50,10 @@ from .chaincalc import (
 from .errors import DocumentError, NestlabError
 from .nest import Nest, validate_nest
 from .opspace import OperatorSpace, RankOne, SupportFn
-from .ratlin import Matrix, Vector, int_row, span
+from .ratlin import Matrix, Vector, _check_length, int_row, span
 from .value import Value
+
+__all__ = ["WorkbenchDoc", "document_payload", "parse_document", "serialize_document"]
 
 VERSION = "nestlab/1"
 NEST_OR_CHAIN = "a document carries either a concrete nest or an abstract chain, not both"
@@ -128,13 +130,8 @@ def _vector(raw: Any, path: str, n: int | None = None) -> Vector:
     """An array of rationals; with n given, it must have n entries."""
     if not isinstance(raw, list):
         raise DocumentError("expected an array of rationals", path=path)
-    return _sized(tuple(_rational(x, f"{path}[{i}]") for i, x in enumerate(raw)), path, n)
-
-
-def _sized(vec: Vector, path: str, n: int | None) -> Vector:
-    if n is not None and len(vec) != n:
-        raise DocumentError(f"vector has {len(vec)} entries, expected {n}", path=path)
-    return vec
+    vec = tuple(_rational(x, f"{path}[{i}]") for i, x in enumerate(raw))
+    return _checked(path, _check_length, vec, n)
 
 
 def _matrix(raw: Any, path: str) -> Matrix:
@@ -461,16 +458,10 @@ class WorkbenchDoc(Value):
         if rank_one is not None:
             # RankOne gives its vector the functional's length
             _check_written(rank_one.functional, "rank_one.functional")
-            _sized(rank_one.functional, "rank_one.functional", n)
+            _checked("rank_one.functional", _check_length, rank_one.functional, n)
             _check_written(rank_one.vector, "rank_one.vector")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "nest", nest)
-        object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "support_fn", support_fn)
-        object.__setattr__(self, "rank_one", rank_one)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "abstract_fn", abstract_fn)
-        object.__setattr__(self, "abstract_pair", abstract_pair)
+        self._set(ambient_dim, nest, operators, support_fn, rank_one, chain, abstract_fn,
+                  abstract_pair)
 
     def require(self, section: str) -> Any:
         return _require(partial(getattr, self), section)

@@ -6,6 +6,29 @@ tests and the CLI can match on type rather than message text.
 
 from __future__ import annotations
 
+__all__ = [
+    "AmbientMismatchError",
+    "ChainError",
+    "DimensionMismatchError",
+    "DocumentError",
+    "IncomparableError",
+    "LimitGapError",
+    "MissingEndpointError",
+    "NestlabError",
+    "NonzeroAtZeroError",
+    "NotABimoduleError",
+    "NotAMemberError",
+    "NotEssentialError",
+    "PairAdmissibilityError",
+    "PInfinityError",
+    "PPropertyError",
+    "SupportFunctionError",
+    "UnknownCommandError",
+    "UnknownSuiteError",
+    "ZeroVectorError",
+]
+
+
 
 class NestlabError(Exception):
     """Base class for all validation errors raised by nestlab."""

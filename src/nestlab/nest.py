@@ -16,6 +16,8 @@ from .errors import AmbientMismatchError, IncomparableError
 from .ratlin import IntEchelon, Subspace, annihilator
 from .value import Value
 
+__all__ = ["Nest", "validate_nest"]
+
 
 class Nest(Value):
     """Strictly increasing chain {0} = E_0 < E_1 < ... < E_k = Q^n.  Only
@@ -53,14 +55,10 @@ class Nest(Value):
                     f"span{[list(map(str, r)) for r in a.basis.entries]} and "
                     f"span{[list(map(str, r)) for r in b.basis.entries]}"
                 )
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "elements", elements)
         # the integer vectors grouped by level (level j holds gap_j vectors,
         # level 0 none), and m_of of each support function asked for so
         # far, keyed by its values, which `opspace.m_of` fills and owns
-        object.__setattr__(self, "adapted_levels", tuple(levels))
-        object.__setattr__(self, "operator_spaces", {})
-        object.__setattr__(self, "_annihilators", None)
+        self._set(ambient_dim, elements, tuple(levels), {}, None)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -74,10 +72,9 @@ class Nest(Value):
         killing E_j, as primitive integer echelon rows.  Computed when first
         read: only the closed form of m_of needs them, and a nest that is
         only factored through never does."""
-        if self._annihilators is None:
-            object.__setattr__(
-                self, "_annihilators", tuple(annihilator(e) for e in self.elements))
-        return self._annihilators
+        if self._annihilators is not None:
+            return self._annihilators
+        return self._memo("_annihilators", tuple(annihilator(e) for e in self.elements))
 
 
 def validate_nest(subspaces: Iterable[Subspace], n: int) -> Nest:

@@ -61,6 +61,23 @@ from .ratlin import (
 )
 from .value import Value
 
+__all__ = [
+    "OperatorSpace",
+    "RankOne",
+    "SupportFn",
+    "decompose",
+    "essential_support_of",
+    "generate_bimodule",
+    "is_bimodule",
+    "is_reflexive",
+    "m_of",
+    "nest_algebra",
+    "rank_one_in_alg",
+    "rank_one_in_m",
+    "span_of_rank_ones",
+    "support_of",
+]
+
 
 class OperatorSpace(Value):
     """A linear space of n x n matrices, canonically represented."""
@@ -71,8 +88,7 @@ class OperatorSpace(Value):
     def __init__(self, ambient_dim: int, space: Subspace):
         if space.ambient_dim != ambient_dim ** 2:
             raise AmbientMismatchError("operator space basis has the wrong width")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "space", space)
+        self._set(ambient_dim, space)
 
     @classmethod
     def from_matrices(cls, n: int, mats: Iterable[Matrix]) -> "OperatorSpace":
@@ -110,8 +126,7 @@ class SupportFn(Value):
         for a, b in zip(values, values[1:]):
             if a > b:
                 raise SupportFunctionError("support table is not monotone")
-        object.__setattr__(self, "nest", nest)
-        object.__setattr__(self, "values", values)
+        self._set(nest, values)
 
     @classmethod
     def identity(cls, nest: Nest) -> "SupportFn":
@@ -131,8 +146,7 @@ class RankOne(Value):
     def __init__(self, functional: Vector, vector: Vector):
         if len(functional) != len(vector):
             raise AmbientMismatchError("functional and vector sizes differ")
-        object.__setattr__(self, "functional", functional)
-        object.__setattr__(self, "vector", vector)
+        self._set(functional, vector)
 
     @classmethod
     def of(cls, functional: Sequence, vector: Sequence) -> "RankOne":

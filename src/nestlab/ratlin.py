@@ -31,6 +31,19 @@ from typing import Iterable, Sequence
 from .errors import AmbientMismatchError, DimensionMismatchError
 from .value import Value
 
+__all__ = [
+    "Matrix",
+    "Subspace",
+    "Vector",
+    "annihilator",
+    "as_fraction",
+    "as_vector",
+    "join",
+    "meet",
+    "rank",
+    "span",
+]
+
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -212,9 +225,7 @@ class Matrix(Value):
         for r in entries:
             if len(r) != cols:
                 raise DimensionMismatchError("ragged matrix rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        self._set(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -269,10 +280,7 @@ class Subspace(Value):
             if any(map(itemgetter(p), rows[:len(pivots)])):
                 raise DimensionMismatchError("basis is not fully reduced")
             pivots.append(p)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_basis", None)
+        self._set(ambient_dim, rows, tuple(pivots), None)
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -290,13 +298,13 @@ class Subspace(Value):
     def basis(self) -> Matrix:
         """The reduced row-echelon basis over Fraction (pivots 1), built when
         first read: each row divided by its pivot."""
-        if self._basis is None:
-            entries = [
-                tuple(Fraction(x, row[p]) if x else ZERO for x in row)
-                for row, p in zip(self.rows, self.pivots)
-            ]
-            object.__setattr__(self, "_basis", Matrix(self.dim, self.ambient_dim, tuple(entries)))
-        return self._basis
+        if self._basis is not None:
+            return self._basis
+        entries = [
+            tuple(Fraction(x, row[p]) if x else ZERO for x in row)
+            for row, p in zip(self.rows, self.pivots)
+        ]
+        return self._memo("_basis", Matrix(self.dim, self.ambient_dim, tuple(entries)))
 
     def contains_row(self, v: Sequence[int]) -> bool:
         """Whether the integer vector v lies in the subspace."""

@@ -8,17 +8,22 @@ judge.  Only oracles.py, which the tests alone use, may do so.  The package
 is stdlib-only, and only the property suites import the oracles; importing
 the package loads neither them nor their sampler, and importing it or its
 CLI loads neither `dataclasses` nor `inspect`, which every command would pay
-for at start-up.  Every name a module
-imports is read in it, except in `__init__`, which re-exports.
+for at start-up.  Every name a module imports is read in it, except in
+`__init__`, which re-exports.  Only `value.py` calls `object.__setattr__`:
+every other module gets past the freeze through `Value._set` and
+`Value._memo`.
 
-The public surface is what production code uses: every name in
-`nestlab.__all__` is read by a package module other than the oracles, the
-suites, their sampler and `__init__`, or is listed with its reason in
-`PUBLIC_ENTRY_POINTS`.  The same holds for every public method, classmethod
-and property of a class those modules define, with `PUBLIC_MEMBERS` for the
-listed ones.  A member whose name another class also defines is read only
-through the production functions `SHARED_NAME_READERS` names, each of which
-must read it on an object of the member's class."""
+Each re-exported module lists the public names it defines in its own
+`__all__`, no name in two of them, and `nestlab.__all__` is their
+concatenation.  The public surface is what production code uses: every
+name in `nestlab.__all__` is read by a package module other than the
+oracles, the suites, their sampler and `__init__`, or is listed with its
+reason in `PUBLIC_ENTRY_POINTS`.  The same holds for every public method,
+classmethod and property of a class those modules define, with
+`PUBLIC_MEMBERS` for the listed ones.  A member whose name another class
+also defines is read only through the production functions
+`SHARED_NAME_READERS` names, each of which must read it on an object of
+the member's class."""
 
 import ast
 import json
@@ -360,15 +365,51 @@ def test_shared_name_readers_read_their_member():
     _fail_at("listed production reader that does not read its member", found)
 
 
-def test_all_is_what_init_imports():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    imported = {
-        alias.asname or alias.name
-        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+def _defined_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level by its own definitions, not
+    by an import."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_all_is_the_concatenation_of_the_modules_lists():
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in init.body if isinstance(node, ast.ImportFrom)]
+    # __init__ imports nothing by name: each public name comes from a star
+    assert imports and all([a.name for a in node.names] == ["*"] for node in imports)
+    reexported = [node.module for node in imports]
+    found, owner = [], {}
+    for module in reexported:
+        names = getattr(nestlab, module).__all__
+        defined = _defined_names(
+            ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
+        for name in names:
+            if name not in defined or name.startswith("_"):
+                found.append(f"{module}.__all__ ({name}): not a public name it defines")
+            if name in owner:
+                found.append(f"{module}.__all__ ({name}): also in {owner[name]}.__all__")
+            owner.setdefault(name, module)
+    _fail_at("bad re-export", found)
+    assert list(nestlab.__all__) == [
+        name for module in reexported for name in getattr(nestlab, module).__all__
+    ]
     assert len(nestlab.__all__) == len(set(nestlab.__all__))
-    assert set(nestlab.__all__) == imported
+
+
+def test_object_setattr_only_in_value():
+    # `Value._set` and `Value._memo` are the one way past the freeze
+    _fail_at("object.__setattr__", [
+        _at(path, node) for path, node in _nodes()
+        if path.name != "value.py" and isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ])
 
 
 def test_importing_the_package_loads_no_test_module():

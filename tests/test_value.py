@@ -1,10 +1,14 @@
 """Value semantics of the twelve immutable value types: each is frozen, its
 equality, hash and repr read its fields alone, its repr is the one a
 dataclass of the same fields prints, and pickle and deepcopy rebuild it
-through its constructor."""
+through its constructor.  Each constructor sets every slot in one
+`self._set(...)` call with one value per slot."""
 
+import ast
 import copy
+import importlib
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,9 @@ from nestlab import (
     nest_algebra,
 )
 from nestlab.cli import Verdict
+from nestlab.value import Value
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nestlab"
 
 
 def _line():
@@ -174,3 +181,40 @@ def test_unpickling_runs_the_constructor_checks():
     back = pickle.loads(pickle.dumps(nest))
     assert nest.operator_spaces and back.operator_spaces == {}
     assert back.adapted_levels == nest.adapted_levels
+
+
+def _set_calls(cls: ast.ClassDef):
+    """(method, call) for every `self._set(...)` in the class's methods."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            for node in ast.walk(item):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "_set" and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "self"):
+                    yield item.name, node
+
+
+def test_each_constructor_sets_every_slot_in_one_call():
+    # `_set` zips the values with the slots, so a missing or extra value
+    # would pass it unseen: the count is checked here, on the syntax tree
+    seen, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"nestlab.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            cls = getattr(module, node.name, None) if isinstance(node, ast.ClassDef) else None
+            if not (isinstance(cls, type) and issubclass(cls, Value)) or cls is Value:
+                continue
+            seen.add(cls.__name__)
+            calls = list(_set_calls(node))
+            methods = [method for method, _ in calls]
+            if methods != ["__init__"]:
+                found.append(f"{cls.__name__}: self._set in {methods}, not once in __init__")
+            for _, call in calls:
+                if (call.keywords or any(isinstance(a, ast.Starred) for a in call.args)
+                        or len(call.args) != len(cls.__slots__)):
+                    found.append(f"{path.name}:{call.lineno}: {len(call.args)} values for "
+                                 f"the {len(cls.__slots__)} slots of {cls.__name__}")
+    assert seen == set(VALUES)
+    assert found == []
