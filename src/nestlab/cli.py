@@ -78,13 +78,8 @@ class Verdict(Value):
         return json.dumps(self.payload(), sort_keys=True, indent=2)
 
     def to_table(self) -> str:
-        lines = [f"command: {self.command}"]
-        if self.seed is not None:
-            lines.append(f"seed: {self.seed}")
-        if self.cases is not None:
-            lines.append(f"cases: {self.cases}")
-        lines.extend(_table_lines("result", self.result, ""))
-        return "\n".join(lines)
+        header = [f"{k}: {v}" for k, v in self.payload().items() if k != "result"]
+        return "\n".join(header + _table_lines("result", self.result, ""))
 
 
 def _table_lines(key: str, value: Any, indent: str) -> list[str]:

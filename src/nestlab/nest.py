@@ -43,13 +43,13 @@ class Nest(Value):
         # is in it, it spans E_(j-1) + E_j, which has dimension dim E_j
         # exactly when E_(j-1) lies in E_j; the rows of E_j it keeps extend a
         # basis of E_(j-1) to one of E_j.
-        seen = IntEchelon(ambient_dim)
+        seen = IntEchelon()
         levels = [()]
         for a, b in zip(elements, elements[1:]):
             if a.dim > b.dim or a == b:
                 raise IncomparableError("nest elements are not strictly increasing")
             levels.append(tuple(r for r in b.rows if seen.insert(r) is not None))
-            if seen.dim != b.dim:
+            if len(seen.rows) != b.dim:
                 raise IncomparableError(
                     "subspaces are incomparable: "
                     f"span{[list(map(str, r)) for r in a.basis.entries]} and "
@@ -62,9 +62,6 @@ class Nest(Value):
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     @property
     def annihilators(self) -> tuple[Subspace, ...]:

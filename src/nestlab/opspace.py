@@ -460,10 +460,10 @@ def _first_meet_vector(nest: Nest, r: Sequence[Sequence[int]]) -> list[int]:
     """
     n = nest.ambient_dim
     zeros = [0] * n
-    w = IntEchelon(n)
+    w = IntEchelon()
     for column in zip(*r):
         w.insert(column)
-    z = IntEchelon(2 * n, [[*row, *zeros] for row in w.rows], w.pivots)
+    z = IntEchelon([[*row, *zeros] for row in w.rows], w.pivots)
     for level in nest.adapted_levels:
         for u in level:
             z.insert([*u, *u])
@@ -471,7 +471,7 @@ def _first_meet_vector(nest: Nest, r: Sequence[Sequence[int]]) -> list[int]:
             break
     cap = [(row[n:], p - n) for row, p in zip(z.rows, z.pivots) if p >= n]
     rows, pivots = zip(*cap)
-    return IntEchelon(n, rows, pivots).reduced().rows[0]
+    return IntEchelon(rows, pivots).reduced().rows[0]
 
 
 def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:

@@ -166,7 +166,7 @@ def generate_bimodule(nest: Nest, generators: Iterable[Matrix]) -> OperatorSpace
     """
     n = nest.ambient_dim
     alg_flats = nest_algebra(nest).space.rows
-    ech = IntEchelon(n * n)
+    ech = IntEchelon()
     pending: list[list[int]] = []
     for g in generators:
         if (g.rows, g.cols) != (n, n):

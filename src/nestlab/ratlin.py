@@ -23,6 +23,7 @@ read: each stored row divided by its pivot, one `Fraction` per nonzero entry.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -145,20 +146,15 @@ class IntEchelon:
     Rows are primitive, pivot columns strictly increase, and existing rows are
     never mutated by an insert, so callers may keep references to them.  An
     echelon may start from rows already in that form, with their pivots, such
-    as those of a `Subspace`; the lists are copied, the rows shared.
+    as those of a `Subspace`; the lists are copied, the rows shared.  Its
+    width is that of its rows, and its size is `len(rows)`.
     """
 
-    __slots__ = ("ncols", "rows", "pivots")
+    __slots__ = ("rows", "pivots")
 
-    def __init__(self, ncols: int, rows: Iterable[Sequence[int]] = (),
-                 pivots: Iterable[int] = ()):
-        self.ncols = ncols
+    def __init__(self, rows: Iterable[Sequence[int]] = (), pivots: Iterable[int] = ()):
         self.rows: list[Sequence[int]] = list(rows)
         self.pivots: list[int] = list(pivots)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
     def insert(self, v: Sequence[int]) -> list[int] | None:
         """Add v to the span; returns the new basis row, or None if redundant."""
@@ -166,11 +162,7 @@ class IntEchelon:
         if w is None:
             return None
         p = _pivot(w)
-        at = len(self.pivots)
-        for k, q in enumerate(self.pivots):
-            if q > p:
-                at = k
-                break
+        at = bisect(self.pivots, p)
         self.rows.insert(at, w)
         self.pivots.insert(at, p)
         return w
@@ -181,7 +173,7 @@ class IntEchelon:
         to integers, which is unique.  Fraction-free: a row is cleared at a
         lower pivot by an integer combination of the two rows, then made
         primitive again."""
-        out = IntEchelon(self.ncols, self.rows, self.pivots)
+        out = IntEchelon(self.rows, self.pivots)
         rows = out.rows
         for i in range(len(rows) - 1, 0, -1):
             ri = rows[i]
@@ -199,7 +191,7 @@ class IntEchelon:
 
 
 def _echelon_from_rows(rows: Iterable[Sequence], ncols: int) -> IntEchelon:
-    ech = IntEchelon(ncols)
+    ech = IntEchelon()
     for r in rows:
         w = int_row(r, ncols)
         if w is not None:
@@ -239,7 +231,7 @@ class Matrix(Value):
 
 
 def rank(m: Matrix) -> int:
-    return _echelon_from_rows(m.entries, m.cols).dim
+    return len(_echelon_from_rows(m.entries, m.cols).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +249,11 @@ class Subspace(Value):
     keeps the pivot columns it finds as `pivots`, a slot that is not a field,
     so `==`, `hash` and `repr` ignore it.  `contains_row` tests an integer
     vector against the rows and pivots without building an echelon.  The
-    slot `_basis` keeps the Fraction basis once `basis` is first read.
+    Fraction basis is built each time `basis` is read, and not kept.
     """
 
     FIELDS = ("ambient_dim", "rows")
-    __slots__ = (*FIELDS, "pivots", "_basis")
+    __slots__ = (*FIELDS, "pivots")
 
     def __init__(self, ambient_dim: int, rows: tuple[tuple[int, ...], ...]):
         # tuples, so that rows given as lists compare and hash as one value
@@ -280,7 +272,7 @@ class Subspace(Value):
             if any(map(itemgetter(p), rows[:len(pivots)])):
                 raise DimensionMismatchError("basis is not fully reduced")
             pivots.append(p)
-        self._set(ambient_dim, rows, tuple(pivots), None)
+        self._set(ambient_dim, rows, tuple(pivots))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -296,15 +288,13 @@ class Subspace(Value):
 
     @property
     def basis(self) -> Matrix:
-        """The reduced row-echelon basis over Fraction (pivots 1), built when
-        first read: each row divided by its pivot."""
-        if self._basis is not None:
-            return self._basis
+        """The reduced row-echelon basis over Fraction (pivots 1), built on
+        each read: each row divided by its pivot."""
         entries = [
             tuple(Fraction(x, row[p]) if x else ZERO for x in row)
             for row, p in zip(self.rows, self.pivots)
         ]
-        return self._memo("_basis", Matrix(self.dim, self.ambient_dim, tuple(entries)))
+        return Matrix(self.dim, self.ambient_dim, tuple(entries))
 
     def contains_row(self, v: Sequence[int]) -> bool:
         """Whether the integer vector v lies in the subspace."""
@@ -337,7 +327,7 @@ def join(a: Subspace, b: Subspace) -> Subspace:
         raise AmbientMismatchError("join of subspaces in different ambients")
     if b.dim > a.dim:
         a, b = b, a
-    ech = IntEchelon(a.ambient_dim, a.rows, a.pivots)
+    ech = IntEchelon(a.rows, a.pivots)
     grew = False
     for r in b.rows:
         if ech.insert(r) is not None:
@@ -357,7 +347,7 @@ def annihilator(s: Subspace) -> Subspace:
     """
     n = s.ambient_dim
     pivots = set(s.pivots)
-    out = IntEchelon(n)
+    out = IntEchelon()
     for f in range(n):
         if f in pivots:
             continue

@@ -33,7 +33,7 @@ def random_matrix(rng: random.Random, n: int) -> Matrix:
 
 def random_flag(rng: random.Random, n: int) -> list[Subspace]:
     """A complete flag F_1 < ... < F_n assembled from random vectors."""
-    ech = IntEchelon(n)
+    ech = IntEchelon()
     accepted: list[list[int]] = []
     flag: list[Subspace] = []
     while len(flag) < n:

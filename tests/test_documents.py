@@ -198,7 +198,7 @@ def test_a_built_document_refuses_in_the_parsers_words(fault):
 def _spanning_rows(rng, element):
     """Rows that span the element, but not its canonical ones: its basis
     shuffled, each row scaled by a nonzero rational, the first row mixed with
-    the second, and one row written twice."""
+    the second, one row written twice, and a zero row, which parsing skips."""
     rows = [list(r) for r in element.basis.entries]
     rng.shuffle(rows)
     if len(rows) >= 2:
@@ -208,6 +208,8 @@ def _spanning_rows(rng, element):
     rows = [[c * x for x in r] for r, c in zip(rows, (rng.choice(scales) for _ in rows))]
     if rows and rng.random() < 0.5:
         rows.append(list(rows[rng.randrange(len(rows))]))
+    if rng.random() < 0.5:
+        rows.append(["0/5"] * element.ambient_dim)
     return rows
 
 

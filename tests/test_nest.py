@@ -32,7 +32,7 @@ def test_validate_inserts_endpoints():
     assert len(nest) == 4
     assert nest.elements[0] == Subspace.zero(3)
     assert nest.elements[-1] == Subspace.full(3)
-    assert [e.dim for e in nest] == [0, 1, 2, 3]
+    assert [e.dim for e in nest.elements] == [0, 1, 2, 3]
 
 
 def test_validate_collapses_duplicates():
@@ -101,7 +101,7 @@ def test_smallest_intersecting_example():
 
 def test_perp_span_check_on_triangular():
     nest = triangular()
-    assert all(perp_span_check(nest, e) for e in nest)
+    assert all(perp_span_check(nest, e) for e in nest.elements)
 
 
 # --- properties --------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_smallest_intersecting_is_minimal(case):
         return
     hit = _smallest_intersecting(nest, w)
     assert meet(hit, w).dim > 0
-    for e in nest:
+    for e in nest.elements:
         if e.dim < hit.dim:
             assert meet(e, w).dim == 0
 
@@ -140,7 +140,7 @@ def test_smallest_intersecting_is_minimal(case):
 @settings(max_examples=100)
 def test_perp_span_identity_holds(case):
     nest, _ = case
-    for e in nest:
+    for e in nest.elements:
         assert perp_span_check(nest, e)
 
 

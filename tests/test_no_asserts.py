@@ -64,7 +64,6 @@ PUBLIC_MEMBERS = {
 # listed here, and each of them must read it on an object that its syntax
 # tree shows to be of the member's class (see `_typed_reads`)
 SHARED_NAME_READERS = {
-    "IntEchelon.dim": ("nest.Nest.__init__", "ratlin.rank"),
     "IntEchelon.insert": (
         "nest.Nest.__init__", "ratlin._echelon_from_rows", "ratlin.join",
         "ratlin.annihilator", "opspace._first_meet_vector",
