@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import AmbientMismatchError, IncomparableError
-from .ratlin import IntEchelon, Subspace, annihilator
+from .ratlin import IntEchelon, Subspace
 from .value import Value
 
 __all__ = ["Nest", "validate_nest"]
@@ -21,10 +21,11 @@ __all__ = ["Nest", "validate_nest"]
 
 class Nest(Value):
     """Strictly increasing chain {0} = E_0 < E_1 < ... < E_k = Q^n.  Only
-    its fields count for `==`, `hash` and `repr`, not its derived slots."""
+    its fields count for `==`, `hash` and `repr`, not its derived slots: the
+    adapted levels, and the two dicts that `opspace` fills."""
 
     FIELDS = ("ambient_dim", "elements")
-    __slots__ = (*FIELDS, "adapted_levels", "operator_spaces", "_annihilators")
+    __slots__ = (*FIELDS, "adapted_levels", "operator_spaces", "annihilators")
 
     def __init__(self, ambient_dim: int, elements: tuple[Subspace, ...]):
         # a tuple, so that a nest built from a list equals and hashes as one
@@ -56,22 +57,13 @@ class Nest(Value):
                     f"span{[list(map(str, r)) for r in b.basis.entries]}"
                 )
         # the integer vectors grouped by level (level j holds gap_j vectors,
-        # level 0 none), and m_of of each support function asked for so
-        # far, keyed by its values, which `opspace.m_of` fills and owns
-        self._set(ambient_dim, elements, tuple(levels), {}, None)
+        # level 0 none); then two dicts that `opspace` fills and owns: m_of
+        # of each support function asked for so far, keyed by its values,
+        # and annihilator(E_j) keyed by j, for each j that m_of has read
+        self._set(ambient_dim, elements, tuple(levels), {}, {})
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def annihilators(self) -> tuple[Subspace, ...]:
-        """annihilator(E_j) for each element, in chain order: the functionals
-        killing E_j, as primitive integer echelon rows.  Computed when first
-        read: only the closed form of m_of needs them, and a nest that is
-        only factored through never does."""
-        if self._annihilators is not None:
-            return self._annihilators
-        return self._memo("_annihilators", tuple(annihilator(e) for e in self.elements))
 
 
 def validate_nest(subspaces: Iterable[Subspace], n: int) -> Nest:

@@ -21,9 +21,10 @@ without elimination over Q^(n*n):
   `_support_values`), which is also the bimodule test.
 
 Since m_of is a function of the nest and the values of Phi alone, each
-space is computed once per nest and kept on it (`Nest.operator_spaces`):
-the algebra, a generated bimodule and the m_of that certifies its support
-are then one computation each, however many callers ask.
+space is computed once per nest and kept on it (`Nest.operator_spaces`),
+as is each annihilator it reads (`Nest.annihilators`): the algebra, a
+generated bimodule and the m_of that certifies its support are then one
+computation each, however many callers ask.
 
 A generated bimodule is m_of of the hull of its generators.  Rank-one
 questions are answered from the chain levels of the vector and the
@@ -55,6 +56,7 @@ from .ratlin import (
     Vector,
     _pivot,
     _primitive,
+    annihilator,
     as_vector,
     int_row,
     span,
@@ -231,12 +233,16 @@ def _m_of_rows(nest: Nest, values: tuple[int, ...]) -> OperatorSpace:
     """
     n = nest.ambient_dim
     cs, ds = [], []  # pivot -> row of C_m, and of D_m, for m = 1 .. M
+    # D_m = annihilator(E_(t-1)) is kept on the nest once read: each is
+    # computed once per nest, only where phi changes, and never for the top
     last = 0
     for t in range(1, len(nest.elements)):
         v = values[t]
         if v != last:
             last = v
-            ce, de = nest.elements[v], nest.annihilators[t - 1]
+            ce, de = nest.elements[v], nest.annihilators.get(t - 1)
+            if de is None:
+                de = nest.annihilators[t - 1] = annihilator(nest.elements[t - 1])
             cs.append(dict(zip(ce.pivots, ce.rows)))
             ds.append(dict(zip(de.pivots, de.rows)))
     # tails[m][c]: the nonzero sigma^l_c - sigma^(l+1)_c for l >= m, each as

@@ -67,6 +67,15 @@ def _outer(vector: Vector, functional: Vector) -> Matrix:
     ))
 
 
+def _maps_into(nest: Nest, t: Matrix, phi: SupportFn) -> bool:
+    """Whether T maps every basis vector of every element E_i into phi(E_i)."""
+    return all(
+        phi(i).contains_vector(_apply(t, b))
+        for i, e in enumerate(nest.elements)
+        for b in e.basis.entries
+    )
+
+
 def _basis_matrices(j: OperatorSpace) -> list[Matrix]:
     """The canonical basis of j, each row cut into an n x n matrix."""
     n = j.ambient_dim
@@ -252,10 +261,7 @@ def rank_one_in_alg(nest: Nest, r: RankOne) -> tuple[bool, Subspace | None, bool
     the vector while the functional kills E.
     """
     _check_rank_one(nest, r)
-    t = _outer(r.vector, r.functional)
-    direct = all(
-        e.contains_vector(_apply(t, b)) for e in nest.elements for b in e.basis.entries
-    )
+    direct = _maps_into(nest, _outer(r.vector, r.functional), SupportFn.identity(nest))
     witness = None
     for i, e in enumerate(nest.elements):
         below, _ = _adjacent(nest, i)
@@ -283,12 +289,7 @@ def rank_one_in_m(nest: Nest, phi: SupportFn, r: RankOne) -> tuple[bool, Subspac
         raise AmbientMismatchError("support function belongs to a different nest")
     _check_rank_one(nest, r)
     n = nest.ambient_dim
-    t = _outer(r.vector, r.functional)
-    direct = all(
-        phi(i).contains_vector(_apply(t, b))
-        for i, e in enumerate(nest.elements)
-        for b in e.basis.entries
-    )
+    direct = _maps_into(nest, _outer(r.vector, r.functional), phi)
     witness = None
     for i, e in enumerate(nest.elements):
         if not annihilator(e).contains_vector(r.functional):
@@ -321,11 +322,7 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
         raise AmbientMismatchError("support function belongs to a different nest")
     if (t.rows, t.cols) != (n, n):
         raise AmbientMismatchError(f"operator is not a {n}x{n} matrix")
-    if not all(
-        phi(i).contains_vector(_apply(t, b))
-        for i, e in enumerate(nest.elements)
-        for b in e.basis.entries
-    ):
+    if not _maps_into(nest, t, phi):
         raise NotAMemberError(
             "operator does not map every nest element into its support value"
         )

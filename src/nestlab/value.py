@@ -9,13 +9,11 @@ class Value:
     """An immutable value.  A subclass states its fields once, as `FIELDS`
     in constructor order, and lists them in `__slots__` with the attributes
     its constructor derives; its `__init__` runs its checks and ends in one
-    `self._set(...)`, which sets every slot in `__slots__` order.  A lazy
-    memo slot is filled once, when first read, by `self._memo(name, value)`.
-    These two are the one way past the freeze.  Equality, hash and the
-    dataclass-style repr read the fields alone, so derived slots never
-    change them.  Assignment and deletion raise AttributeError, and pickle
-    and deepcopy rebuild a value through its constructor, so its checks run
-    again."""
+    `self._set(...)`, which sets every slot in `__slots__` order and is the
+    one way past the freeze.  Equality, hash and the dataclass-style repr
+    read the fields alone, so derived slots never change them.  Assignment
+    and deletion raise AttributeError, and pickle and deepcopy rebuild a
+    value through its constructor, so its checks run again."""
 
     __slots__ = ()
     FIELDS: tuple[str, ...] = ()
@@ -33,10 +31,6 @@ class Value:
         # a plain zip: a test checks each call's count against `__slots__`
         for set_slot, value in zip(self._setters, slots):
             set_slot(self, value)
-
-    def _memo(self, name, value):
-        object.__setattr__(self, name, value)
-        return value
 
     def __eq__(self, other):
         # a value equals itself field by field, so identity answers at once

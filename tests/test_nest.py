@@ -10,6 +10,7 @@ from nestlab import (
     Nest,
     Subspace,
     SupportFn,
+    annihilator,
     m_of,
     meet,
     nest_algebra,
@@ -147,29 +148,41 @@ def test_perp_span_identity_holds(case):
 def test_adapted_basis_is_cached_and_invisible():
     nest = validate_nest([span([(1, 2, 0)], 3), span([(1, 2, 0), (0, 1, 1)], 3)], 3)
     fresh = Nest(nest.ambient_dim, nest.elements)
-    levels, perps = nest.adapted_levels, nest.annihilators
-    assert nest._annihilators is perps
+    levels = nest.adapted_levels
     assert Nest.FIELDS == ("ambient_dim", "elements")
-    # the constructor builds the levels; the annihilators wait to be read
-    assert fresh._annihilators is None
+    assert Nest.__slots__ == (*Nest.FIELDS, "adapted_levels", "operator_spaces", "annihilators")
+    assert not any(isinstance(member, property) for member in vars(Nest).values())
+    # the constructor builds the levels; the annihilators wait for m_of
+    assert nest.annihilators == fresh.annihilators == {}
     assert nest == fresh and hash(nest) == hash(fresh) and repr(nest) == repr(fresh)
-    assert nest.adapted_levels is levels and nest.annihilators is perps
+    assert nest.adapted_levels is levels
     back = pickle.loads(pickle.dumps(nest))
     assert back == nest == fresh
     assert back.adapted_levels == fresh.adapted_levels == levels
-    assert back.annihilators == fresh.annihilators == perps
+    assert back.annihilators == {}
 
-    # level j extends a basis of E_(j-1) to one of E_j, and the j-th
-    # annihilator is the largest space of functionals killing E_j
+    # level j extends a basis of E_(j-1) to one of E_j
     dims = [e.dim for e in nest.elements]
     assert [len(level) for level in levels] == [0] + [b - a for a, b in zip(dims, dims[1:])]
     vectors = []
-    for e, level, perp in zip(nest.elements, levels, perps):
+    for e, level in zip(nest.elements, levels):
         vectors.extend(level)
         assert span(vectors, 3) == e
+
+    # the algebra's phi changes at every level, so m_of reads and keeps the
+    # annihilator of each element but the top: the largest space of
+    # functionals killing E_j
+    nest_algebra(nest)
+    assert sorted(nest.annihilators) == list(range(len(nest) - 1))
+    for j, perp in nest.annihilators.items():
+        e = nest.elements[j]
+        assert perp == annihilator(e)
         assert perp.dim == 3 - e.dim
         for f in perp.rows:
             assert not any(sum(x * y for x, y in zip(f, u)) for u in e.rows)
+    # the kept annihilators are invisible, and a pickled copy starts empty
+    assert nest == fresh and hash(nest) == hash(fresh) and repr(nest) == repr(fresh)
+    assert pickle.loads(pickle.dumps(nest)).annihilators == {}
 
 
 def test_operator_spaces_are_memoized_and_invisible():

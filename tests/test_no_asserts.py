@@ -9,9 +9,9 @@ is stdlib-only, and only the property suites import the oracles; importing
 the package loads neither them nor their sampler, and importing it or its
 CLI loads neither `dataclasses` nor `inspect`, which every command would pay
 for at start-up.  Every name a module imports is read in it, except in
-`__init__`, which re-exports.  Only `value.py` calls `object.__setattr__`:
-every other module gets past the freeze through `Value._set` and
-`Value._memo`.
+`__init__`, which re-exports.  No module names `object.__setattr__`: a
+value gets past the freeze only through `Value._set`, called in an
+`__init__`, so no slot is written after its constructor returns.
 
 Each re-exported module lists the public names it defines in its own
 `__all__`, no name in two of them, and `nestlab.__all__` is their
@@ -401,13 +401,35 @@ def test_all_is_the_concatenation_of_the_modules_lists():
     assert len(nestlab.__all__) == len(set(nestlab.__all__))
 
 
-def test_object_setattr_only_in_value():
-    # `Value._set` and `Value._memo` are the one way past the freeze
+def _self_set_calls(node: ast.AST, function: str | None = None):
+    """(name of the innermost enclosing function, call) for each
+    `self._set(...)` call under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        function = getattr(node, "name", "<lambda>")
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_set" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "self"):
+        yield function, node
+    for child in ast.iter_child_nodes(node):
+        yield from _self_set_calls(child, function)
+
+
+def test_set_in_init_is_the_one_way_past_the_freeze():
+    # no module, value.py included, writes a slot past the refusing
+    # __setattr__ by hand, and every `self._set` runs inside a constructor,
+    # so no value writes a slot after its constructor returns
     _fail_at("object.__setattr__", [
         _at(path, node) for path, node in _nodes()
-        if path.name != "value.py" and isinstance(node, ast.Attribute)
-        and node.attr == "__setattr__"
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
         and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ])
+    calls = [
+        (path, function, call) for path in sorted(PACKAGE.rglob("*.py"))
+        for function, call in _self_set_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert calls
+    _fail_at("self._set outside an __init__", [
+        _at(path, call) for path, function, call in calls if function != "__init__"
     ])
 
 

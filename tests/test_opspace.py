@@ -9,6 +9,7 @@ from nestlab import (
     Matrix,
     NotABimoduleError,
     NotAMemberError,
+    Nest,
     OperatorSpace,
     RankOne,
     SupportFn,
@@ -322,6 +323,40 @@ def test_a_memoized_space_does_not_pass_for_an_impostor():
     assert m_of(nest, support_of(nest, j)) is warm
 
 
+def test_each_annihilator_is_computed_once_and_never_for_the_top(monkeypatch):
+    computed = []
+    real = opspace.annihilator
+    monkeypatch.setattr(opspace, "annihilator", lambda e: computed.append(e) or real(e))
+    e1 = span([(1, 2, 0, 1)], 4)
+    e2 = span([(1, 2, 0, 1), (0, 1, 1, 0)], 4)
+    e3 = span([(1, 2, 0, 1), (0, 1, 1, 0), (1, 0, 0, 3)], 4)
+    nest = validate_nest([e1, e2, e3], 4)
+    k = len(nest)
+    # the bimodule workload's sequence on one nest: generators x (x) f with
+    # x in E_1 or E_2 and f killing E_2 or E_1
+    gens = [_outer((1, 2, 0, 1), annihilator(e2).rows[0]),
+            _outer((0, 1, 1, 0), annihilator(e1).rows[1])]
+    j = generate_bimodule(nest, gens)
+    assert m_of(nest, support_of(nest, j)) is j
+    essential_support_of(nest, j)
+    nest_algebra(nest)
+    span_of_rank_ones(nest)
+    indices = [nest.elements.index(e) for e in computed]
+    # the algebra reads every level, so each index below the top, once
+    assert sorted(indices) == list(range(k - 1))
+
+    # on a new nest, m_of computes the annihilator of E_(t-1) exactly at the
+    # levels t >= 1 where phi changes, phi(E_0) counting as {0}
+    for values in monotone_tables(k):
+        fresh = Nest(nest.ambient_dim, nest.elements)
+        computed.clear()
+        m_of(fresh, SupportFn(fresh, values))
+        previous = (0, *values[1:])
+        changes = [t - 1 for t in range(1, k) if values[t] != previous[t - 1]]
+        assert [fresh.elements.index(e) for e in computed] == changes
+        assert sorted(fresh.annihilators) == changes
+
+
 def random_operator(rng, nest):
     # a random matrix, or a rank-one x (x) f with x in a random element and f
     # killing a random element, so that generated bimodules vary in support
@@ -330,7 +365,7 @@ def random_operator(rng, nest):
         return sampling.random_matrix(rng, n)
     k = len(nest.elements)
     xs = nest.elements[rng.randrange(1, k)].rows
-    fs = nest.annihilators[rng.randrange(0, k - 1)].rows
+    fs = annihilator(nest.elements[rng.randrange(0, k - 1)]).rows
     x = [sum(rng.randint(-2, 2) * r[a] for r in xs) for a in range(n)]
     f = [sum(rng.randint(-2, 2) * r[a] for r in fs) for a in range(n)]
     return Matrix.from_rows([[xa * fb for fb in f] for xa in x])
