@@ -3,9 +3,11 @@
 A nest always contains the zero subspace and the full space; in between the
 elements are strictly increasing.
 
-The constructor checks the chain in one echelon pass, which also builds the
-basis adapted to the nest (`Nest.adapted_levels`) that the chain-level walks
-read: the hull, rank-one levels and decompose.
+The constructor checks that each element contains the one before it, and
+reads the basis adapted to the nest (`Nest.adapted_levels`) off the stored
+reduced rows, with no elimination: level j is the rows of E_j at the pivots
+that E_(j-1) lacks.  The chain-level walks read it: the hull, rank-one levels
+and decompose.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import AmbientMismatchError, IncomparableError
-from .ratlin import IntEchelon, Subspace
+from .ratlin import Subspace
 from .value import Value
 
 __all__ = ["Nest", "validate_nest"]
@@ -40,22 +42,22 @@ class Nest(Value):
             raise IncomparableError("a nest needs at least the two trivial elements")
         if elements[0].dim != 0 or elements[-1].dim != ambient_dim:
             raise IncomparableError("nest must run from the zero subspace to the full space")
-        # One echelon takes the rows of E_1, E_2, ... in turn.  Once E_(j-1)
-        # is in it, it spans E_(j-1) + E_j, which has dimension dim E_j
-        # exactly when E_(j-1) lies in E_j; the rows of E_j it keeps extend a
-        # basis of E_(j-1) to one of E_j.
-        seen = IntEchelon()
+        # The pivots of a subspace lie among those of any space that holds
+        # it, so once E_(j-1) lies in E_j, the rows of E_j at the pivots that
+        # E_(j-1) lacks extend a basis of E_(j-1) to one of E_j.  The full
+        # space holds every element, so it is not checked.
         levels = [()]
         for a, b in zip(elements, elements[1:]):
             if a.dim > b.dim or a == b:
                 raise IncomparableError("nest elements are not strictly increasing")
-            levels.append(tuple(r for r in b.rows if seen.insert(r) is not None))
-            if len(seen.rows) != b.dim:
+            if b.dim != ambient_dim and not b.contains(a):
                 raise IncomparableError(
                     "subspaces are incomparable: "
                     f"span{[list(map(str, r)) for r in a.basis.entries]} and "
                     f"span{[list(map(str, r)) for r in b.basis.entries]}"
                 )
+            below = set(a.pivots)
+            levels.append(tuple(r for r, p in zip(b.rows, b.pivots) if p not in below))
         # the integer vectors grouped by level (level j holds gap_j vectors,
         # level 0 none); then two dicts that `opspace` fills and owns: m_of
         # of each support function asked for so far, keyed by its values,

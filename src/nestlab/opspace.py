@@ -38,6 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -171,6 +172,8 @@ def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...
     every later value is the top.
     """
     n = nest.ambient_dim
+    # each operator as its n rows, sliced once
+    mats = [[t[base:base + n] for base in range(0, n * n, n)] for t in int_ops]
     top = len(nest.elements) - 1
     values = []
     at = 0
@@ -178,11 +181,8 @@ def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...
         for u in level:
             if at == top:
                 break
-            support = [(c, x) for c, x in enumerate(u) if x]
-            for t in int_ops:
-                image = [
-                    sum(t[base + c] * x for c, x in support) for base in range(0, n * n, n)
-                ]
+            for t in mats:
+                image = [sum(map(mul, row, u)) for row in t]
                 while at < top:
                     if nest.elements[at].contains_row(image):
                         break
@@ -266,13 +266,16 @@ def _m_of_rows(nest: Nest, values: tuple[int, ...]) -> OperatorSpace:
         for i in crows:
             first.setdefault(i, m)
     rows = []
+    # every rho^m_i is zero before column i and at the other pivots of C_m,
+    # so the row blocks there are zero in every term: `_outer` appends this
+    # one shared block for them instead of multiplying n entries by 0
+    zero = (0,) * n
     # pivots are the keys of C_M and of each tails[m], in increasing order
     for i in cs[-1] if cs else ():
         for c, tail in tails[first[i]].items():
             if len(tail) == 1:
                 # a primitive row of C times a primitive row of D is primitive
-                r = cs[tail[0][0]][i]
-                rows.append(tuple([x * y for x in r for y in tail[0][1]]))
+                rows.append(tuple(_outer(cs[tail[0][0]][i], tail[0][1], zero)))
                 continue
             terms = [(cs[m][i], s, cs[m][i][i] * den) for m, s, den in tail]
             scale = lcm(*(den for _, _, den in terms))
@@ -280,9 +283,17 @@ def _m_of_rows(nest: Nest, values: tuple[int, ...]) -> OperatorSpace:
             for r, s, den in terms:
                 if den != scale:
                     s = [scale // den * y for y in s]
-                products.append([x * y for x in r for y in s])
+                products.append(_outer(r, s, zero))
             rows.append(tuple(_primitive(list(map(sum, zip(*products))))))
     return OperatorSpace(n, Subspace(n * n, tuple(rows)))
+
+
+def _outer(r: Sequence[int], s: Sequence[int], zero: tuple[int, ...]) -> list[int]:
+    """r (x) s row-major, with the shared zero block wherever r is zero."""
+    row = []
+    for x in r:
+        row += [x * y for y in s] if x else zero
+    return row
 
 
 def nest_algebra(nest: Nest) -> OperatorSpace:

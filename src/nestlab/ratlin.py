@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -279,7 +280,10 @@ class Subspace(Value):
         return cls(n, ())
 
     @classmethod
+    @cache
     def full(cls, n: int) -> "Subspace":
+        # built once per n, through the checking constructor: the value is
+        # immutable, so every caller shares it
         return cls(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
@@ -341,11 +345,14 @@ def annihilator(s: Subspace) -> Subspace:
     The same computation serves as pre-annihilator: row functionals and column
     vectors are both plain coordinate tuples here.
 
-    One solution per free column f of the stored rows: x_f = 1 and
+    The zero subspace's is the shared full space, `Subspace.full(n)`.  Any
+    other has one solution per free column f of the stored rows: x_f = 1 and
     x_p = -r_f / r_p at the pivot p of each row r, scaled by the lcm of the
     pivots r_p involved so that it stays integer.
     """
     n = s.ambient_dim
+    if not s.rows:
+        return Subspace.full(n)
     pivots = set(s.pivots)
     out = IntEchelon()
     for f in range(n):

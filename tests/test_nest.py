@@ -1,4 +1,6 @@
 import pickle
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,12 @@ from nestlab import (
     span_of_rank_ones,
     validate_nest,
 )
-from nestlab.oracles import _adjacent, _smallest_intersecting, perp_span_check
+from nestlab.documents import parse_document
+from nestlab.oracles import _adjacent, _smallest_intersecting, fraction_rref, perp_span_check
+from nestlab.ratlin import IntEchelon
+from nestlab.sampling import random_flag
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def triangular():
@@ -64,6 +71,13 @@ def test_nest_constructor_names_an_incomparable_pair():
         Nest(2, (zero, x, y, Subspace.full(2)))
     with pytest.raises(IncomparableError, match="^nest elements are not strictly increasing$"):
         Nest(2, (zero, x, x, Subspace.full(2)))
+    # the pivots {0} of span(e1 + e2) lie among the pivots {0, 2} of
+    # span(e1, e3), but the line does not lie in the plane
+    line, plane = span([(1, 1, 0)], 3), span([(1, 0, 0), (0, 0, 1)], 3)
+    with pytest.raises(IncomparableError, match=r"^subspaces are incomparable: "
+                       r"span\[\['1', '1', '0'\]\] and "
+                       r"span\[\['1', '0', '0'\], \['0', '0', '1'\]\]$"):
+        Nest(3, (Subspace.zero(3), line, plane, Subspace.full(3)))
 
 
 def test_nest_constructor_rejects_elements_of_another_ambient():
@@ -183,6 +197,44 @@ def test_adapted_basis_is_cached_and_invisible():
     # the kept annihilators are invisible, and a pickled copy starts empty
     assert nest == fresh and hash(nest) == hash(fresh) and repr(nest) == repr(fresh)
     assert pickle.loads(pickle.dumps(nest)).annihilators == {}
+
+
+def _level_test_nests():
+    """Every fixture's nest, and seeded complete flags, random subsets of
+    them and two-block nests for n up to 16."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        nest = parse_document(path.read_text()).nest
+        if nest is not None:
+            yield nest
+    rng = random.Random(0)
+    for n in range(1, 17):
+        flag = random_flag(rng, n)
+        yield validate_nest(flag, n)
+        yield validate_nest(rng.sample(flag, rng.randint(0, n - 1)), n)
+        yield validate_nest([flag[n // 2 - 1]] if n > 1 else [], n)
+
+
+def test_levels_extend_each_element_to_the_next():
+    # checked with the Fraction back-substitution of the oracles, apart from
+    # the reads of the stored rows that build the levels
+    for nest in _level_test_nests():
+        n, levels = nest.ambient_dim, nest.adapted_levels
+        assert len(levels) == len(nest) and levels[0] == ()
+        for a, b, level in zip(nest.elements, nest.elements[1:], levels[1:]):
+            assert len(level) == b.dim - a.dim
+            assert all(row in b.rows for row in level)
+            assert fraction_rref([*a.rows, *level], n) == fraction_rref(b.rows, n)
+
+
+def test_building_a_nest_eliminates_nothing(monkeypatch):
+    nests = list(_level_test_nests())
+    inserts = []
+    real = IntEchelon.insert
+    monkeypatch.setattr(IntEchelon, "insert", lambda self, v: inserts.append(v) or real(self, v))
+    for nest in nests:
+        assert Nest(nest.ambient_dim, nest.elements) == nest
+        assert validate_nest(nest.elements[1:-1], nest.ambient_dim) == nest
+    assert inserts == []
 
 
 def test_operator_spaces_are_memoized_and_invisible():

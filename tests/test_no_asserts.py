@@ -52,7 +52,6 @@ PUBLIC_ENTRY_POINTS = {
 # public members of production classes that no production module reads,
 # each with the reason it stays public
 PUBLIC_MEMBERS = {
-    "Subspace.contains": "the L1 order, which the lattice suite checks",
     "Subspace.contains_vector": "called by the benchmark's factor workload",
     "Matrix.from_rows": "called by the benchmark's bimodule and factor workloads",
     "RankOne.of": "called by the benchmark's factor workload",
@@ -65,8 +64,8 @@ PUBLIC_MEMBERS = {
 # tree shows to be of the member's class (see `_typed_reads`)
 SHARED_NAME_READERS = {
     "IntEchelon.insert": (
-        "nest.Nest.__init__", "ratlin._echelon_from_rows", "ratlin.join",
-        "ratlin.annihilator", "opspace._first_meet_vector",
+        "ratlin._echelon_from_rows", "ratlin.join", "ratlin.annihilator",
+        "opspace._first_meet_vector",
     ),
     "Subspace.dim": ("ratlin.Subspace.contains", "ratlin.join"),
     "OperatorSpace.dim": ("documents._fmt_space",),

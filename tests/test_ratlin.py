@@ -91,6 +91,18 @@ def test_annihilator_of_plane():
     assert annihilator(Subspace.full(3)) == Subspace.zero(3)
 
 
+def test_full_space_is_one_checked_value_per_n():
+    for n in range(1, 7):
+        full = Subspace.full(n)
+        assert Subspace.full(n) is full
+        assert full == Subspace(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        assert full.pivots == tuple(range(n))
+        back = pickle.loads(pickle.dumps(full))
+        assert back == full and hash(back) == hash(full)
+        # the zero subspace's annihilator is the shared value, not a copy
+        assert annihilator(Subspace.zero(n)) is full
+
+
 def test_contains_vector_handles_fractions():
     s = span([(1, 2)], 2)
     assert s.contains_vector((F(1, 2), F(1)))
