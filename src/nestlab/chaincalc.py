@@ -5,11 +5,11 @@ Each node carries how it is approached from below (an attained jump with a
 declared dimension, possibly infinite, or a limit with a cofinality mark) and
 from above (attained, or a limit with a coinitiality mark), in the words of
 `KINDS` and `MARKS`.  `SIDES` is the one home of that two-sided grammar: the
-chain constructor checks each side by it, and `documents` reads and writes
-each side by it.  Maps between chain nodes carry an explicit left-limit
-table, the declared join of the values strictly below each limit node; the
-table is constrained to stay between the value at the predecessor and the
-value at the node itself.  Each constructor derives its chain facts once: an
+chain constructor checks each side by it, `check_p_property` reads each
+side's mark by it, and `documents` reads and writes each side by it.  Maps
+between chain nodes carry an explicit left-limit table, the declared join of
+the values strictly below each limit node; the table is constrained to stay
+between the value at the predecessor and the value at the node itself.  Each constructor derives its chain facts once: an
 `AbstractNest` keeps its finite stratum, and a map's table has an entry
 exactly at the limits from below, so no check re-reads the annotations.
 
@@ -72,7 +72,8 @@ MARKS = (COUNTABLE, UNCOUNTABLE)
 # annotation on that side.  Only the below side carries a jump dimension, its
 # `gap`.  `ChainNode` lists its fields in this order, after the label: each
 # side's kind, then the gap on the below side, then the side's mark.  The
-# chain constructor, and the documents parser and writer, read it.
+# chain constructor, the P-property check, and the documents parser and
+# writer read it.
 SIDES = (("below", "cofinality", "0"), ("above", "coinitiality", "X"))
 GAP_SIDE = SIDES[0][0]
 
@@ -117,13 +118,11 @@ class AbstractNest(Value):
             raise MissingEndpointError('the chain must start at a node labelled "0"')
         if nodes[-1].label != "X":
             raise MissingEndpointError('the chain must end at a node labelled "X"')
-        index = {node.label: i for i, node in enumerate(nodes)}
-        if len(index) != len(nodes):
-            seen = set()
-            for node in nodes:
-                if node.label in seen:
-                    raise ChainError(f"duplicate node label {node.label!r}")
-                seen.add(node.label)
+        index = {}
+        for i, node in enumerate(nodes):
+            if node.label in index:
+                raise ChainError(f"duplicate node label {node.label!r}")
+            index[node.label] = i
         for node in nodes:
             label = node.label
             for side, mark, end in SIDES:
@@ -267,8 +266,9 @@ def check_essential(f: AbstractSupportFn) -> bool:
     finite stratum keeps its predecessor's value.
     """
     nodes, finite = f.chain.nodes, f.chain.finite_stratum
+    stratum = set(finite)
     fixed = all(
-        v == len(nodes) - 1 or nodes[v].above == LIMIT for v in f.value if v in finite
+        v == len(nodes) - 1 or nodes[v].above == LIMIT for v in f.value if v in stratum
     )
     return fixed and all(f.value[i - 1] == f.value[i] for i in finite)
 
@@ -278,19 +278,17 @@ def check_pair(p: SupportPair) -> bool:
     lands in the finite stratum."""
     if not check_essential(p.psi):
         return False
-    finite = p.psi.chain.finite_stratum
-    return all(v < u for v, u in zip(p.psi.value, p.phi.value) if v in finite)
+    stratum = set(p.psi.chain.finite_stratum)
+    return all(v < u for v, u in zip(p.psi.value, p.phi.value) if v in stratum)
 
 
 def check_p_property(chain: AbstractNest) -> bool:
-    """Countable approach on both sides of every limit node."""
-    for i in range(len(chain)):
-        node = chain.nodes[i]
-        if node.below == LIMIT and node.cofinality != COUNTABLE:
-            return False
-        if node.above == LIMIT and node.coinitiality != COUNTABLE:
-            return False
-    return True
+    """Countable approach on both sides of every limit node, each side's
+    mark read by `SIDES`."""
+    return all(
+        getattr(node, side) != LIMIT or getattr(node, mark) == COUNTABLE
+        for node in chain.nodes for side, mark, _ in SIDES
+    )
 
 
 def check_p_infinity(chain: AbstractNest) -> bool:

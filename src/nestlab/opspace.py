@@ -18,7 +18,7 @@ without elimination over Q^(n*n):
   of Phi and of the annihilators of the nest (see `_m_of_rows`);
 - the support of J is read off the number of J's pivots in each row block,
   and certified by one comparison of J with m_of of it (see
-  `_support_values`), which is also the bimodule test.
+  `_support`), which is also the bimodule test.
 
 Since m_of is a function of the nest and the values of Phi alone, each
 space is computed once per nest and kept on it (`Nest.operator_spaces`),
@@ -35,8 +35,8 @@ and the tests use.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -163,17 +163,14 @@ class RankOne(Value):
 # algebra and bimodules
 # ---------------------------------------------------------------------------
 
-def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def _hull_values(nest: Nest, int_ops: Sequence[Sequence[Sequence[int]]]) -> tuple[int, ...]:
     """For each nest element E, the index of the smallest element containing
-    T E for every T in int_ops (row-major integer flats).
+    T E for every T in int_ops, each given as its n integer rows.
 
     The hull is monotone, so one pointer walks up the chain: element j only
     adds the images of its level vectors, and once the pointer reaches the top
     every later value is the top.
     """
-    n = nest.ambient_dim
-    # each operator as its n rows, sliced once
-    mats = [[t[base:base + n] for base in range(0, n * n, n)] for t in int_ops]
     top = len(nest.elements) - 1
     values = []
     at = 0
@@ -181,7 +178,7 @@ def _hull_values(nest: Nest, int_ops: Sequence[Sequence[int]]) -> tuple[int, ...
         for u in level:
             if at == top:
                 break
-            for t in mats:
+            for t in int_ops:
                 image = [sum(map(mul, row, u)) for row in t]
                 while at < top:
                     if nest.elements[at].contains_row(image):
@@ -325,11 +322,11 @@ def generate_bimodule(nest: Nest, generators: Iterable[Matrix]) -> OperatorSpace
             raise AmbientMismatchError(f"generator is not a {n}x{n} matrix")
         w = int_row(g.flatten())
         if w is not None:
-            ops.append(w)
+            ops.append([w[base:base + n] for base in range(0, n * n, n)])
     return m_of(nest, SupportFn(nest, _hull_values(nest, ops)))
 
 
-def _support_values(nest: Nest, j: OperatorSpace) -> tuple[int, ...] | None:
+def _support(nest: Nest, j: OperatorSpace) -> SupportFn | None:
     """The support psi of J, read off J's pivots, or None when J is not a
     bimodule.
 
@@ -337,11 +334,11 @@ def _support_values(nest: Nest, j: OperatorSpace) -> tuple[int, ...] | None:
     set of E_(t_i - 1)^perp, where t_i is the first level whose psi value has
     a pivot at i (see `m_of`).  So the w_i pivots of J in row block i give
     dim E_(t_i - 1) = n - w_i, and psi(E_t) is the element of dimension
-    #{i : t_i <= t}, with psi(E_0) = 0.  A bimodule is m_of of its support
-    (Erdos and Power), so J is one exactly when m_of(psi) equals J; a
-    dimension that names no nest element rules J out at once.  A J that m_of
-    returned on this nest is the memoized m_of(psi) itself, and any other J
-    is compared row by row.
+    #{i : n - w_i < dim E_t}, one `bisect_left` on the sorted n - w_i.  A
+    bimodule is m_of of its support (Erdos and Power), so J is one exactly
+    when that count names an element at every E_t and m_of(psi) equals J.  A
+    J that m_of returned on this nest is the memoized m_of(psi) itself, and
+    any other J is compared row by row.
     """
     if j.ambient_dim != nest.ambient_dim:
         raise AmbientMismatchError("operator space and nest ambient dimensions differ")
@@ -350,36 +347,30 @@ def _support_values(nest: Nest, j: OperatorSpace) -> tuple[int, ...] | None:
     width = [0] * n
     for p in j.space.pivots:
         width[p // n] += 1
-    # reached[t] counts the row blocks i with t_i = t
-    reached = [0] * len(nest.elements)
-    for w in width:
-        if w:
-            if n - w not in index:
-                return None
-            reached[index[n - w] + 1] += 1
-    values = tuple(index.get(d, -1) for d in accumulate(reached))
-    if -1 in values or m_of(nest, SupportFn(nest, values)).space != j.space:
+    below = sorted(n - w for w in width)
+    values = tuple(index.get(bisect_left(below, e.dim)) for e in nest.elements)
+    if None in values:
         return None
-    return values
+    psi = SupportFn(nest, values)
+    return psi if m_of(nest, psi).space == j.space else None
 
 
-def _bimodule_support(nest: Nest, j: OperatorSpace, message: str) -> tuple[int, ...]:
-    values = _support_values(nest, j)
-    if values is None:
+def _bimodule_support(nest: Nest, j: OperatorSpace, message: str) -> SupportFn:
+    psi = _support(nest, j)
+    if psi is None:
         raise NotABimoduleError(message)
-    return values
+    return psi
 
 
 def is_bimodule(nest: Nest, s: OperatorSpace) -> bool:
     """Whether A s B stays inside s for all algebra members A and B,
     decided by comparing s with m_of of the support read off its pivots."""
-    return _support_values(nest, s) is not None
+    return _support(nest, s) is not None
 
 
 def support_of(nest: Nest, j: OperatorSpace) -> SupportFn:
     """The support function E |-> [J E] of a bimodule J."""
-    return SupportFn(nest, _bimodule_support(
-        nest, j, "operator space is not a bimodule over the nest algebra"))
+    return _bimodule_support(nest, j, "operator space is not a bimodule over the nest algebra")
 
 
 def is_reflexive(nest: Nest, j: OperatorSpace) -> bool:
@@ -517,8 +508,7 @@ def decompose(nest: Nest, phi: SupportFn, t: Matrix) -> list[RankOne]:
         raise AmbientMismatchError(f"operator is not a {n}x{n} matrix")
     d = lcm(*(x.denominator for row in t.entries for x in row))
     r = [[x.numerator * (d // x.denominator) for x in row] for row in t.entries]
-    flat = [x for row in r for x in row]
-    hull = _hull_values(nest, [flat])
+    hull = _hull_values(nest, [r])
     if any(h > v for h, v in zip(hull, phi.values)):
         raise NotAMemberError(
             "operator does not map every nest element into its support value"

@@ -17,8 +17,9 @@ with g = gcd(a, b), which gives the stored form directly.  A `Subspace` keeps
 the pivot columns its constructor finds while checking that form, and
 answers membership (`Subspace.contains_row`) by the same reduction,
 `_residue`, that an `IntEchelon` runs; a join seeds its echelon with the rows
-and pivots of one side.  A `Fraction` is made only when `Subspace.basis` is
-read: each stored row divided by its pivot, one `Fraction` per nonzero entry.
+and pivots of its first side.  A `Fraction` is made only when
+`Subspace.basis` is read: each stored row divided by its pivot, one
+`Fraction` per nonzero entry.
 """
 
 from __future__ import annotations
@@ -311,8 +312,6 @@ class Subspace(Value):
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatchError("subspaces live in different ambients")
-        if other.dim > self.dim:
-            return False
         return all(map(self.contains_row, other.rows))
 
 
@@ -329,14 +328,10 @@ def join(a: Subspace, b: Subspace) -> Subspace:
     """Smallest subspace containing both a and b."""
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatchError("join of subspaces in different ambients")
-    if b.dim > a.dim:
-        a, b = b, a
     ech = IntEchelon(a.rows, a.pivots)
-    grew = False
     for r in b.rows:
-        if ech.insert(r) is not None:
-            grew = True
-    return _subspace_from_echelon(ech, a.ambient_dim) if grew else a
+        ech.insert(r)
+    return _subspace_from_echelon(ech, a.ambient_dim)
 
 
 def annihilator(s: Subspace) -> Subspace:

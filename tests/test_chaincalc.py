@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import re
+import time
 
 import pytest
 
@@ -429,6 +430,44 @@ def test_pair_validation():
     with pytest.raises(PairAdmissibilityError,
                        match="^pair components live on different chains$"):
         SupportPair(on_finite, AbstractSupportFn(infinite_chain(), (0, 1, 2), (None,) * 3))
+
+
+def long_chain(k, first_gap):
+    # k nodes, every jump attained, the first of dimension first_gap and the
+    # others of dimension 1, so the finite stratum holds about k indices
+    gaps = [first_gap] + [1] * (k - 2)
+    labels = ["0", *(f"N{i}" for i in range(1, k - 1)), "X"]
+    return AbstractNest((
+        ChainNode("0", above=ATTAINED),
+        *(ChainNode(label, below=ATTAINED, gap=gap, above=ATTAINED)
+          for label, gap in zip(labels[1:-1], gaps)),
+        ChainNode("X", below=ATTAINED, gap=gaps[-1]),
+    ))
+
+
+def timed(check, arg):
+    start = time.perf_counter()
+    verdict = check(arg)
+    return verdict, time.perf_counter() - start
+
+
+def test_essential_and_pair_checks_are_linear_in_the_chain_length():
+    # each value is tested against the finite stratum: on a 20,000-node chain
+    # a test that scans the stratum per value takes seconds
+    k = 20_000
+    chain = long_chain(k, 1)
+    to_top = on_attained(chain, 0, *[k - 1] * (k - 1))
+    verdict, elapsed = timed(check_essential, to_top)
+    assert not verdict and elapsed < 1, elapsed
+    # after an infinite first jump psi may sit at N1, outside the stratum,
+    # and then the pair is admissible: both checks read every value
+    chain = long_chain(k, INFINITE)
+    psi = on_attained(chain, 0, *[1] * (k - 1))
+    pair = SupportPair(on_attained(chain, 0, *[k - 1] * (k - 1)), psi)
+    verdict, elapsed = timed(check_essential, psi)
+    assert verdict and elapsed < 1, elapsed
+    verdict, elapsed = timed(check_pair, pair)
+    assert verdict and elapsed < 1, elapsed
 
 
 def test_p_property_marks():

@@ -67,7 +67,7 @@ SHARED_NAME_READERS = {
         "ratlin._echelon_from_rows", "ratlin.join", "ratlin.annihilator",
         "opspace._first_meet_vector",
     ),
-    "Subspace.dim": ("ratlin.Subspace.contains", "ratlin.join"),
+    "Subspace.dim": ("ratlin.Subspace.basis",),
     "OperatorSpace.dim": ("documents._fmt_space",),
 }
 BUILTIN_TYPES = (list, tuple, dict, set, str, int)
